@@ -23,7 +23,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .tableaux import ReverseTableau, Tableau, is_standard, positions, validate_pct
+from .tableaux import ReverseTableau, Tableau, positions, validate_pct
 
 __all__ = [
     "DyckPath",
@@ -201,9 +201,9 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
     """
     if any(len(row) != 2 for row in t.rows):
         raise ValueError(f"shape must be a two-column rectangle: {t.shape}")
-    if not validate_pct(t).valid or not is_standard(t):
+    if not validate_pct(t).valid:
         raise ValueError("input is not a valid standard tableau")
-    pos = positions(t)
+    pos = positions(t)  # raises unless standard
     steps = tuple(
         "U" if pos[i][1] == 2 else f"D{pos[i][0]}" for i in range(1, t.size + 1)
     )
@@ -233,9 +233,7 @@ def srt_to_dyck(T: ReverseTableau) -> DyckPath:
     up-step exactly when i sits in the second column."""
     if any(len(row) != 2 for row in T.rows):
         raise ValueError(f"shape must be a two-column rectangle: {T.shape}")
-    if not is_standard(T):
-        raise ValueError("input is not standard")
-    pos = positions(T)
+    pos = positions(T)  # raises unless standard
     return DyckPath(
         tuple("U" if pos[i][1] == 2 else "D" for i in range(1, T.size + 1))
     )

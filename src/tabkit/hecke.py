@@ -14,7 +14,7 @@ immediately to its left) and exactly one sink (every descent attacking).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -22,8 +22,8 @@ from itertools import combinations
 from .core import Perm, check_composition
 from .tableaux import (
     Tableau,
-    descent_set,
     enumerate_spct,
+    is_standard,
     positions,
     st_column,
     st_word,
@@ -62,10 +62,14 @@ class HeckeResult:
     tableau: Tableau | None  # the input if fixed, the image if moved, else None
 
 
-def _attacking(pos: dict[int, tuple[int, int]], i: int) -> bool:
-    # same column, or adjacent columns with i+1 strictly southeast of i
+def _classify(pos: dict[int, tuple[int, int]], i: int) -> DescentClass:
     (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-    return c1 == c2 or (c2 == c1 + 1 and r2 > r1)
+    if c2 < c1:
+        return DescentClass.NOT_DESCENT
+    # same column, or adjacent columns with i+1 strictly southeast of i
+    if c1 == c2 or (c2 == c1 + 1 and r2 > r1):
+        return DescentClass.ATTACKING
+    return DescentClass.NONATTACKING
 
 
 def classify(t: Tableau, i: int) -> DescentClass:
@@ -73,11 +77,7 @@ def classify(t: Tableau, i: int) -> DescentClass:
     pos = positions(t)
     if not 1 <= i <= t.size - 1:
         raise ValueError(f"index out of range: {i}")
-    if pos[i + 1][1] < pos[i][1]:
-        return DescentClass.NOT_DESCENT
-    if _attacking(pos, i):
-        return DescentClass.ATTACKING
-    return DescentClass.NONATTACKING
+    return _classify(pos, i)
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:
@@ -93,22 +93,16 @@ def swap_entries(t: Tableau, i: int) -> Tableau:
 def pi(t: Tableau, i: int) -> HeckeResult:
     """Apply the i-th descent operator.
 
-    A moved result is revalidated: it must be a valid standard tableau of the
-    same shape and type, so a failure here signals a library bug, not bad
-    input.
+    A moved result is not revalidated here.  ``verify_hecke_relations``
+    checks that every moved image is a valid standard tableau of the same
+    type, and the tests check that on every shape of size at most 6.
     """
     kind = classify(t, i)
     if kind is DescentClass.NOT_DESCENT:
         return HeckeResult("fixed", t)
     if kind is DescentClass.ATTACKING:
         return HeckeResult("zero", None)
-    moved = swap_entries(t, i)
-    check = validate_pct(moved)
-    if not check.valid or check.sigma != st_column(t, 1):
-        raise AssertionError(
-            f"swap of {i}, {i + 1} broke validity on {t.rows}"
-        )
-    return HeckeResult("moved", moved)
+    return HeckeResult("moved", swap_entries(t, i))
 
 
 def apply_word(t: Tableau, word: Sequence[int]) -> Tableau | None:
@@ -133,47 +127,53 @@ class RelationReport:
 
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """Check idempotence, distant commutation, and the braid relation
-    pointwise on every standard tableau of the given shape."""
+    pointwise on every standard tableau of the given shape.
+
+    Before the relations at t and i, a moved image of t under pi_i must be
+    a valid standard tableau of the same type, or it is reported as the
+    counterexample; this check does not count in ``checks``.
+    """
     shape = check_composition(shape)
     n = sum(shape)
     tableaux = list(enumerate_spct(shape))
     checks = 0
+
+    def fail(witness: str) -> RelationReport:
+        return RelationReport(False, shape, len(tableaux), checks, witness)
+
     for t in tableaux:
+        sigma = st_column(t, 1)
         for i in range(1, n):
+            image = pi(t, i).tableau  # t itself when fixed, None when zero
+            if image is not None and image is not t:
+                check = validate_pct(image)
+                if not (check.valid and check.sigma == sigma and is_standard(image)):
+                    return fail(
+                        f"pi_{i} image {image.rows} of {t.rows} is not a "
+                        "valid standard tableau of the same type"
+                    )
             checks += 1
-            if apply_word(t, (i, i)) != apply_word(t, (i,)):
-                return RelationReport(
-                    False, shape, len(tableaux), checks,
-                    f"pi_{i}^2 != pi_{i} on {t.rows}",
-                )
+            if apply_word(t, (i, i)) != image:
+                return fail(f"pi_{i}^2 != pi_{i} on {t.rows}")
         for i, j in combinations(range(1, n), 2):
             if j - i < 2:
                 continue
             checks += 1
             if apply_word(t, (i, j)) != apply_word(t, (j, i)):
-                return RelationReport(
-                    False, shape, len(tableaux), checks,
-                    f"pi_{i} pi_{j} != pi_{j} pi_{i} on {t.rows}",
-                )
+                return fail(f"pi_{i} pi_{j} != pi_{j} pi_{i} on {t.rows}")
         for i in range(1, n - 1):
             checks += 1
             if apply_word(t, (i, i + 1, i)) != apply_word(t, (i + 1, i, i + 1)):
-                return RelationReport(
-                    False, shape, len(tableaux), checks,
-                    f"braid relation fails at i={i} on {t.rows}",
-                )
+                return fail(f"braid relation fails at i={i} on {t.rows}")
     return RelationReport(True, shape, len(tableaux), checks, None)
 
 
 def is_source(t: Tableau) -> bool:
     """Every non-descent i < n has i+1 in the cell immediately to its left."""
     pos = positions(t)
-    des = descent_set(t)
     for i in range(1, t.size):
-        if i in des:
-            continue
         (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-        if not (r2 == r1 and c2 == c1 - 1):
+        if c2 < c1 and not (r2 == r1 and c2 == c1 - 1):
             return False
     return True
 
@@ -181,8 +181,10 @@ def is_source(t: Tableau) -> bool:
 def is_sink(t: Tableau) -> bool:
     """Every descent is attacking."""
     pos = positions(t)
-    des = descent_set(t)
-    return all(_attacking(pos, i) for i in des)
+    return all(
+        _classify(pos, i) is not DescentClass.NONATTACKING
+        for i in range(1, t.size)
+    )
 
 
 @dataclass(frozen=True)
@@ -230,20 +232,24 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     return tuple(classes)
 
 
+def _moved_edges(tableaux: list[Tableau]) -> Iterator[tuple[int, int, int]]:
+    # (k, i, m) for each move of tableaux[k] to tableaux[m] by pi_i
+    index = {t: k for k, t in enumerate(tableaux)}
+    for t, k in index.items():
+        for i in range(1, t.size):
+            result = pi(t, i)
+            if result.kind == "moved":
+                yield k, i, index[result.tableau]
+
+
 def _moved_connected(members: list[Tableau]) -> bool:
     # undirected reachability over moved transitions within the class
     if len(members) == 1:
         return True
-    n = members[0].size
-    index = {t: k for k, t in enumerate(members)}
-    adjacency: dict[int, set[int]] = {k: set() for k in index.values()}
-    for t, k in index.items():
-        for i in range(1, n):
-            result = pi(t, i)
-            if result.kind == "moved":
-                other = index[result.tableau]
-                adjacency[k].add(other)
-                adjacency[other].add(k)
+    adjacency: list[set[int]] = [set() for _ in members]
+    for k, _, m in _moved_edges(members):
+        adjacency[k].add(m)
+        adjacency[m].add(k)
     seen = {0}
     stack = [0]
     while stack:
@@ -271,17 +277,12 @@ def orbit_dot(shape: Sequence[int]) -> str:
     """DOT digraph of all moved transitions on the tableaux of one shape."""
     shape = check_composition(shape)
     tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
-    index = {t: k for k, t in enumerate(tableaux)}
     lines = ["digraph orbits {"]
-    for t, k in index.items():
+    for k, t in enumerate(tableaux):
         label = "/".join(",".join(map(str, row)) for row in t.rows)
         lines.append(f'  t{k} [label="{label}"];')
-    n = sum(shape)
-    for t, k in index.items():
-        for i in range(1, n):
-            result = pi(t, i)
-            if result.kind == "moved":
-                lines.append(f'  t{k} -> t{index[result.tableau]} [label="{i}"];')
+    for k, i, m in _moved_edges(tableaux):
+        lines.append(f'  t{k} -> t{m} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)
 

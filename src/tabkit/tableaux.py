@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .core import (
     Composition,
@@ -41,7 +42,6 @@ __all__ = [
     "Violation",
     "ValidationResult",
     "validate_pct",
-    "validate_pct_alt",
     "is_standard",
     "positions",
     "column_word",
@@ -66,13 +66,21 @@ def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
         if not row:
             raise ValueError(f"row {r} is empty")
         for entry in row:
-            if not isinstance(entry, int) or entry < 1:
-                raise ValueError(f"row {r} has a non-positive entry: {entry}")
+            # exact type test: bool is an int subclass and must not pass
+            if type(entry) is not int or entry < 1:
+                raise ValueError(
+                    f"row {r} has an entry that is not a positive integer: "
+                    f"{entry!r}"
+                )
+
+
+_F = TypeVar("_F", bound="_Filling")
 
 
 @dataclass(frozen=True)
-class Tableau:
-    """A filling of a composition diagram; validity is checked separately."""
+class _Filling:
+    """Rows of positive integers, left-justified; the members both kinds of
+    tableau share."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -80,7 +88,7 @@ class Tableau:
         _check_rows(self.rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Tableau":
+    def from_rows(cls: type[_F], rows: Iterable[Iterable[int]]) -> _F:
         return cls(tuple(tuple(row) for row in rows))
 
     @property
@@ -100,17 +108,20 @@ class Tableau:
 
 
 @dataclass(frozen=True)
-class ReverseTableau:
+class Tableau(_Filling):
+    """A filling of a composition diagram; validity is checked separately."""
+
+
+@dataclass(frozen=True)
+class ReverseTableau(_Filling):
     """Partition shape, rows weakly decreasing, columns strictly decreasing.
 
     Entries are positive and at most the number of cells.  Unlike Tableau,
     the defining conditions are enforced at construction.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-
     def __post_init__(self) -> None:
-        _check_rows(self.rows)
+        super().__post_init__()
         shape = self.shape
         if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
             raise ValueError(f"shape must be a partition: {shape}")
@@ -128,27 +139,8 @@ class ReverseTableau:
                         f"column {j + 1} does not strictly decrease at row {r + 1}"
                     )
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ReverseTableau":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def shape(self) -> Composition:
-        return tuple(len(row) for row in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    def entry(self, row: int, col: int) -> int:
-        return self.rows[row - 1][col - 1]
-
     def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "rows": [list(r) for r in self.rows],
-            "reverse": True,
-        }
+        return super().to_json() | {"reverse": True}
 
 
 @dataclass(frozen=True)
@@ -245,61 +237,26 @@ def validate_pct(t: Tableau) -> ValidationResult:
     return ValidationResult(sigma, tuple(violations))
 
 
-def validate_pct_alt(t: Tableau) -> bool:
-    """Equivalent validity test in a different formulation; cross-check only.
-
-    Replaces the triple condition by: column entries are distinct; for cells
-    (i, j) above (k, j) in any column j >= 2, if the upper entry is smaller
-    then the lower entry exceeds the upper entry's left neighbor; and any
-    entry in column j >= 2 exceeds every entry of a shorter row above it
-    whose cells stop just left of column j.
-    """
-    n = t.size
-    if any(x > n for row in t.rows for x in row):
-        return False
-    first_col = [row[0] for row in t.rows]
-    if len(set(first_col)) != len(first_col):
-        return False
-    for row in t.rows:
-        if any(row[c - 1] < row[c] for c in range(1, len(row))):
-            return False
-    ncols = max(len(row) for row in t.rows)
-    for j in range(1, ncols):  # 0-indexed column j, i.e. column j+1 >= 2
-        cells = [(i, row[j]) for i, row in enumerate(t.rows) if len(row) > j]
-        values = [x for _, x in cells]
-        if len(set(values)) != len(values):
-            return False
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                (i, upper), (k, lower) = cells[a], cells[b]
-                if upper < lower and not lower > t.rows[i][j - 1]:
-                    return False
-        for k, lower in cells:
-            for i in range(k):
-                if len(t.rows[i]) == j and not t.rows[i][j - 1] < lower:
-                    return False
-    return True
-
-
 def is_standard(t: Tableau | ReverseTableau) -> bool:
     """True iff the entries are exactly 1 through the number of cells."""
     entries = sorted(x for row in t.rows for x in row)
     return entries == list(range(1, t.size + 1))
 
 
-def _require_standard(t: Tableau | ReverseTableau) -> None:
-    if not is_standard(t):
-        raise ValueError("tableau is not standard")
-
-
 def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
-    """Map each entry of a standard tableau to its 1-indexed (row, column)."""
-    _require_standard(t)
-    return {
+    """Map each entry of a standard tableau to its 1-indexed (row, column).
+
+    Raises ValueError when the tableau is not standard.
+    """
+    pos = {
         x: (r, c)
         for r, row in enumerate(t.rows, start=1)
         for c, x in enumerate(row, start=1)
     }
+    # entries are positive, so n distinct ones with maximum n are 1..n
+    if len(pos) != t.size or max(pos) != len(pos):
+        raise ValueError("tableau is not standard")
+    return pos
 
 
 def column_word(t: Tableau | ReverseTableau, col: int) -> tuple[int, ...]:
@@ -501,9 +458,10 @@ def from_json(data: dict) -> Tableau | ReverseTableau:
         raise ValueError('"rows" must be a list of lists')
     cls = ReverseTableau if data.get("reverse") else Tableau
     t = cls.from_rows(rows)
-    if "shape" in data and tuple(data["shape"]) != t.shape:
+    shape = data.get("shape", t.shape)
+    if not isinstance(shape, (list, tuple)) or tuple(shape) != t.shape:
         raise ValueError(
-            f'declared shape {data["shape"]} does not match rows {list(t.shape)}'
+            f"declared shape {shape} does not match rows {list(t.shape)}"
         )
     return t
 

@@ -27,7 +27,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .dyck import LabeledDyckPath, labeled_dyck_word
+from .dyck import LabeledDyckPath, labeled_dyck_word, runs
 
 __all__ = [
     "Node",
@@ -148,46 +148,33 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
     """
     if not d.canonical:
         raise ValueError(f"labels must be exactly 1..{d.semi_length}")
+    blocks = runs(d)
     word = labeled_dyck_word(d)
-    blocks: list[list[int]] = []  # down blocks left to right, with end positions
-    ends: list[int] = []
-    current: list[int] = []
-    for k, token in enumerate(word):
-        if token.startswith("D"):
-            current.append(int(token[1:]))
-        elif current:
-            blocks.append(current)
-            ends.append(k - 1)
-            current = []
-    if current:
-        blocks.append(current)
-        ends.append(len(word) - 1)
-    run_blocks = list(reversed(blocks))
-    run_ends = list(reversed(ends))
+    # the up-step right after each down block names the node the block hangs
+    # from; read right to left, these match blocks[1:] (blocks[0] ends the
+    # path and holds the root)
+    parents = [
+        int(word[k][1:])
+        for k in range(len(word) - 1, 0, -1)
+        if word[k][0] == "U" and word[k - 1][0] == "D"
+    ]
 
     # functional nodes are frozen, so build with child tables and materialize
     left_of: dict[int, int | None] = {}
     right_of: dict[int, int | None] = {}
-    tops: list[int] = []
-    for block in run_blocks:
-        top = block[-1]
+    for block in blocks:
         below = None
         for label in block:
             left_of[label] = below
             right_of[label] = None
             below = label
-        tops.append(top)
 
-    attached = set(run_blocks[0])
-    for i in range(1, len(run_blocks)):
-        after = word[run_ends[i] + 1]
-        if not after.startswith("U"):  # impossible: a later block follows
-            raise AssertionError(f"down block not followed by an up-step: {after}")
-        j = int(after[1:])
+    attached = set(blocks[0])
+    for block, j in zip(blocks[1:], parents):
         if j not in attached:  # impossible on a valid word
             raise AssertionError(f"attachment point {j} not in the tree yet")
-        right_of[j] = tops[i]
-        attached.update(run_blocks[i])
+        right_of[j] = block[-1]
+        attached.update(block)
 
     def build(label: int) -> Node:
         left = left_of[label]
@@ -198,7 +185,7 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
             build(right) if right is not None else None,
         )
 
-    return build(tops[0])
+    return build(blocks[0][-1])
 
 
 def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
@@ -313,7 +300,7 @@ def tree_from_json(data: dict) -> Node:
     if not isinstance(data, dict) or "label" not in data:
         raise ValueError('expected an object with a "label" key')
     label = data["label"]
-    if not isinstance(label, int):
+    if type(label) is not int:  # bool is an int subclass and must not pass
         raise ValueError(f"label must be an integer: {label!r}")
     left = tree_from_json(data["left"]) if "left" in data else None
     right = tree_from_json(data["right"]) if "right" in data else None

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tabkit.cli import DEFAULT_MAX_OBJECTS, main
+from tabkit.tableaux import Tableau
 
 
 def run(capsys, *argv):
@@ -107,6 +108,19 @@ def test_verify_hecke_single_shape(capsys):
     assert len(report["results"]["checks"]) == 1
 
 
+def test_verify_hecke_reports_a_broken_image(capsys, monkeypatch):
+    # a swap that leaves every row increasing breaks validity
+    monkeypatch.setattr(
+        "tabkit.hecke.swap_entries",
+        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
+    )
+    code, out, err = run(capsys, "verify", "hecke", "--shape", "2,2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["passed"] is False
+    assert "is not a valid standard tableau" in results["counterexample"]
+
+
 def test_stats_quadruple(capsys):
     report = run_json(capsys, "stats", "quadruple", "--n", "3")
     assert report["results"]["equal"] is True
@@ -142,6 +156,33 @@ def test_map_stdin(capsys, monkeypatch):
     )
     report = run_json(capsys, "map", "pct-to-rt", "--in", "-")
     assert report["results"]["result"]["reverse"] is True
+
+
+def map_stdin(capsys, monkeypatch, transform, data):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    return run(capsys, "map", transform, "--in", "-")
+
+
+def test_map_non_list_shape_is_usage_error(capsys, monkeypatch):
+    code, out, err = map_stdin(
+        capsys, monkeypatch, "pct-to-rt", {"shape": 3, "rows": [[1]]}
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: declared shape 3")
+
+
+def test_map_rejects_boolean_entries(capsys, monkeypatch):
+    code, out, err = map_stdin(capsys, monkeypatch, "pct-to-rt", {"rows": [[True]]})
+    assert code == 2 and out == ""
+    assert "not a positive integer: True" in err
+
+
+def test_map_rejects_boolean_labels(capsys, monkeypatch):
+    code, out, err = map_stdin(
+        capsys, monkeypatch, "ltree-to-ldyck", {"label": True}
+    )
+    assert code == 2 and out == ""
+    assert "label must be an integer: True" in err
 
 
 def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):

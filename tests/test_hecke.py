@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from tabkit import hecke
 from tabkit.core import compositions_of
 from tabkit.hecke import (
     DescentClass,
@@ -17,7 +18,14 @@ from tabkit.hecke import (
     swap_entries,
     verify_hecke_relations,
 )
-from tabkit.tableaux import Tableau, enumerate_spct, st_word, validate_pct
+from tabkit.tableaux import (
+    Tableau,
+    enumerate_spct,
+    is_standard,
+    st_column,
+    st_word,
+    validate_pct,
+)
 
 SPCT_1324 = Tableau.from_rows([[1], [7, 5, 2], [6, 4], [10, 9, 8, 3]])
 
@@ -95,14 +103,40 @@ def test_pi_braid(t, data):
     assert apply_word(t, (i, i + 1, i)) == apply_word(t, (i + 1, i, i + 1))
 
 
-@given(t=spct_strategy(), data=st.data())
-def test_pi_preserves_shape_and_type(t, data):
-    i = data.draw(st.integers(1, t.size - 1))
-    result = pi(t, i)
-    if result.tableau is not None:
-        assert result.tableau.shape == t.shape
-        assert st_word(result.tableau)[0] == st_word(t)[0]
-        assert validate_pct(result.tableau).valid
+def test_pi_preserves_shape_and_type():
+    for n in range(2, 7):
+        for shape in compositions_of(n):
+            for t in enumerate_spct(shape):
+                sigma = st_column(t, 1)
+                for i in range(1, n):
+                    result = pi(t, i)
+                    if result.kind != "moved":
+                        continue
+                    image = result.tableau
+                    check = validate_pct(image)
+                    assert check.valid, (t.rows, i)
+                    assert image.shape == shape
+                    assert check.sigma == sigma
+                    assert is_standard(image)
+
+
+@pytest.mark.parametrize(
+    "broken_swap",
+    [
+        # every row increasing: not a valid tableau
+        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
+        # i+1 overwritten by i: a valid filling, but not standard
+        lambda t, i: Tableau.from_rows(
+            [i if x == i + 1 else x for x in row] for row in t.rows
+        ),
+    ],
+    ids=["invalid", "not-standard"],
+)
+def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken_swap):
+    monkeypatch.setattr(hecke, "swap_entries", broken_swap)
+    report = verify_hecke_relations((2, 2))
+    assert not report.passed
+    assert "is not a valid standard tableau" in report.counterexample
 
 
 def test_apply_word_zero_absorbs():

@@ -23,7 +23,6 @@ from tabkit.tableaux import (
     st_column,
     st_word,
     validate_pct,
-    validate_pct_alt,
 )
 
 # a non-standard tableau with repeated entries and its standard companion,
@@ -136,6 +135,43 @@ def test_triple_condition_counts_missing_cell_as_zero():
     assert not validate_pct(Tableau.from_rows([[3], [2, 1]])).valid
     assert validate_pct(Tableau.from_rows([[3, 1], [2]])).valid
     assert not validate_pct(Tableau.from_rows([[2], [3, 1]])).valid
+
+
+def validate_pct_alt(t: Tableau) -> bool:
+    """Equivalent validity test in a different formulation; the reference
+    ``test_validators_agree`` compares ``validate_pct`` against.
+
+    Replaces the triple condition by: column entries are distinct; for cells
+    (i, j) above (k, j) in any column j >= 2, if the upper entry is smaller
+    then the lower entry exceeds the upper entry's left neighbor; and any
+    entry in column j >= 2 exceeds every entry of a shorter row above it
+    whose cells stop just left of column j.
+    """
+    n = t.size
+    if any(x > n for row in t.rows for x in row):
+        return False
+    first_col = [row[0] for row in t.rows]
+    if len(set(first_col)) != len(first_col):
+        return False
+    for row in t.rows:
+        if any(row[c - 1] < row[c] for c in range(1, len(row))):
+            return False
+    ncols = max(len(row) for row in t.rows)
+    for j in range(1, ncols):  # 0-indexed column j, i.e. column j+1 >= 2
+        cells = [(i, row[j]) for i, row in enumerate(t.rows) if len(row) > j]
+        values = [x for _, x in cells]
+        if len(set(values)) != len(values):
+            return False
+        for a in range(len(cells)):
+            for b in range(a + 1, len(cells)):
+                (i, upper), (k, lower) = cells[a], cells[b]
+                if upper < lower and not lower > t.rows[i][j - 1]:
+                    return False
+        for k, lower in cells:
+            for i in range(k):
+                if len(t.rows[i]) == j and not t.rows[i][j - 1] < lower:
+                    return False
+    return True
 
 
 @given(t=filling_strategy())
@@ -270,6 +306,10 @@ def test_positions_inverts_entries():
     assert pos[10] == (4, 1)
     assert pos[8] == (4, 3)
     assert all(SPCT_1324.entry(r, c) == v for v, (r, c) in pos.items())
+    with pytest.raises(ValueError):
+        positions(PCT_REPEATS)  # repeated entries
+    with pytest.raises(ValueError):
+        positions(Tableau.from_rows([[3, 1]]))  # distinct, but 2 is missing
 
 
 @given(t=spct_strategy())
