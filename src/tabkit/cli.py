@@ -16,6 +16,10 @@ Every command accepts ``--format {json,csv,text}`` (JSON is canonical) and
 refuse to produce more than ``--max-objects`` objects (default 10**7,
 overridable also via the TK_MAX_OBJECTS environment variable).  Exit codes:
 0 pass, 1 invariant failure, 2 usage error.
+
+Each ``cmd_*`` returns its parameters, results, rows and exit code, and
+``main`` times it and renders the report.  Each verification suite yields
+one ``(row, witness)`` pair per check; the witness is None on a pass.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ import random
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import permutations
 from math import factorial
 
 from .allowable import (
-    allowable_pairs,
     is_2112_avoiding,
     is_allowable_pair,
     realize_sct,
@@ -70,6 +74,7 @@ from .tableaux import (
     st_column,
 )
 from .trees import (
+    Node,
     edge_stats,
     enumerate_ltrees,
     ldyck_to_ltree,
@@ -82,6 +87,11 @@ from .trees import (
 __all__ = ["main", "entry", "build_parser"]
 
 DEFAULT_MAX_OBJECTS = 10_000_000
+
+# What a command returns to ``main``: parameters, results, rows, exit code.
+Outcome = tuple[dict, dict, list[dict], int]
+# One suite check: its table row, and a witness when it failed.
+Check = tuple[dict, str | None]
 
 
 class GuardExceeded(Exception):
@@ -111,17 +121,12 @@ def _guarded(items: Iterable, cap: int, what: str) -> Iterator:
         yield item
 
 
+def _count(items: Iterable, cap: int, what: str) -> int:
+    return sum(1 for _ in _guarded(items, cap, what))
+
+
 # ---------------------------------------------------------------------------
-# report plumbing
-
-
-def _report(command: str, parameters: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "elapsed_seconds": round(time.perf_counter() - started, 6),
-    }
+# report rendering
 
 
 def _cell(value) -> str:
@@ -130,30 +135,26 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _fields(rows: list[dict]) -> list[str]:
+    """The column names of ``rows`` in first-seen order."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def _table_lines(rows: list[dict]) -> list[str]:
     if not rows:
         return ["(no rows)"]
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    fields = _fields(rows)
     grid = [fields] + [[_cell(row.get(f, "")) for f in fields] for row in rows]
     widths = [max(len(line[i]) for line in grid) for i in range(len(fields))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
             for line in grid]
 
 
-def _emit(args: argparse.Namespace, report: dict, rows: list[dict]) -> None:
-    if args.format == "json":
+def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
+    if fmt == "json":
         print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        fields: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=_fields(rows))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _cell(v) for k, v in row.items()})
@@ -173,9 +174,7 @@ def _emit(args: argparse.Namespace, report: dict, rows: list[dict]) -> None:
 # tk enumerate
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    cap = _object_cap(args)
+def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     kind = args.kind
     params: dict = {}
     if kind in ("spct", "srt"):
@@ -205,186 +204,143 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             objects = enumerate_ltrees(args.n)
             as_json = tree_to_json
 
-    listing: list[dict] | None = [] if args.list else None
-    count = 0
-    for obj in _guarded(objects, cap, f"enumerate {kind}"):
-        count += 1
-        if listing is not None:
-            listing.append(as_json(obj))
-    results: dict = {"kind": kind, "count": count}
+    what = f"enumerate {kind}"
     if args.list:
+        listing = [as_json(obj) for obj in _guarded(objects, cap, what)]
+        count = len(listing)
         with open(args.list, "w", encoding="utf-8") as fh:
             json.dump(listing, fh, indent=2)
             fh.write("\n")
+    else:
+        count = _count(objects, cap, what)
+    results: dict = {"kind": kind, "count": count}
+    if args.list:
         results["listing_file"] = args.list
     rows = [{"kind": kind, **params, "count": count}]
-    _emit(args, _report("enumerate", params | {"kind": kind}, results, started), rows)
-    return 0
+    return params | {"kind": kind}, results, rows, 0
 
 
 # ---------------------------------------------------------------------------
 # tk verify
 
 
-def _suite_hecke(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, str | None]:
+def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     if args.shape:
         shapes = [parse_composition(args.shape)]
     else:
         max_n = args.max_n if args.max_n is not None else 4
         shapes = [a for n in range(1, max_n + 1) for a in compositions_of(n)]
-    rows = []
-    witness = None
-    ok = True
     for shape in _guarded(shapes, cap, "verify hecke"):
         rep = verify_hecke_relations(shape)
-        rows.append(
-            {
-                "shape": format_composition(shape),
-                "tableaux": rep.tableaux,
-                "checks": rep.checks,
-                "pass": rep.passed,
-            }
-        )
-        if not rep.passed:
-            ok = False
-            if witness is None:
-                witness = f"shape {format_composition(shape)}: {rep.counterexample}"
-    return rows, ok, witness
+        name = format_composition(shape)
+        row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
+               "pass": rep.passed}
+        yield row, None if rep.passed else f"shape {name}: {rep.counterexample}"
 
 
-def _suite_counts(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, str | None]:
+def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
-    rows = []
-    witness = None
-    ok = True
     for n in range(1, max_n + 1):
         shape = (2,) * n
-        spct_count = sum(1 for _ in _guarded(enumerate_spct(shape), cap, "verify counts"))
+        spct_count = _count(enumerate_spct(shape), cap, "verify counts")
         class_count = len(equivalence_classes(shape))
-        ldyck_count = sum(1 for _ in _guarded(enumerate_ldyck(n), cap, "verify counts"))
-        ltree_count = sum(1 for _ in _guarded(enumerate_ltrees(n), cap, "verify counts"))
+        ldyck_count = _count(enumerate_ldyck(n), cap, "verify counts")
+        ltree_count = _count(enumerate_ltrees(n), cap, "verify counts")
         want_objects = factorial(n) * catalan(n)
         want_classes = (n + 1) ** (n - 1)
         passed = (
             spct_count == ldyck_count == ltree_count == want_objects
             and class_count == want_classes
         )
-        rows.append(
-            {
-                "n": n,
-                "spct": spct_count,
-                "ldyck": ldyck_count,
-                "ltree": ltree_count,
-                "expected_objects": want_objects,
-                "classes": class_count,
-                "expected_classes": want_classes,
-                "pass": passed,
-            }
-        )
-        if not passed:
-            ok = False
-            if witness is None:
-                witness = f"n={n}: {rows[-1]}"
-    return rows, ok, witness
+        row = {
+            "n": n,
+            "spct": spct_count,
+            "ldyck": ldyck_count,
+            "ltree": ltree_count,
+            "expected_objects": want_objects,
+            "classes": class_count,
+            "expected_classes": want_classes,
+            "pass": passed,
+        }
+        yield row, None if passed else f"n={n}: {row}"
 
 
-def _suite_bijections(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, str | None]:
+def _tableau_moved(t: Tableau) -> str | None:
+    if rt_to_pct(pct_to_rt(t), st_column(t, 1)) != t:
+        return f"tableau/reverse-tableau round trip moved {t.rows}"
+    return None
+
+
+def _path_moved(d: LabeledDyckPath) -> str | None:
+    if spct_to_ldyck(ldyck_to_spct(d)) != d:
+        return f"path/tableau round trip moved {d.steps}"
+    if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
+        return f"path/tree round trip moved {d.steps}"
+    return None
+
+
+def _tree_moved(tree: Node) -> str | None:
+    if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
+        return f"tree/path round trip moved {tree}"
+    return None
+
+
+def _round_trips(check: str, size: int, cases: Iterable,
+                 moved: Callable[[object], str | None]) -> Check:
+    """Run ``moved`` on each case up to the first failure message it returns."""
+    count = 0
+    bad = None
+    for case in cases:
+        count += 1
+        bad = moved(case)
+        if bad is not None:
+            break
+    return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad
+
+
+def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     n = args.n if args.n is not None else 4
     rng = random.Random(args.seed)
-    rows = []
-    witness = None
-    ok = True
-
-    def record(check: str, size: int, cases: int, bad: str | None) -> None:
-        nonlocal ok, witness
-        rows.append({"check": check, "size": size, "cases": cases, "pass": bad is None})
-        if bad is not None:
-            ok = False
-            if witness is None:
-                witness = bad
-
     for m in range(1, n + 1):
-        cases = 0
-        bad = None
-        for alpha in compositions_of(m):
-            for t in _guarded(enumerate_spct(alpha), cap, "verify bijections"):
-                cases += 1
-                back = rt_to_pct(pct_to_rt(t), st_column(t, 1))
-                if back != t:
-                    bad = f"tableau/reverse-tableau round trip moved {t.rows}"
-                    break
-            if bad:
-                break
-        record("pct-rt", m, cases, bad)
-
+        tableaux = (
+            t
+            for alpha in compositions_of(m)
+            for t in _guarded(enumerate_spct(alpha), cap, "verify bijections")
+        )
+        yield _round_trips("pct-rt", m, tableaux, _tableau_moved)
     for m in range(1, min(n, 4) + 1):
-        cases = 0
-        bad = None
-        for d in _guarded(enumerate_ldyck(m), cap, "verify bijections"):
-            cases += 1
-            t = ldyck_to_spct(d)
-            if spct_to_ldyck(t) != d:
-                bad = f"path/tableau round trip moved {d.steps}"
-                break
-            if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
-                bad = f"path/tree round trip moved {d.steps}"
-                break
-        record("ldyck-spct-ltree", m, cases, bad)
-
+        paths = _guarded(enumerate_ldyck(m), cap, "verify bijections")
+        yield _round_trips("ldyck-spct-ltree", m, paths, _path_moved)
     for m in range(5, n + 1):
-        cases = 0
-        bad = None
-        for _ in range(args.samples):
-            d = random_ldyck(m, rng)
-            cases += 1
-            if spct_to_ldyck(ldyck_to_spct(d)) != d:
-                bad = f"path/tableau round trip moved {d.steps}"
-                break
-            if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
-                bad = f"path/tree round trip moved {d.steps}"
-                break
-            tree = random_ltree(m, rng)
-            if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
-                bad = f"tree/path round trip moved {tree}"
-                break
-        record("sampled", m, cases, bad)
-
-    return rows, ok, witness
+        # each sampled path is checked before its tree is drawn from ``rng``
+        paths = (random_ldyck(m, rng) for _ in range(args.samples))
+        yield _round_trips(
+            "sampled", m, paths,
+            lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
+        )
 
 
-def _suite_classes(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, str | None]:
+def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_size = args.max_size if args.max_size is not None else 5
-    rows = []
-    witness = None
-    ok = True
     shapes = [a for m in range(1, max_size + 1) for a in compositions_of(m)]
     for shape in _guarded(shapes, cap, "verify classes"):
+        name = format_composition(shape)
         try:
             classes = equivalence_classes(shape)
         except AssertionError as exc:
-            rows.append({"shape": format_composition(shape), "classes": 0, "pass": False})
-            ok = False
-            if witness is None:
-                witness = f"shape {format_composition(shape)}: {exc}"
-            continue
-        rows.append(
-            {
-                "shape": format_composition(shape),
-                "classes": len(classes),
-                "connected": sum(1 for c in classes if c.moved_connected),
-                "pass": True,
-            }
-        )
-    return rows, ok, witness
+            yield {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
+        else:
+            connected = sum(1 for c in classes if c.moved_connected)
+            row = {"shape": name, "classes": len(classes), "connected": connected,
+                   "pass": True}
+            yield row, None
 
 
-def _suite_pairs(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, str | None]:
-    from itertools import permutations
-
+def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
-    rows = []
-    witness = None
-    ok = True
+    tests = sum(factorial(n) ** 2 for n in range(1, max_n + 1))
+    if tests > cap:
+        raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
     for n in range(1, max_n + 1):
         perms = list(permutations(range(1, n + 1)))
         pairs = set()
@@ -395,7 +351,7 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, 
                     agree = False
                 if is_allowable_pair(a, b):
                     pairs.add((a, b))
-        covers_ok = all(
+        covers = all(
             is_allowable_pair(p, apply_left_swap(p, v))
             for p in perms
             for v in left_cover_swaps(p)
@@ -406,9 +362,9 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, 
             "pairs": len(pairs),
             "expected": want,
             "weak_order_agrees": agree,
-            "covers_allowable": covers_ok,
+            "covers_allowable": covers,
         }
-        passed = len(pairs) == want and agree and covers_ok
+        passed = len(pairs) == want and agree and covers
         if n <= 4:
             st_pairs = {
                 (st_column(t, 1), st_column(t, 2))
@@ -417,12 +373,7 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> tuple[list[dict], bool, 
             row["matches_tableau_pairs"] = st_pairs == pairs
             passed = passed and st_pairs == pairs
         row["pass"] = passed
-        rows.append(row)
-        if not passed:
-            ok = False
-            if witness is None:
-                witness = f"n={n}: {row}"
-    return rows, ok, witness
+        yield row, None if passed else f"n={n}: {row}"
 
 
 _SUITES = {
@@ -434,39 +385,24 @@ _SUITES = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    cap = _object_cap(args)
-    rows, ok, witness = _SUITES[args.suite](args, cap)
-    params = {
-        k: v
-        for k, v in (
-            ("suite", args.suite),
-            ("shape", args.shape),
-            ("max_n", args.max_n),
-            ("n", args.n),
-            ("max_size", args.max_size),
-            ("seed", args.seed),
-        )
-        if v is not None
-    }
-    results: dict = {"checks": rows, "passed": ok}
-    if witness is not None:
-        results["counterexample"] = witness
-    _emit(args, _report("verify", params, results, started), rows)
-    return 0 if ok else 1
+def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
+    checks = list(_SUITES[args.suite](args, cap))
+    rows = [row for row, _ in checks]
+    witnesses = [witness for _, witness in checks if witness is not None]
+    names = ("suite", "shape", "max_n", "n", "max_size", "seed")
+    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    results: dict = {"checks": rows, "passed": not witnesses}
+    if witnesses:
+        results["counterexample"] = witnesses[0]
+    return params, results, rows, 1 if witnesses else 0
 
 
 # ---------------------------------------------------------------------------
 # tk stats
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    cap = _object_cap(args)
+def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
-    if n is None:
-        raise ValueError("stats quadruple requires --n")
     expected = factorial(n) * catalan(n)
     if 2 * expected > cap:
         raise GuardExceeded(
@@ -492,8 +428,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "distinct_quadruples": len(quadruples),
         "equal": equal,
     }
-    _emit(args, _report("stats", {"kind": "quadruple", "n": n}, results, started), rows)
-    return 0 if equal else 1
+    return {"kind": "quadruple", "n": n}, results, rows, 0 if equal else 1
 
 
 # ---------------------------------------------------------------------------
@@ -501,58 +436,60 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise ValueError("input JSON nests too deeply") from exc
 
 
-def _require_tableau(obj: Tableau | ReverseTableau) -> Tableau:
-    if not isinstance(obj, Tableau):
-        raise ValueError('expected a plain tableau, got one marked "reverse"')
+def _load_tableau(data: dict, kind: type) -> Tableau | ReverseTableau:
+    obj = from_json(data)
+    if not isinstance(obj, kind):
+        raise ValueError(
+            'expected a plain tableau, got one marked "reverse"' if kind is Tableau
+            else 'expected a reverse tableau (JSON key "reverse": true)'
+        )
     return obj
 
 
-def _require_reverse(obj: Tableau | ReverseTableau) -> ReverseTableau:
-    if not isinstance(obj, ReverseTableau):
-        raise ValueError('expected a reverse tableau (JSON key "reverse": true)')
-    return obj
+def _rt_to_pct(data: dict, args: argparse.Namespace, params: dict) -> dict:
+    if not args.sigma:
+        raise ValueError(f"map {args.transform} requires --sigma")
+    sigma = parse_permutation(args.sigma)
+    params["sigma"] = format_permutation(sigma)
+    return rt_to_pct(_load_tableau(data, ReverseTableau), sigma).to_json()
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+# (input JSON, arguments, parameters to report) -> output JSON
+_TRANSFORMS: dict[str, Callable[[dict, argparse.Namespace, dict], dict]] = {
+    "pct-to-rt": lambda js, *_: pct_to_rt(_load_tableau(js, Tableau)).to_json(),
+    "rt-to-pct": _rt_to_pct,
+    "spct-to-ldyck": lambda js, *_: spct_to_ldyck(_load_tableau(js, Tableau)).to_json(),
+    "ldyck-to-spct": lambda js, *_: ldyck_to_spct(ldyck_from_json(js)).to_json(),
+    "ldyck-to-ltree": lambda js, *_: tree_to_json(ldyck_to_ltree(ldyck_from_json(js))),
+    "ltree-to-ldyck": lambda js, *_: ltree_to_ldyck(tree_from_json(js)).to_json(),
+}
+
+
+def cmd_map(args: argparse.Namespace, cap: int) -> Outcome:
     transform = args.transform
     params: dict = {"transform": transform}
-
-    if transform == "realize-pair":
+    if transform in _TRANSFORMS:
+        if not args.infile:
+            raise ValueError(f"map {transform} requires --in FILE (or --in -)")
+        params["in"] = args.infile
+        produced = _TRANSFORMS[transform](_load_json(args.infile), args, params)
+    else:
         if not args.a or not args.b:
-            raise ValueError("map realize-pair requires --a and --b")
+            raise ValueError(f"map {transform} requires --a and --b")
         a = parse_permutation(args.a)
         b = parse_permutation(args.b)
         params["a"] = format_permutation(a)
         params["b"] = format_permutation(b)
         produced = realize_sct(a, b).to_json()
-    else:
-        if not args.infile:
-            raise ValueError(f"map {transform} requires --in FILE (or --in -)")
-        params["in"] = args.infile
-        data = _load_json(args.infile)
-        if transform == "pct-to-rt":
-            produced = pct_to_rt(_require_tableau(from_json(data))).to_json()
-        elif transform == "rt-to-pct":
-            if not args.sigma:
-                raise ValueError("map rt-to-pct requires --sigma")
-            sigma = parse_permutation(args.sigma)
-            params["sigma"] = format_permutation(sigma)
-            produced = rt_to_pct(_require_reverse(from_json(data)), sigma).to_json()
-        elif transform == "spct-to-ldyck":
-            produced = spct_to_ldyck(_require_tableau(from_json(data))).to_json()
-        elif transform == "ldyck-to-spct":
-            produced = ldyck_to_spct(ldyck_from_json(data)).to_json()
-        elif transform == "ldyck-to-ltree":
-            produced = tree_to_json(ldyck_to_ltree(ldyck_from_json(data)))
-        else:  # ltree-to-ldyck
-            produced = ltree_to_ldyck(tree_from_json(data)).to_json()
 
     results: dict = {"result": produced}
     if args.out:
@@ -561,8 +498,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             fh.write("\n")
         results["output_file"] = args.out
     rows = [{"key": k, "value": v} for k, v in produced.items()]
-    _emit(args, _report("map", params, results, started), rows)
-    return 0
+    return params, results, rows, 0
 
 
 # ---------------------------------------------------------------------------
@@ -617,18 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("map", parents=[common], help="apply one bijection")
-    p.add_argument(
-        "transform",
-        choices=(
-            "pct-to-rt",
-            "rt-to-pct",
-            "spct-to-ldyck",
-            "ldyck-to-spct",
-            "ldyck-to-ltree",
-            "ltree-to-ldyck",
-            "realize-pair",
-        ),
-    )
+    p.add_argument("transform", choices=(*_TRANSFORMS, "realize-pair"))
     p.add_argument("--in", dest="infile", metavar="FILE",
                    help="input JSON file, or - for stdin")
     p.add_argument("--out", metavar="FILE", help="write the result JSON here")
@@ -641,10 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        parameters, results, rows, code = args.func(args, _object_cap(args))
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "elapsed_seconds": round(time.perf_counter() - started, 6),
+        }
+        _emit(args.format, report, rows)
+        return code
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

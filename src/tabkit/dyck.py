@@ -300,6 +300,8 @@ def ldyck_from_json(data: dict) -> LabeledDyckPath:
     if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
         raise ValueError('"steps" must be a list of step tokens')
     d = LabeledDyckPath(tuple(steps))
+    if "n" in data and type(data["n"]) is not int:
+        raise ValueError(f'"n" must be an integer: {data["n"]!r}')
     if "n" in data and data["n"] != d.semi_length:
         raise ValueError(
             f'declared semi-length {data["n"]} does not match {d.semi_length}'

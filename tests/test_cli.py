@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tabkit.cli import DEFAULT_MAX_OBJECTS, main
+from tabkit.cli import DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.tableaux import Tableau
 
 
@@ -121,6 +121,78 @@ def test_verify_hecke_reports_a_broken_image(capsys, monkeypatch):
     assert "is not a valid standard tableau" in results["counterexample"]
 
 
+def test_verify_classes_reports_a_failing_shape(capsys, monkeypatch):
+    def broken(shape):
+        if tuple(shape) == (2, 1):
+            raise AssertionError("no classes")
+        return equivalence_classes(shape)
+
+    monkeypatch.setattr("tabkit.cli.equivalence_classes", broken)
+    code, out, err = run(capsys, "verify", "classes", "--max-size", "3")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["passed"] is False
+    assert results["counterexample"].startswith("shape 2,1:")
+    # the shapes after the failing one are still checked
+    checks = results["checks"]
+    assert [row["shape"] for row in checks] == ["1", "2", "1,1", "3", "2,1", "1,2", "1,1,1"]
+    assert [row["pass"] for row in checks] == [True] * 4 + [False] + [True] * 2
+
+
+def test_verify_counts_reports_the_first_failing_size(capsys, monkeypatch):
+    monkeypatch.setattr("tabkit.cli.catalan", lambda n: 0)
+    code, out, err = run(capsys, "verify", "counts", "--max-n", "2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["passed"] is False
+    assert results["counterexample"].startswith("n=1:")
+    assert [row["pass"] for row in results["checks"]] == [False, False]
+
+
+def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("tabkit.cli.is_2112_avoiding", lambda a, b: calls.append(a))
+    # 1!^2 + 2!^2 + 3!^2 = 41 pair tests
+    code, out, err = run(capsys, "verify", "pairs", "--max-n", "3", "--max-objects", "40")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("refused: verify pairs up to n=3 needs 41 pair tests")
+    monkeypatch.undo()
+    report = run_json(capsys, "verify", "pairs", "--max-n", "3", "--max-objects", "41")
+    assert report["results"]["passed"] is True
+
+
+def test_text_and_csv_renderings(capsys):
+    code, out, _ = run(capsys, "verify", "counts", "--max-n", "2", "--format", "text")
+    assert code == 0
+    *body, elapsed = out.splitlines()
+    assert body == [
+        "command: verify",
+        "parameters: suite=counts max_n=2 seed=0",
+        "n  spct  ldyck  ltree  expected_objects  classes  expected_classes  pass",
+        "1  1     1      1      1                 1        1                 True",
+        "2  4     4      4      4                 3        3                 True",
+        "passed: True",
+    ]
+    assert elapsed.startswith("elapsed: ") and elapsed.endswith("s")
+
+    code, out, _ = run(capsys, "verify", "counts", "--max-n", "2", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,spct,ldyck,ltree,expected_objects,classes,expected_classes,pass\r\n"
+        "1,1,1,1,1,1,1,True\r\n"
+        "2,4,4,4,4,3,3,True\r\n"
+    )
+
+    code, out, _ = run(capsys, "verify", "hecke", "--max-n", "0", "--format", "text")
+    assert code == 0
+    assert out.splitlines()[:-1] == [
+        "command: verify",
+        "parameters: suite=hecke max_n=0 seed=0",
+        "(no rows)",
+        "passed: True",
+    ]
+
+
 def test_stats_quadruple(capsys):
     report = run_json(capsys, "stats", "quadruple", "--n", "3")
     assert report["results"]["equal"] is True
@@ -183,6 +255,24 @@ def test_map_rejects_boolean_labels(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert "label must be an integer: True" in err
+
+
+def test_map_rejects_non_integer_semi_length(capsys, monkeypatch):
+    for n in (True, 1.0):
+        code, out, err = map_stdin(
+            capsys, monkeypatch, "ldyck-to-spct", {"steps": ["U", "D1"], "n": n}
+        )
+        assert code == 2 and out == ""
+        assert err == f'error: "n" must be an integer: {n!r}\n'
+
+
+def test_map_deep_json_is_usage_error(capsys, monkeypatch):
+    depth = 100_000
+    deep = '{"label": 1, "left": ' * depth + '{"label": 2}' + "}" * depth
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = run(capsys, "map", "ltree-to-ldyck", "--in", "-")
+    assert code == 2 and out == ""
+    assert err == "error: input JSON nests too deeply\n"
 
 
 def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):
