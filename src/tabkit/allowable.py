@@ -21,11 +21,12 @@ rectangle shape (k, ..., k) whose j-th column standardizes to s_j.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
 from .core import Perm, check_permutation, maximal_chain_to
-from .tableaux import Tableau, st_column, validate_pct
+from .tableaux import Tableau
 
 __all__ = [
     "PermGraph",
@@ -35,7 +36,6 @@ __all__ = [
     "is_allowable_sequence",
     "allowable_pairs",
     "build_graph",
-    "build_graph_permissive",
     "is_acyclic",
     "topological_spct",
     "realize_sct",
@@ -139,15 +139,14 @@ class PermGraph:
         return [(i, j) for i in range(1, self.n + 1) for j in range(1, self.k + 1)]
 
 
-def build_graph_permissive(seq: tuple[Perm, ...]) -> PermGraph:
-    """The grid graph of any permutation sequence, allowable or not."""
+def build_graph(seq: tuple[Perm, ...]) -> PermGraph:
+    """The grid graph of an allowable sequence; rejects anything else."""
+    seq = tuple(seq)
     if len(seq) < 2:
         raise ValueError(f"need at least two permutations: {len(seq)}")
+    if not is_allowable_sequence(seq):
+        raise ValueError(f"sequence is not allowable: {seq}")
     n = len(seq[0])
-    for p in seq:
-        check_permutation(p)
-        if len(p) != n:
-            raise ValueError(f"size mismatch: {len(p)} vs {n}")
     k = len(seq)
     edges: set[Edge] = set()
     for j in range(1, k + 1):
@@ -160,33 +159,35 @@ def build_graph_permissive(seq: tuple[Perm, ...]) -> PermGraph:
                     edges.add(((p, j), (i, j), "vertical"))
                 if j >= 2 and i < p and sigma[i - 1] < sigma[p - 1]:
                     edges.add(((p, j), (i, j - 1), "diagonal"))
-    return PermGraph(n, k, frozenset(edges), tuple(seq))
+    return PermGraph(n, k, frozenset(edges), seq)
 
 
-def build_graph(seq: tuple[Perm, ...]) -> PermGraph:
-    """The grid graph of an allowable sequence; rejects anything else."""
-    if not is_allowable_sequence(tuple(seq)):
-        raise ValueError(f"sequence is not allowable: {seq}")
-    return build_graph_permissive(tuple(seq))
+def _peel(g: PermGraph) -> list[Node]:
+    """The nodes in label order: each step takes, among the nodes whose
+    out-neighbors are all taken, the smallest by (column, row).  On a cycle
+    the order stops short of the n*k nodes."""
+    nodes = g.nodes
+    waiting = {v: 0 for v in nodes}  # out-neighbors not yet taken
+    into: dict[Node, list[Node]] = {v: [] for v in nodes}
+    for src, dst, _ in g.edges:
+        waiting[src] += 1
+        into[dst].append(src)
+    ready = [(j, i) for (i, j), count in waiting.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[Node] = []
+    while ready:
+        j, i = heapq.heappop(ready)
+        order.append((i, j))
+        for v in into[(i, j)]:
+            waiting[v] -= 1
+            if waiting[v] == 0:
+                heapq.heappush(ready, (v[1], v[0]))
+    return order
 
 
 def is_acyclic(g: PermGraph) -> bool:
-    """Standard in-degree peeling."""
-    indeg = {v: 0 for v in g.nodes}
-    out: dict[Node, list[Node]] = {v: [] for v in g.nodes}
-    for src, dst, _ in g.edges:
-        out[src].append(dst)
-        indeg[dst] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return seen == len(indeg)
+    """True iff every node can be peeled off, sinks first."""
+    return len(_peel(g)) == g.n * g.k
 
 
 def topological_spct(g: PermGraph) -> Tableau:
@@ -199,31 +200,13 @@ def topological_spct(g: PermGraph) -> Tableau:
     graph came from a permutation sequence, column j standardizes to the j-th
     permutation.
     """
-    out: dict[Node, set[Node]] = {v: set() for v in g.nodes}
-    for src, dst, _ in g.edges:
-        out[src].add(dst)
-    label: dict[Node, int] = {}
-    for next_label in range(1, g.n * g.k + 1):
-        candidates = [
-            v for v in g.nodes
-            if v not in label and all(w in label for w in out[v])
-        ]
-        if not candidates:
-            raise ValueError("graph has a cycle; no labeling exists")
-        i, j = min(candidates, key=lambda v: (v[1], v[0]))
-        label[(i, j)] = next_label
-    t = Tableau.from_rows(
-        [[label[(i, j)] for j in range(1, g.k + 1)] for i in range(1, g.n + 1)]
-    )
-    check = validate_pct(t)
-    if not check.valid:  # impossible for a graph built from an allowable sequence
-        raise AssertionError(f"labeling is not a valid filling: {check.violations}")
-    if g.sigmas is not None:
-        for j, sigma in enumerate(g.sigmas, start=1):
-            got = st_column(t, j)
-            if got != sigma:  # impossible: the edge rules force this
-                raise AssertionError(f"column {j} standardizes to {got}, wanted {sigma}")
-    return t
+    order = _peel(g)
+    if len(order) < g.n * g.k:
+        raise ValueError("graph has a cycle; no labeling exists")
+    rows = [[0] * g.k for _ in range(g.n)]
+    for label, (i, j) in enumerate(order, start=1):
+        rows[i - 1][j - 1] = label
+    return Tableau.from_rows(rows)
 
 
 def realize_sct(a: Perm, b: Perm) -> Tableau:
@@ -256,9 +239,3 @@ def graph_dot(g: PermGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

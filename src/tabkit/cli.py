@@ -584,6 +584,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the object nests too deeply to process", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1

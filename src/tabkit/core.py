@@ -127,14 +127,15 @@ def maximal_chain_to(target: Sequence[int]) -> tuple[Perm, ...]:
     ((1, 2, 3), (2, 1, 3))
     """
     t = check_permutation(target)
-    inv_target = inversions(t)
     chain = [identity(len(t))]
     current = chain[0]
     while current != t:
+        pos = {x: i for i, x in enumerate(current)}
         for v in left_cover_swaps(current):
-            candidate = apply_left_swap(current, v)
-            if inversions(candidate) <= inv_target:
-                current = candidate
+            # the swap adds the one inversion at positions pos[v] < pos[v + 1],
+            # so it stays below t exactly when t inverts those positions too
+            if t[pos[v]] > t[pos[v + 1]]:
+                current = apply_left_swap(current, v)
                 chain.append(current)
                 break
         else:  # unreachable: the weak order interval [current, t] is graded
@@ -221,9 +222,3 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(t) for t in tokens)
     except ValueError:
         raise ValueError(f"malformed {what}: {text!r}") from None
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

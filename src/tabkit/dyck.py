@@ -18,6 +18,7 @@ otherwise a down-step labeled by the row of i.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from collections.abc import Iterator, Sequence
@@ -168,18 +169,14 @@ def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
     down-steps after it that no up-step after it has taken.
     """
     assigned: list[int] = []
-    down_after: set[int] = set()
-    up_after: set[int] = set()
+    available: list[int] = []  # heap of the later down labels not yet taken
     for s in reversed(d.steps):
         if s == "U":
-            available = down_after - up_after
             if not available:  # impossible on a valid path
                 raise AssertionError("no label available; path corrupt")
-            label = min(available)
-            assigned.append(label)
-            up_after.add(label)
+            assigned.append(heapq.heappop(available))
         else:
-            down_after.add(int(s[1:]))
+            heapq.heappush(available, int(s[1:]))
     return tuple(reversed(assigned))
 
 
@@ -307,9 +304,3 @@ def ldyck_from_json(data: dict) -> LabeledDyckPath:
             f'declared semi-length {data["n"]} does not match {d.semi_length}'
         )
     return d
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -285,9 +285,3 @@ def orbit_dot(shape: Sequence[int]) -> str:
         lines.append(f'  t{k} -> t{m} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

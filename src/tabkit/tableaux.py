@@ -472,9 +472,3 @@ def render(t: Tableau | ReverseTableau) -> str:
     return "\n".join(
         " ".join(str(x).rjust(width) for x in row) for row in t.rows
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -77,9 +77,15 @@ def node_count(t: Node) -> int:
 def check_ltree(t: Node) -> int:
     """Validate that labels are exactly 1..n; return n."""
     labels = tree_labels(t)
-    if sorted(labels) != list(range(1, len(labels) + 1)):
-        raise ValueError(f"labels must be exactly 1..{len(labels)}: {labels}")
-    return len(labels)
+    n = len(labels)
+    seen: set[int] = set()
+    for label in labels:
+        if label in seen or not 1 <= label <= n:
+            raise ValueError(
+                f"labels must be exactly 1..{n}: {label} is repeated or out of range"
+            )
+        seen.add(label)
+    return n
 
 
 @dataclass(frozen=True)
@@ -159,33 +165,22 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
         if word[k][0] == "U" and word[k - 1][0] == "D"
     ]
 
-    # functional nodes are frozen, so build with child tables and materialize
-    left_of: dict[int, int | None] = {}
-    right_of: dict[int, int | None] = {}
-    for block in blocks:
-        below = None
+    # a block hangs from a node of an earlier block, so building the blocks
+    # last first finds every right subtree already built
+    hanging: dict[int, Node] = {}  # node label -> its right subtree
+
+    def left_path(block: tuple[int, ...]) -> Node:
+        node = None
         for label in block:
-            left_of[label] = below
-            right_of[label] = None
-            below = label
+            node = Node(label, node, hanging.pop(label, None))
+        return node
 
-    attached = set(blocks[0])
-    for block, j in zip(blocks[1:], parents):
-        if j not in attached:  # impossible on a valid word
-            raise AssertionError(f"attachment point {j} not in the tree yet")
-        right_of[j] = block[-1]
-        attached.update(block)
-
-    def build(label: int) -> Node:
-        left = left_of[label]
-        right = right_of[label]
-        return Node(
-            label,
-            build(left) if left is not None else None,
-            build(right) if right is not None else None,
-        )
-
-    return build(blocks[0][-1])
+    for block, j in reversed(list(zip(blocks[1:], parents))):
+        hanging[j] = left_path(block)
+    root = left_path(blocks[0])
+    if hanging:  # impossible on a valid word
+        raise AssertionError(f"attachment point {min(hanging)} not in the tree")
+    return root
 
 
 def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
@@ -323,9 +318,3 @@ def tree_dot(t: Node) -> str:
                 stack.append(child)
     lines.append("}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

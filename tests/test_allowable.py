@@ -7,7 +7,6 @@ from tabkit.allowable import (
     PermGraph,
     allowable_pairs,
     build_graph,
-    build_graph_permissive,
     graph_dot,
     is_123312_avoiding,
     is_2112_avoiding,
@@ -143,9 +142,9 @@ def test_graph_shape_and_edge_counts():
 
 def test_graph_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_graph_permissive(((1, 2),))  # needs at least two columns
+        build_graph(((1, 2),))  # needs at least two columns
     with pytest.raises(ValueError):
-        build_graph_permissive(((1, 2), (1, 2, 3)))  # mixed sizes
+        build_graph(((1, 2), (1, 2, 3)))  # mixed sizes
     with pytest.raises(ValueError):
         build_graph(((2, 1), (1, 2)))  # not an allowable sequence
 
@@ -164,10 +163,55 @@ def test_acyclicity_for_allowable_sequences():
 
 
 def test_known_cycle():
-    g = build_graph_permissive(((1, 2, 3), (3, 1, 2)))
+    seq = ((1, 2, 3), (3, 1, 2))
+    with pytest.raises(ValueError):
+        build_graph(seq)  # the pair has the forbidden 123/312 pattern
+    # the grid graph the edge rules give for seq; it holds the cycle
+    # (1,1) -> (1,2) -> (3,2) -> (2,1) -> (1,1)
+    edges = {
+        ((1, 1), (1, 2), "horizontal"),
+        ((2, 1), (2, 2), "horizontal"),
+        ((3, 1), (3, 2), "horizontal"),
+        ((2, 1), (1, 1), "vertical"),
+        ((3, 1), (1, 1), "vertical"),
+        ((3, 1), (2, 1), "vertical"),
+        ((1, 2), (2, 2), "vertical"),
+        ((1, 2), (3, 2), "vertical"),
+        ((3, 2), (2, 2), "vertical"),
+        ((3, 2), (2, 1), "diagonal"),
+    }
+    g = PermGraph(n=3, k=2, edges=frozenset(edges), sigmas=seq)
     assert not is_acyclic(g)
     with pytest.raises(ValueError):
         topological_spct(g)
+
+
+def candidate_scan_labeling(g):
+    """Reference labeling: for each label in turn, scan every node for the
+    unlabeled ones whose out-neighbors are all labeled, and take the one
+    with the smallest (column, row)."""
+    out = {v: set() for v in g.nodes}
+    for src, dst, _ in g.edges:
+        out[src].add(dst)
+    label = {}
+    for next_label in range(1, g.n * g.k + 1):
+        candidates = [
+            v for v in g.nodes
+            if v not in label and all(w in label for w in out[v])
+        ]
+        if not candidates:
+            raise ValueError("graph has a cycle; no labeling exists")
+        label[min(candidates, key=lambda v: (v[1], v[0]))] = next_label
+    return tuple(
+        tuple(label[(i, j)] for j in range(1, g.k + 1)) for i in range(1, g.n + 1)
+    )
+
+
+def test_topological_spct_matches_candidate_scan():
+    for n in range(1, 5):
+        for a, b in allowable_pairs(n):
+            g = build_graph(maximal_chain_to(a) + (b,))
+            assert topological_spct(g).rows == candidate_scan_labeling(g)
 
 
 def test_topological_spct_recovers_columns():
@@ -183,14 +227,11 @@ def test_realize_known():
 
 
 def test_realize_all_small_pairs():
-    for n in range(1, 4):
+    for n in range(1, 6):
         for a, b in allowable_pairs(n):
             t = realize_sct(a, b)
             assert validate_pct(t).valid
-            k = t.shape[0]
-            assert st_column(t, 1) == identity(n)
-            assert st_column(t, k - 1) == a
-            assert st_column(t, k) == b
+            assert st_word(t) == maximal_chain_to(a) + (b,)
 
 
 def test_realize_rejects_non_allowable():

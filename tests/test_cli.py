@@ -275,6 +275,24 @@ def test_map_deep_json_is_usage_error(capsys, monkeypatch):
     assert err == "error: input JSON nests too deeply\n"
 
 
+def test_map_too_deep_result_is_usage_error(capsys, monkeypatch):
+    # the tree is built, but its JSON nests 1,500 levels deep
+    steps = ["U"] * 1500 + [f"D{i}" for i in range(1, 1501)]
+    code, out, err = map_stdin(capsys, monkeypatch, "ldyck-to-ltree", {"steps": steps})
+    assert code == 2 and out == ""
+    assert err == "error: the object nests too deeply to process\n"
+
+
+def test_map_bad_tree_labels_error_is_short(capsys, monkeypatch):
+    comb = {"label": 1}
+    for _ in range(499):
+        comb = {"label": 1, "right": comb}
+    code, out, err = map_stdin(capsys, monkeypatch, "ltree-to-ldyck", comb)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 100
+    assert "1..500" in err
+
+
 def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):
     source = tmp_path / "rt.json"
     source.write_text(

@@ -169,6 +169,13 @@ def test_tree_path_round_trip(t):
     assert ldyck_to_ltree(d) == t
 
 
+def test_ldyck_to_ltree_deep_left_path():
+    # U^1500 D1 ... D1500 is one down block, so a left path deeper than the
+    # default recursion limit of 1000
+    d = LabeledDyckPath(("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)))
+    assert edge_stats(ldyck_to_ltree(d)) == (0, 1499, 0, 0)
+
+
 def test_ldyck_to_ltree_requires_canonical():
     with pytest.raises(ValueError):
         ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "D1")))
