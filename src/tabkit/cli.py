@@ -299,6 +299,8 @@ def _round_trips(check: str, size: int, cases: Iterable,
 
 
 def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative: {args.samples}")
     n = args.n if args.n is not None else 4
     rng = random.Random(args.seed)
     for m in range(1, n + 1):

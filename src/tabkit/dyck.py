@@ -240,21 +240,26 @@ def enumerate_dyck(n: int) -> Iterator[DyckPath]:
     """All paths of semi-length n, lexicographic with 'U' before 'D'."""
     if n < 0:
         raise ValueError(f"semi-length must be nonnegative: {n}")
+    return _dyck_walk(n)
 
-    def extend(prefix: list[str], ups: int, downs: int) -> Iterator[DyckPath]:
-        if ups == n and downs == n:
-            yield DyckPath(tuple(prefix))
+
+def _dyck_walk(n: int) -> Iterator[DyckPath]:
+    # the next path turns the last up-step that may become a down-step into
+    # one, then finishes with all its remaining ups before its downs
+    steps = ["U"] * n + ["D"] * n
+    while True:
+        yield DyckPath(tuple(steps))
+        ups = downs = n  # steps before position i of each kind
+        for i in range(2 * n - 1, -1, -1):
+            if steps[i] == "D":
+                downs -= 1
+                continue
+            ups -= 1
+            if downs < ups:
+                steps[i:] = ["D"] + ["U"] * (n - ups) + ["D"] * (n - downs - 1)
+                break
+        else:
             return
-        if ups < n:
-            prefix.append("U")
-            yield from extend(prefix, ups + 1, downs)
-            prefix.pop()
-        if downs < ups:
-            prefix.append("D")
-            yield from extend(prefix, ups, downs + 1)
-            prefix.pop()
-
-    return extend([], 0, 0)
 
 
 def enumerate_ldyck(n: int) -> Iterator[LabeledDyckPath]:
@@ -272,14 +277,27 @@ def enumerate_ldyck(n: int) -> Iterator[LabeledDyckPath]:
 
 def random_ldyck(n: int, rng: random.Random) -> LabeledDyckPath:
     """One canonical labeled path, uniform over the unlabeled paths and over
-    the label orders independently."""
-    paths = list(enumerate_dyck(n))
-    path = rng.choice(paths)
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    it = iter(labels)
+    the label orders independently, in O(n).
+
+    By the cycle lemma, a word of n ups and n+1 downs has exactly one
+    rotation that is a path followed by one down-step: the rotation starting
+    just after its first lowest prefix.  Each path thus comes from exactly
+    2n+1 of the equally likely words.
+    """
+    if n < 0:
+        raise ValueError(f"semi-length must be nonnegative: {n}")
+    word = ["D"] * (2 * n + 1)
+    for k in rng.sample(range(2 * n + 1), n):
+        word[k] = "U"
+    height = low = cut = 0
+    for k, s in enumerate(word):
+        height += 1 if s == "U" else -1
+        if height < low:
+            low, cut = height, k + 1
+    path = (word[cut:] + word[:cut])[:-1]  # drop the final down-step
+    labels = iter(rng.sample(range(1, n + 1), n))
     return LabeledDyckPath(
-        tuple(s if s == "U" else f"D{next(it)}" for s in path.steps)
+        tuple(s if s == "U" else f"D{next(labels)}" for s in path)
     )
 
 

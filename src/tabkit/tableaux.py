@@ -376,28 +376,41 @@ def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
     shape = check_composition(shape)
     if not shape:
         raise ValueError("shape must be nonempty")
-    n = composition_size(shape)
+    return _spct_walk(shape)
+
+
+def _spct_walk(shape: Composition) -> Iterator[Tableau]:
+    # one backtracking loop: ``chosen`` holds the rows of n, n-1, ..., v+1,
+    # and ``r`` is the first row still to try for the entry v
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
     lengths = [0] * ell
-
-    def place(v: int) -> Iterator[Tableau]:
+    chosen: list[int] = []
+    v = composition_size(shape)
+    r = 0
+    while True:
         if v == 0:
             yield Tableau.from_rows(rows)
-            return
-        for r in range(ell):
+            r = ell
+        while r < ell:
             c = lengths[r]
-            if c >= shape[r]:
-                continue
-            if c >= 1 and any(lengths[i] == c for i in range(r)):
-                continue
+            if c < shape[r] and not (c and c in lengths[:r]):
+                break
+            r += 1
+        if r < ell:
             rows[r].append(v)
-            lengths[r] += 1
-            yield from place(v - 1)
+            lengths[r] = c + 1
+            chosen.append(r)
+            v -= 1
+            r = 0
+        elif chosen:
+            r = chosen.pop()
             rows[r].pop()
             lengths[r] -= 1
-
-    return place(n)
+            v += 1
+            r += 1
+        else:
+            return
 
 
 def enumerate_spct_sigma(

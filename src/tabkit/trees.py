@@ -27,7 +27,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .dyck import LabeledDyckPath, labeled_dyck_word, runs
+from .dyck import LabeledDyckPath, labeled_dyck_word, random_ldyck, runs
 
 __all__ = [
     "Node",
@@ -272,14 +272,11 @@ def enumerate_ltrees(n: int) -> Iterator[Node]:
 
 
 def random_ltree(n: int, rng: random.Random) -> Node:
-    """One labeled tree, uniform over shapes and labelings independently."""
-    shapes = list(_shapes(n))
-    shape = rng.choice(shapes)
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    tree = _materialize(shape, iter(labels))
-    assert tree is not None
-    return tree
+    """One labeled tree, uniform over the n! Cat(n) labeled trees on n nodes,
+    in O(n): the image of a uniform labeled path under the bijection."""
+    if n < 1:
+        raise ValueError(f"need at least one node: {n}")
+    return ldyck_to_ltree(random_ldyck(n, rng))
 
 
 def tree_to_json(t: Node) -> dict:

@@ -352,6 +352,12 @@ def test_seed_changes_samples(capsys):
     assert second["parameters"]["seed"] == 2
 
 
+def test_negative_sample_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "bijections", "--samples", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --samples must be nonnegative: -3\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -201,6 +203,60 @@ def test_random_ldyck_valid_and_reproducible(seed, n):
     assert d1 == d2
     assert d1.canonical
     assert d1.semi_length == n
+
+
+class ScriptedRng:
+    """Answers each ``sample`` call with the next scripted choice; any other
+    use of the generator fails."""
+
+    def __init__(self, *choices):
+        self.choices = list(choices)
+
+    def sample(self, population, k):
+        choice = list(self.choices.pop(0))
+        assert len(choice) == k and set(choice) <= set(population)
+        return choice
+
+
+def cycle_lemma_draws(n):
+    """Every (up-position set, label order) choice of the sampler."""
+    for ups in combinations(range(2 * n + 1), n):
+        for labels in permutations(range(1, n + 1)):
+            yield ScriptedRng(ups, labels)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_random_ldyck_is_exactly_uniform(n):
+    hits = Counter()
+    for rng in cycle_lemma_draws(n):
+        hits[random_ldyck(n, rng)] += 1
+        assert rng.choices == []
+    assert hits == {d: 2 * n + 1 for d in enumerate_ldyck(n)}
+
+
+def test_random_ldyck_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="semi-length must be nonnegative: -1"):
+        random_ldyck(-1, random.Random(0))
+
+
+def _is_dyck_word(word):
+    height = 0
+    for step in word:
+        height += 1 if step == "U" else -1
+        if height < 0:
+            return False
+    return height == 0
+
+
+def test_enumerate_dyck_is_lexicographic():
+    for n in range(9):
+        words = ("".join(w) for w in product("UD", repeat=2 * n))
+        reference = [w for w in words if _is_dyck_word(w)]
+        assert [p.word for p in enumerate_dyck(n)] == reference
+
+
+def test_enumerate_dyck_deep():
+    assert next(enumerate_dyck(1500)).word == "U" * 1500 + "D" * 1500
 
 
 @given(d=ldyck_strategy())

@@ -204,6 +204,44 @@ def test_enumerate_matches_brute_force():
             assert fast == slow, shape
 
 
+def recursive_spct(shape):
+    """The recursive enumerator that the flat walk in ``enumerate_spct``
+    replaced: one nested generator per entry.  The reference for its output
+    order."""
+    n = sum(shape)
+    ell = len(shape)
+    rows = [[] for _ in range(ell)]
+    lengths = [0] * ell
+
+    def place(v):
+        if v == 0:
+            yield Tableau.from_rows(rows)
+            return
+        for r in range(ell):
+            c = lengths[r]
+            if c >= shape[r]:
+                continue
+            if c >= 1 and any(lengths[i] == c for i in range(r)):
+                continue
+            rows[r].append(v)
+            lengths[r] += 1
+            yield from place(v - 1)
+            rows[r].pop()
+            lengths[r] -= 1
+
+    return place(n)
+
+
+def test_enumerate_spct_keeps_the_recursive_order():
+    shapes = [shape for n in range(1, 8) for shape in compositions_of(n)]
+    total = 0
+    for shape in shapes:
+        flat = list(enumerate_spct(shape))
+        assert flat == list(recursive_spct(shape)), shape
+        total += len(flat)
+    assert (len(shapes), total) == (127, 17_487)
+
+
 def test_enumerate_spct_known_counts():
     # over all shapes of 3: 1 + 3 + 1 + 6 = 11 = 1!*1 + 2!*2 + 3!*1
     assert sum(1 for _ in enumerate_spct((3,))) == 1

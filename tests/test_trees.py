@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -24,6 +25,7 @@ from tabkit.trees import (
     tree_labels,
     tree_to_json,
 )
+from test_dyck import cycle_lemma_draws
 
 # the ten-node companion of the semi-length 10 golden path
 GOLDEN_PATH = LabeledDyckPath(
@@ -196,6 +198,21 @@ def test_random_ltree_valid_and_reproducible(seed, n):
     t2 = random_ltree(n, random.Random(seed))
     assert t1 == t2
     assert check_ltree(t1) == n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_ltree_is_exactly_uniform(n):
+    hits = Counter()
+    for rng in cycle_lemma_draws(n):
+        hits[random_ltree(n, rng)] += 1
+        assert rng.choices == []
+    assert hits == {t: 2 * n + 1 for t in enumerate_ltrees(n)}
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_random_ltree_refuses_a_bad_size(n):
+    with pytest.raises(ValueError, match=f"need at least one node: {n}"):
+        random_ltree(n, random.Random(0))
 
 
 @given(t=ltree_strategy())
