@@ -146,6 +146,11 @@ def build_graph(seq: tuple[Perm, ...]) -> PermGraph:
         raise ValueError(f"need at least two permutations: {len(seq)}")
     if not is_allowable_sequence(seq):
         raise ValueError(f"sequence is not allowable: {seq}")
+    return _grid_graph(seq)
+
+
+def _grid_graph(seq: tuple[Perm, ...]) -> PermGraph:
+    # the edges of a sequence the caller knows to be allowable
     n = len(seq[0])
     k = len(seq)
     edges: set[Edge] = set()
@@ -155,10 +160,10 @@ def build_graph(seq: tuple[Perm, ...]) -> PermGraph:
             if j < k:
                 edges.add(((i, j), (i, j + 1), "horizontal"))
             for p in range(1, n + 1):
-                if p != i and sigma[i - 1] < sigma[p - 1]:
+                if sigma[i - 1] < sigma[p - 1]:
                     edges.add(((p, j), (i, j), "vertical"))
-                if j >= 2 and i < p and sigma[i - 1] < sigma[p - 1]:
-                    edges.add(((p, j), (i, j - 1), "diagonal"))
+                    if j >= 2 and i < p:
+                        edges.add(((p, j), (i, j - 1), "diagonal"))
     return PermGraph(n, k, frozenset(edges), seq)
 
 
@@ -221,8 +226,8 @@ def realize_sct(a: Perm, b: Perm) -> Tableau:
     b = check_permutation(b)
     if not is_allowable_pair(a, b):
         raise ValueError(f"pair is not allowable: {a}, {b}")
-    seq = maximal_chain_to(a) + (b,)
-    return topological_spct(build_graph(seq))
+    # each step of the chain is a weak-order cover, which is allowable
+    return topological_spct(_grid_graph(maximal_chain_to(a) + (b,)))
 
 
 _EDGE_COLORS = {"horizontal": "black", "vertical": "blue", "diagonal": "red"}

@@ -110,6 +110,14 @@ def _object_cap(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_OBJECTS
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    """Refuse a negative size, sample count or cap; zero is valid."""
+    for name in ("max_n", "n", "max_size", "samples", "max_objects"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative: {value}")
+
+
 def _guarded(items: Iterable, cap: int, what: str) -> Iterator:
     count = 0
     for item in items:
@@ -189,21 +197,18 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
                 objects = enumerate_spct_sigma(shape, sigma)
             else:
                 objects = enumerate_spct(shape)
-            as_json = Tableau.to_json
         else:
             objects = enumerate_srt(shape)
-            as_json = ReverseTableau.to_json
     else:
         if args.n is None:
             raise ValueError(f"enumerate {kind} requires --n")
         params["n"] = args.n
         if kind == "ldyck":
             objects = enumerate_ldyck(args.n)
-            as_json = LabeledDyckPath.to_json
         else:
             objects = enumerate_ltrees(args.n)
-            as_json = tree_to_json
 
+    as_json = tree_to_json if kind == "ltree" else lambda obj: obj.to_json()
     what = f"enumerate {kind}"
     if args.list:
         listing = [as_json(obj) for obj in _guarded(objects, cap, what)]
@@ -299,9 +304,10 @@ def _round_trips(check: str, size: int, cases: Iterable,
 
 
 def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative: {args.samples}")
     n = args.n if args.n is not None else 4
+    samples = args.samples * max(0, n - 4)
+    if samples > cap:
+        raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
     rng = random.Random(args.seed)
     for m in range(1, n + 1):
         tableaux = (
@@ -407,12 +413,8 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
     expected = factorial(n) * catalan(n)
     if 2 * expected > cap:
-        raise GuardExceeded(
-            f"stats quadruple at n={n} needs {2 * expected} objects"
-        )
-    tableau_side = Counter(
-        descent_quadruple(t) for t in enumerate_spct((2,) * n)
-    )
+        raise GuardExceeded(f"stats quadruple at n={n} needs {2 * expected} objects")
+    tableau_side = Counter(descent_quadruple(t) for t in enumerate_spct((2,) * n))
     tree_side = Counter(edge_stats(t) for t in enumerate_ltrees(n))
     quadruples = sorted(set(tableau_side) | set(tree_side))
     rows = [
@@ -570,6 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         started = time.perf_counter()
         parameters, results, rows, code = args.func(args, _object_cap(args))
         report = {

@@ -206,7 +206,6 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     by moved transitions (reported as observed; connectivity is checked, not
     assumed).
     """
-    shape = check_composition(shape)
     by_signature: dict[tuple[Perm, ...], list[Tableau]] = {}
     for t in enumerate_spct(shape):
         by_signature.setdefault(st_word(t), []).append(t)
@@ -275,7 +274,6 @@ def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
 
 def orbit_dot(shape: Sequence[int]) -> str:
     """DOT digraph of all moved transitions on the tableaux of one shape."""
-    shape = check_composition(shape)
     tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
     lines = ["digraph orbits {"]
     for k, t in enumerate(tableaux):

@@ -333,6 +333,13 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
     return ReverseTableau(rows)
 
 
+def _check_type(sigma: Sequence[int], ell: int) -> Perm:
+    sigma = check_permutation(sigma)
+    if len(sigma) != ell:
+        raise ValueError(f"type length {len(sigma)} does not match {ell} rows")
+    return sigma
+
+
 def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     """Rebuild the tableau of type sigma whose sorted columns give T.
 
@@ -341,11 +348,7 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     decreasing order, each into the smallest-index row that has exactly the
     preceding columns filled and keeps the row weakly decreasing.
     """
-    sigma = check_permutation(sigma)
-    if len(sigma) != len(T.rows):
-        raise ValueError(
-            f"type length {len(sigma)} does not match {len(T.rows)} rows"
-        )
+    sigma = _check_type(sigma, len(T.rows))
     first = sorted(row[0] for row in T.rows)
     built: list[list[int]] = [[first[sigma[r] - 1]] for r in range(len(T.rows))]
     ncols = len(T.rows[0])
@@ -363,6 +366,13 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     return Tableau.from_rows(built)
 
 
+def _nonempty(shape: Sequence[int]) -> Composition:
+    shape = check_composition(shape)
+    if not shape:
+        raise ValueError("shape must be nonempty")
+    return shape
+
+
 def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
     """All standard PCTs of the given shape, each exactly once.
 
@@ -373,28 +383,36 @@ def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
     absent or destined for a smaller entry, and either way the new entry
     would complete a forbidden triple with the earlier row's column c-1.
     """
-    shape = check_composition(shape)
-    if not shape:
-        raise ValueError("shape must be nonempty")
-    return _spct_walk(shape)
+    return _spct_walk(_nonempty(shape))
 
 
-def _spct_walk(shape: Composition) -> Iterator[Tableau]:
+def _spct_walk(
+    shape: Composition, sigma: Perm | None = None, kind: type[_F] = Tableau
+) -> Iterator[_F]:
     # one backtracking loop: ``chosen`` holds the rows of n, n-1, ..., v+1,
-    # and ``r`` is the first row still to try for the entry v
+    # and ``r`` is the first row still to try for the entry v.  Under a type
+    # sigma, row r starts only after row after[r], of type value sigma[r] + 1
+    # (a fixed 1 at lengths[ell] stands for it when there is none).
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
-    lengths = [0] * ell
+    lengths = [0] * ell + [1]
+    after = [ell] * ell
+    if sigma is not None:
+        row_of = {s: r for r, s in enumerate(sigma)}
+        after = [row_of.get(s + 1, ell) for s in sigma]
     chosen: list[int] = []
     v = composition_size(shape)
     r = 0
     while True:
         if v == 0:
-            yield Tableau.from_rows(rows)
+            yield kind.from_rows(rows)
             r = ell
         while r < ell:
             c = lengths[r]
-            if c < shape[r] and not (c and c in lengths[:r]):
+            if c:  # no earlier row of length c: c is first found at r
+                if c < shape[r] and lengths.index(c) == r:
+                    break
+            elif lengths[after[r]]:
                 break
             r += 1
         if r < ell:
@@ -416,50 +434,25 @@ def _spct_walk(shape: Composition) -> Iterator[Tableau]:
 def enumerate_spct_sigma(
     shape: Sequence[int], sigma: Sequence[int]
 ) -> Iterator[Tableau]:
-    """All standard PCTs of the given shape and type."""
-    shape = check_composition(shape)
-    sigma = check_permutation(sigma)
-    if len(sigma) != len(shape):
-        raise ValueError(
-            f"type length {len(sigma)} does not match {len(shape)} rows"
-        )
-    return (t for t in enumerate_spct(shape) if st_column(t, 1) == sigma)
+    """All standard PCTs of the given shape and type, in the order of
+    ``enumerate_spct``, whose walk the type prunes: first-column entries
+    arrive largest first, so the type fixes the order rows start in."""
+    shape = _nonempty(shape)
+    return _spct_walk(shape, _check_type(sigma, len(shape)))
 
 
 def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:
-    """All standard reverse tableaux of the given partition shape."""
-    lam = check_composition(partition)
-    if not lam:
-        raise ValueError("shape must be nonempty")
+    """All standard reverse tableaux of the given partition shape: the
+    decreasing-type slice of ``enumerate_spct``, in its order.
+
+    If column j of a standard PCT decreases, a = T(i, j) > T(k, j) >= c =
+    T(k, j+1) for rows i < k, so the triple condition forces b = T(i, j+1)
+    > c; conversely decreasing columns meet the triple condition.
+    """
+    lam = _nonempty(partition)
     if lam != to_partition(lam):
         raise ValueError(f"shape must be a partition: {lam}")
-    n = composition_size(lam)
-    for increasing in _enumerate_syt(lam):
-        yield ReverseTableau(
-            tuple(tuple(n + 1 - x for x in row) for row in increasing)
-        )
-
-
-def _enumerate_syt(lam: Composition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # standard fillings with increasing rows and columns, built by removing
-    # the corner holding the largest entry
-    n = sum(lam)
-    if n == 0:
-        yield ()
-        return
-    for r in range(len(lam)):
-        if r + 1 < len(lam) and lam[r] == lam[r + 1]:
-            continue
-        child = list(lam)
-        child[r] -= 1
-        if child[r] == 0:
-            child.pop(r)
-        for smaller in _enumerate_syt(tuple(child)):
-            rows = [list(row) for row in smaller]
-            if r == len(rows):
-                rows.append([])
-            rows[r].append(n)
-            yield tuple(tuple(row) for row in rows)
+    return _spct_walk(lam, tuple(range(len(lam), 0, -1)), ReverseTableau)
 
 
 def from_json(data: dict) -> Tableau | ReverseTableau:

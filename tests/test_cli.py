@@ -358,6 +358,34 @@ def test_negative_sample_count_is_usage_error(capsys):
     assert err == "error: --samples must be nonnegative: -3\n"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "hecke", "--max-n", "-2"), "--max-n", -2),
+    (("verify", "counts", "--max-n", "-1"), "--max-n", -1),
+    (("verify", "pairs", "--max-n", "-1"), "--max-n", -1),
+    (("verify", "bijections", "--n", "-5"), "--n", -5),
+    (("verify", "classes", "--max-size", "-1"), "--max-size", -1),
+    (("enumerate", "spct", "--shape", "2,2", "--max-objects", "-1"), "--max-objects", -1),
+], ids=["hecke", "counts", "pairs", "bijections", "classes", "max-objects"])
+def test_negative_size_is_usage_error(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be nonnegative: {value}\n"
+
+
+def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("tabkit.cli.enumerate_spct", lambda shape: calls.append(shape))
+    # sizes 5 and 6 draw 400 samples each
+    argv = ("verify", "bijections", "--n", "6", "--samples", "400")
+    code, out, err = run(capsys, *argv, "--max-objects", "799")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("refused: verify bijections up to n=6 draws 800 samples")
+    monkeypatch.undo()
+    # the largest exhaustive listing, SPCT((1)^6), holds 720 tableaux
+    report = run_json(capsys, *argv, "--max-objects", "800")
+    assert report["results"]["passed"] is True
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import permutations
 from math import factorial
 
@@ -262,6 +263,68 @@ def test_enumerate_by_type_partitions_the_set():
         for sigma, piece in pieces.items():
             assert all(st_column(Tableau(rows), 1) == sigma for rows in piece)
         assert sum(len(p) for p in pieces.values()) == len(whole)
+
+
+def test_enumerate_spct_sigma_is_the_filter_in_order():
+    pairs = 0
+    for n in range(1, 8):
+        for shape in compositions_of(n):
+            # the in-order filter of the whole shape, one pass for all types
+            kept = defaultdict(list)
+            for t in enumerate_spct(shape):
+                kept[st_column(t, 1)].append(t)
+            for sigma in permutations(range(1, len(shape) + 1)):
+                walked = list(enumerate_spct_sigma(shape, sigma))
+                assert walked == kept[sigma], (shape, sigma)
+                pairs += 1
+    assert pairs == 13_699
+
+
+def test_every_type_of_a_two_column_rectangle_has_catalan_many():
+    for n, catalan in [(4, 14), (5, 42), (6, 132)]:
+        for sigma in permutations(range(1, n + 1)):
+            assert sum(1 for _ in enumerate_spct_sigma((2,) * n, sigma)) == catalan
+
+
+def test_one_type_of_a_large_rectangle_is_walked_alone():
+    # the whole shape (2)^9 holds 9!*Cat(9), about 1.8e9 tableaux
+    identity = tuple(range(1, 10))
+    assert sum(1 for _ in enumerate_spct_sigma((2,) * 9, identity)) == 4_862
+
+
+def recursive_syt(lam):
+    """Standard fillings of a partition shape with increasing rows and
+    columns, built by removing the corner holding the largest entry: the
+    enumerator behind ``enumerate_srt`` before reverse tableaux became a
+    slice of the walk, and the reference for its set."""
+    n = sum(lam)
+    if n == 0:
+        yield ()
+        return
+    for r in range(len(lam)):
+        if r + 1 < len(lam) and lam[r] == lam[r + 1]:
+            continue
+        child = list(lam)
+        child[r] -= 1
+        if child[r] == 0:
+            child.pop(r)
+        for smaller in recursive_syt(tuple(child)):
+            rows = [list(row) for row in smaller]
+            if r == len(rows):
+                rows.append([])
+            rows[r].append(n)
+            yield tuple(tuple(row) for row in rows)
+
+
+def test_enumerate_srt_matches_the_recursive_reference():
+    for n in range(1, 9):
+        for lam in {to_partition(c) for c in compositions_of(n)}:
+            walked = [T.rows for T in enumerate_srt(lam)]
+            want = {
+                tuple(tuple(n + 1 - x for x in row) for row in rows)
+                for rows in recursive_syt(lam)
+            }
+            assert len(walked) == len(want) and set(walked) == want, lam
 
 
 def test_enumerate_srt_matches_hook_counts():
