@@ -104,9 +104,12 @@ def _object_cap(args: argparse.Namespace) -> int:
     env = os.environ.get("TK_MAX_OBJECTS")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ValueError(f"TK_MAX_OBJECTS is not an integer: {env!r}") from exc
+        if cap < 0:
+            raise ValueError(f"TK_MAX_OBJECTS must be nonnegative: {cap}")
+        return cap
     return DEFAULT_MAX_OBJECTS
 
 
@@ -118,14 +121,16 @@ def _check_sizes(args: argparse.Namespace) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be nonnegative: {value}")
 
 
+def _check_cap(count: int, cap: int, what: str) -> None:
+    if count > cap:
+        raise GuardExceeded(
+            f"{what} passed {cap} objects; raise --max-objects or TK_MAX_OBJECTS"
+        )
+
+
 def _guarded(items: Iterable, cap: int, what: str) -> Iterator:
-    count = 0
-    for item in items:
-        count += 1
-        if count > cap:
-            raise GuardExceeded(
-                f"{what} passed {cap} objects; raise --max-objects or TK_MAX_OBJECTS"
-            )
+    for count, item in enumerate(items, start=1):
+        _check_cap(count, cap, what)
         yield item
 
 
@@ -235,8 +240,11 @@ def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     else:
         max_n = args.max_n if args.max_n is not None else 4
         shapes = [a for n in range(1, max_n + 1) for a in compositions_of(n)]
-    for shape in _guarded(shapes, cap, "verify hecke"):
+    total = 0
+    for shape in shapes:
         rep = verify_hecke_relations(shape)
+        total += rep.tableaux
+        _check_cap(total, cap, "verify hecke")
         name = format_composition(shape)
         row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
                "pass": rep.passed}
@@ -331,13 +339,16 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_size = args.max_size if args.max_size is not None else 5
     shapes = [a for m in range(1, max_size + 1) for a in compositions_of(m)]
-    for shape in _guarded(shapes, cap, "verify classes"):
+    total = 0
+    for shape in shapes:
         name = format_composition(shape)
         try:
             classes = equivalence_classes(shape)
         except AssertionError as exc:
             yield {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
         else:
+            total += sum(len(c.members) for c in classes)
+            _check_cap(total, cap, "verify classes")
             connected = sum(1 for c in classes if c.moved_connected)
             row = {"shape": name, "classes": len(classes), "connected": connected,
                    "pass": True}
@@ -411,6 +422,8 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
 
 def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1: {n}")
     expected = factorial(n) * catalan(n)
     if 2 * expected > cap:
         raise GuardExceeded(f"stats quadruple at n={n} needs {2 * expected} objects")

@@ -20,15 +20,7 @@ from enum import Enum
 from itertools import combinations
 
 from .core import Perm, check_composition
-from .tableaux import (
-    Tableau,
-    enumerate_spct,
-    is_standard,
-    positions,
-    st_column,
-    st_word,
-    validate_pct,
-)
+from .tableaux import Tableau, enumerate_spct, positions, st_column, st_word
 
 __all__ = [
     "DescentClass",
@@ -94,8 +86,8 @@ def pi(t: Tableau, i: int) -> HeckeResult:
     """Apply the i-th descent operator.
 
     A moved result is not revalidated here.  ``verify_hecke_relations``
-    checks that every moved image is a valid standard tableau of the same
-    type, and the tests check that on every shape of size at most 6.
+    checks that every moved image is a standard tableau of the same shape
+    and type, and the tests check that on every shape of size at most 6.
     """
     kind = classify(t, i)
     if kind is DescentClass.NOT_DESCENT:
@@ -125,46 +117,56 @@ class RelationReport:
     counterexample: str | None
 
 
+def _action(tableaux: Sequence[Tableau]) -> list[list[int | None]]:
+    # row k, entry i-1: the index of pi_i(tableaux[k]) in the list, so k
+    # when pi_i fixes it; -1 when zero, None when the image is not listed
+    index = {None: -1} | {t: k for k, t in enumerate(tableaux)}
+    return [[index.get(pi(t, i).tableau) for i in range(1, t.size)] for t in tableaux]
+
+
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """Check idempotence, distant commutation, and the braid relation
     pointwise on every standard tableau of the given shape.
 
-    Before the relations at t and i, a moved image of t under pi_i must be
-    a valid standard tableau of the same type, or it is reported as the
-    counterexample; this check does not count in ``checks``.
+    Each pi_i is applied once per tableau, and the relations are checked as
+    identities on that table.  First every moved image must be a member of
+    the shape's enumeration (its valid standard tableaux) of the same type,
+    or it is the counterexample; this check does not count in ``checks``.
     """
     shape = check_composition(shape)
     n = sum(shape)
     tableaux = list(enumerate_spct(shape))
+    table = _action(tableaux)
+    types = [st_column(t, 1) for t in tableaux]
     checks = 0
 
     def fail(witness: str) -> RelationReport:
         return RelationReport(False, shape, len(tableaux), checks, witness)
 
-    for t in tableaux:
-        sigma = st_column(t, 1)
-        for i in range(1, n):
-            image = pi(t, i).tableau  # t itself when fixed, None when zero
-            if image is not None and image is not t:
-                check = validate_pct(image)
-                if not (check.valid and check.sigma == sigma and is_standard(image)):
-                    return fail(
-                        f"pi_{i} image {image.rows} of {t.rows} is not a "
-                        "valid standard tableau of the same type"
-                    )
+    for k, t in enumerate(tableaux):
+        for i, m in enumerate(table[k], start=1):
+            if m is None or (m >= 0 and types[m] != types[k]):
+                return fail(f"pi_{i} image {pi(t, i).tableau.rows} of {t.rows} "
+                            "is not a valid standard tableau of the same type")
+    table.append([-1] * (n - 1))  # the zero, at index -1, fixed by every pi_i
+    relations = (
+        [(f"pi_{i}^2 != pi_{i}", (i, i), (i,)) for i in range(1, n)]
+        + [(f"pi_{i} pi_{j} != pi_{j} pi_{i}", (i, j), (j, i))
+           for i, j in combinations(range(1, n), 2) if j - i >= 2]
+        + [(f"braid relation fails at i={i}", (i, i + 1, i), (i + 1, i, i + 1))
+           for i in range(1, n - 1)]
+    )
+
+    def image(k: int, word: tuple[int, ...]) -> int:
+        for i in reversed(word):  # right to left
+            k = table[k][i - 1]
+        return k
+
+    for k, t in enumerate(tableaux):
+        for name, left, right in relations:
             checks += 1
-            if apply_word(t, (i, i)) != image:
-                return fail(f"pi_{i}^2 != pi_{i} on {t.rows}")
-        for i, j in combinations(range(1, n), 2):
-            if j - i < 2:
-                continue
-            checks += 1
-            if apply_word(t, (i, j)) != apply_word(t, (j, i)):
-                return fail(f"pi_{i} pi_{j} != pi_{j} pi_{i} on {t.rows}")
-        for i in range(1, n - 1):
-            checks += 1
-            if apply_word(t, (i, i + 1, i)) != apply_word(t, (i + 1, i, i + 1)):
-                return fail(f"braid relation fails at i={i} on {t.rows}")
+            if image(k, left) != image(k, right):
+                return fail(f"{name} on {t.rows}")
     return RelationReport(True, shape, len(tableaux), checks, None)
 
 
@@ -204,7 +206,8 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     Classes are sorted by signature; members by their rows.  Each class
     records its unique source and sink, and whether its members are connected
     by moved transitions (reported as observed; connectivity is checked, not
-    assumed).
+    assumed).  The sink is the member that no pi_i moves, read from the
+    class's table of operator images.
     """
     by_signature: dict[tuple[Perm, ...], list[Tableau]] = {}
     for t in enumerate_spct(shape):
@@ -212,41 +215,36 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     classes = []
     for signature in sorted(by_signature):
         members = sorted(by_signature[signature], key=lambda t: t.rows)
+        moves = list(_moves(members))
+        movers = {k for k, _, _ in moves}
         sources = [t for t in members if is_source(t)]
-        sinks = [t for t in members if is_sink(t)]
+        sinks = [t for k, t in enumerate(members) if k not in movers]
         if len(sources) != 1 or len(sinks) != 1:
             raise AssertionError(
                 f"class {signature} has {len(sources)} sources and "
                 f"{len(sinks)} sinks"
             )
+        connected = _moved_connected(len(members), moves)
         classes.append(
-            EquivalenceClass(
-                signature,
-                tuple(members),
-                sources[0],
-                sinks[0],
-                _moved_connected(members),
-            )
+            EquivalenceClass(signature, tuple(members), sources[0], sinks[0], connected)
         )
     return tuple(classes)
 
 
-def _moved_edges(tableaux: list[Tableau]) -> Iterator[tuple[int, int, int]]:
+def _moves(tableaux: list[Tableau]) -> Iterator[tuple[int, int, int]]:
     # (k, i, m) for each move of tableaux[k] to tableaux[m] by pi_i
-    index = {t: k for k, t in enumerate(tableaux)}
-    for t, k in index.items():
-        for i in range(1, t.size):
-            result = pi(t, i)
-            if result.kind == "moved":
-                yield k, i, index[result.tableau]
+    for k, row in enumerate(_action(tableaux)):
+        for i, m in enumerate(row, start=1):
+            if m is None:
+                raise AssertionError(f"pi_{i} moves {tableaux[k].rows} out of its class")
+            if m != k and m >= 0:
+                yield k, i, m
 
 
-def _moved_connected(members: list[Tableau]) -> bool:
+def _moved_connected(size: int, moves: list[tuple[int, int, int]]) -> bool:
     # undirected reachability over moved transitions within the class
-    if len(members) == 1:
-        return True
-    adjacency: list[set[int]] = [set() for _ in members]
-    for k, _, m in _moved_edges(members):
+    adjacency: list[set[int]] = [set() for _ in range(size)]
+    for k, _, m in moves:
         adjacency[k].add(m)
         adjacency[m].add(k)
     seen = {0}
@@ -256,7 +254,7 @@ def _moved_connected(members: list[Tableau]) -> bool:
             if neighbor not in seen:
                 seen.add(neighbor)
                 stack.append(neighbor)
-    return len(seen) == len(members)
+    return len(seen) == size
 
 
 def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
@@ -279,7 +277,7 @@ def orbit_dot(shape: Sequence[int]) -> str:
     for k, t in enumerate(tableaux):
         label = "/".join(",".join(map(str, row)) for row in t.rows)
         lines.append(f'  t{k} [label="{label}"];')
-    for k, i, m in _moved_edges(tableaux):
+    for k, i, m in _moves(tableaux):
         lines.append(f'  t{k} -> t{m} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

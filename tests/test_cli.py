@@ -336,6 +336,27 @@ def test_guard_env_and_flag(capsys, monkeypatch):
     assert code == 0
 
 
+def test_negative_env_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TK_MAX_OBJECTS", "-1")
+    code, out, err = run(capsys, "enumerate", "spct", "--shape", "2,2")
+    assert code == 2 and out == ""
+    assert err == "error: TK_MAX_OBJECTS must be nonnegative: -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hecke", "--max-n", "3"),
+    ("verify", "classes", "--max-size", "3"),
+], ids=["hecke", "classes"])
+def test_verify_suites_cap_tableaux_not_shapes(capsys, argv):
+    # the 7 shapes of sizes 1, 2 and 3 hold 1 + 3 + 11 = 15 tableaux
+    code, out, err = run(capsys, *argv, "--max-objects", "14")
+    assert code == 2 and out == ""
+    assert err.startswith(f"refused: verify {argv[1]} passed 14 objects")
+    report = run_json(capsys, *argv, "--max-objects", "15")
+    assert report["results"]["passed"] is True
+    assert len(report["results"]["checks"]) == 7
+
+
 def test_default_guard_value():
     assert DEFAULT_MAX_OBJECTS == 10_000_000
 
@@ -370,6 +391,12 @@ def test_negative_size_is_usage_error(capsys, argv, flag, value):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be nonnegative: {value}\n"
+
+
+def test_stats_quadruple_needs_a_positive_n(capsys):
+    code, out, err = run(capsys, "stats", "quadruple", "--n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be at least 1: 0\n"
 
 
 def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypatch):

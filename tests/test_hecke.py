@@ -139,6 +139,45 @@ def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken_swap)
     assert "is not a valid standard tableau" in report.counterexample
 
 
+def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
+    # both standard tableaux of shape (1, 1) are valid, of types 12 and 21
+    low, high = Tableau.from_rows([[1], [2]]), Tableau.from_rows([[2], [1]])
+    monkeypatch.setattr(
+        hecke, "pi",
+        lambda t, i: hecke.HeckeResult("moved", high) if t == low else pi(t, i),
+    )
+    report = verify_hecke_relations((1, 1))
+    assert not report.passed
+    assert report.counterexample == (
+        "pi_1 image ((2,), (1,)) of ((1,), (2,)) is not a valid standard "
+        "tableau of the same type"
+    )
+
+
+def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
+    # pi_1 now kills the tableaux it fixes, so pi_1 pi_1 kills a moved
+    # tableau that pi_1 alone sends to a nonzero image
+    def broken_pi(t, i):
+        result = pi(t, i)
+        if i == 1 and result.kind == "fixed":
+            return hecke.HeckeResult("zero", None)
+        return result
+
+    monkeypatch.setattr(hecke, "pi", broken_pi)
+    report = verify_hecke_relations((2, 1))
+    assert not report.passed
+    assert report.counterexample == "pi_1^2 != pi_1 on ((3, 2), (1,))"
+
+
+def test_equivalence_classes_reports_a_move_out_of_its_class(monkeypatch):
+    monkeypatch.setattr(
+        hecke, "swap_entries",
+        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
+    )
+    with pytest.raises(AssertionError, match=r"pi_1 moves \(\(3, 2\), \(1,\)\) out"):
+        equivalence_classes((2, 1))
+
+
 def test_apply_word_zero_absorbs():
     t = Tableau.from_rows([[2, 1], [4, 3]])
     assert apply_word(t, (2,)) is None
