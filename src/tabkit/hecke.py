@@ -82,6 +82,14 @@ def swap_entries(t: Tableau, i: int) -> Tableau:
     )
 
 
+def _image(t: Tableau, kind: DescentClass, i: int) -> HeckeResult:
+    if kind is DescentClass.NOT_DESCENT:
+        return HeckeResult("fixed", t)
+    if kind is DescentClass.ATTACKING:
+        return HeckeResult("zero", None)
+    return HeckeResult("moved", swap_entries(t, i))
+
+
 def pi(t: Tableau, i: int) -> HeckeResult:
     """Apply the i-th descent operator.
 
@@ -89,12 +97,7 @@ def pi(t: Tableau, i: int) -> HeckeResult:
     checks that every moved image is a standard tableau of the same shape
     and type, and the tests check that on every shape of size at most 6.
     """
-    kind = classify(t, i)
-    if kind is DescentClass.NOT_DESCENT:
-        return HeckeResult("fixed", t)
-    if kind is DescentClass.ATTACKING:
-        return HeckeResult("zero", None)
-    return HeckeResult("moved", swap_entries(t, i))
+    return _image(t, classify(t, i), i)
 
 
 def apply_word(t: Tableau, word: Sequence[int]) -> Tableau | None:
@@ -121,7 +124,12 @@ def _action(tableaux: Sequence[Tableau]) -> list[list[int | None]]:
     # row k, entry i-1: the index of pi_i(tableaux[k]) in the list, so k
     # when pi_i fixes it; -1 when zero, None when the image is not listed
     index = {None: -1} | {t: k for k, t in enumerate(tableaux)}
-    return [[index.get(pi(t, i).tableau) for i in range(1, t.size)] for t in tableaux]
+    table = []
+    for t in tableaux:
+        pos = positions(t)
+        table.append([index.get(_image(t, _classify(pos, i), i).tableau)
+                      for i in range(1, t.size)])
+    return table
 
 
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
@@ -191,43 +199,50 @@ def is_sink(t: Tableau) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceClass:
-    """All tableaux of one shape sharing every standardized column word."""
+    """All tableaux of one shape sharing every standardized column word.
+
+    ``moved_connected`` is always True: a move swaps a nonattacking descent
+    i, i+1 with c(i+1) > c(i), so it lowers the sum of entry times column by
+    c(i+1) - c(i) > 0.  Every chain of moves therefore ends, inside the
+    class, at a member with no move, and the class has exactly one: its sink.
+    """
 
     signature: tuple[Perm, ...]
     members: tuple[Tableau, ...]
     source: Tableau
     sink: Tableau
-    moved_connected: bool  # observed, not a guaranteed invariant
+    moved_connected: bool
 
 
 def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     """Partition the standard tableaux of a shape by standardized column word.
 
-    Classes are sorted by signature; members by their rows.  Each class
-    records its unique source and sink, and whether its members are connected
-    by moved transitions (reported as observed; connectivity is checked, not
-    assumed).  The sink is the member that no pi_i moves, read from the
-    class's table of operator images.
+    Classes are sorted by signature; members by their rows.  One table of
+    operator images over the shape gives every move, and a move between two
+    signatures raises AssertionError.  Each class records its unique source
+    and its sink, the one member that no pi_i moves.  A move lowers the sum
+    of entry times column, so every member's moves lead to the sink and the
+    class is connected (see ``EquivalenceClass``).
     """
-    by_signature: dict[tuple[Perm, ...], list[Tableau]] = {}
-    for t in enumerate_spct(shape):
-        by_signature.setdefault(st_word(t), []).append(t)
+    tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
+    signatures = [st_word(t) for t in tableaux]
+    movers = set()
+    for k, i, m in _moves(tableaux):
+        if signatures[m] != signatures[k]:
+            raise AssertionError(f"pi_{i} moves {tableaux[k].rows} out of its class")
+        movers.add(k)
+    by_signature: dict[tuple[Perm, ...], list[int]] = {}
+    for k, signature in enumerate(signatures):
+        by_signature.setdefault(signature, []).append(k)
     classes = []
     for signature in sorted(by_signature):
-        members = sorted(by_signature[signature], key=lambda t: t.rows)
-        moves = list(_moves(members))
-        movers = {k for k, _, _ in moves}
+        members = tuple(tableaux[k] for k in by_signature[signature])
         sources = [t for t in members if is_source(t)]
-        sinks = [t for k, t in enumerate(members) if k not in movers]
+        sinks = [tableaux[k] for k in by_signature[signature] if k not in movers]
         if len(sources) != 1 or len(sinks) != 1:
-            raise AssertionError(
-                f"class {signature} has {len(sources)} sources and "
-                f"{len(sinks)} sinks"
-            )
-        connected = _moved_connected(len(members), moves)
-        classes.append(
-            EquivalenceClass(signature, tuple(members), sources[0], sinks[0], connected)
-        )
+            raise AssertionError(f"class {signature} has {len(sources)} sources "
+                                 f"and {len(sinks)} sinks")
+        classes.append(EquivalenceClass(signature, members, sources[0], sinks[0], True))
     return tuple(classes)
 
 
@@ -239,22 +254,6 @@ def _moves(tableaux: list[Tableau]) -> Iterator[tuple[int, int, int]]:
                 raise AssertionError(f"pi_{i} moves {tableaux[k].rows} out of its class")
             if m != k and m >= 0:
                 yield k, i, m
-
-
-def _moved_connected(size: int, moves: list[tuple[int, int, int]]) -> bool:
-    # undirected reachability over moved transitions within the class
-    adjacency: list[set[int]] = [set() for _ in range(size)]
-    for k, _, m in moves:
-        adjacency[k].add(m)
-        adjacency[m].add(k)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for neighbor in adjacency[stack.pop()]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
-    return len(seen) == size
 
 
 def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:

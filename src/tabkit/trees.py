@@ -154,6 +154,8 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
     """
     if not d.canonical:
         raise ValueError(f"labels must be exactly 1..{d.semi_length}")
+    if d.semi_length == 0:
+        raise ValueError("need at least one node: 0")
     blocks = runs(d)
     word = labeled_dyck_word(d)
     # the up-step right after each down block names the node the block hangs

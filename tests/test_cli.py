@@ -3,10 +3,13 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from tabkit.cli import DEFAULT_MAX_OBJECTS, equivalence_classes, main
+from tabkit.cli import _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.tableaux import Tableau
 
 
@@ -291,6 +294,40 @@ def test_map_bad_tree_labels_error_is_short(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and len(err) < 100
     assert "1..500" in err
+
+
+def test_map_empty_path_is_usage_error(capsys, monkeypatch):
+    code, out, err = map_stdin(capsys, monkeypatch, "ldyck-to-ltree", {"steps": []})
+    assert code == 2 and out == ""
+    assert err == "error: need at least one node: 0\n"
+
+
+JSON_KEYS = ("steps", "n", "rows", "shape", "reverse", "label", "left", "right")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6)
+    | st.sampled_from(["U", "D", "D1", "D2", "D3", "", "x"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("transform", sorted(_TRANSFORMS))
+@given(
+    data=st.dictionaries(st.sampled_from(JSON_KEYS), json_values, max_size=4)
+    | json_values,
+)
+@example(data={"steps": []})  # the empty path: no tree to build, so exit 2
+def test_map_fuzz_exits_0_or_2_with_one_line(transform, data):
+    argv = ["map", transform, "--in", "-"]
+    if transform == "rt-to-pct":
+        argv += ["--sigma", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(data))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):

@@ -142,9 +142,11 @@ def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken_swap)
 def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
     # both standard tableaux of shape (1, 1) are valid, of types 12 and 21
     low, high = Tableau.from_rows([[1], [2]]), Tableau.from_rows([[2], [1]])
+    image = hecke._image
     monkeypatch.setattr(
-        hecke, "pi",
-        lambda t, i: hecke.HeckeResult("moved", high) if t == low else pi(t, i),
+        hecke, "_image",
+        lambda t, kind, i: hecke.HeckeResult("moved", high) if t == low
+        else image(t, kind, i),
     )
     report = verify_hecke_relations((1, 1))
     assert not report.passed
@@ -157,13 +159,15 @@ def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
 def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
     # pi_1 now kills the tableaux it fixes, so pi_1 pi_1 kills a moved
     # tableau that pi_1 alone sends to a nonzero image
-    def broken_pi(t, i):
-        result = pi(t, i)
+    image = hecke._image
+
+    def broken_image(t, kind, i):
+        result = image(t, kind, i)
         if i == 1 and result.kind == "fixed":
             return hecke.HeckeResult("zero", None)
         return result
 
-    monkeypatch.setattr(hecke, "pi", broken_pi)
+    monkeypatch.setattr(hecke, "_image", broken_image)
     report = verify_hecke_relations((2, 1))
     assert not report.passed
     assert report.counterexample == "pi_1^2 != pi_1 on ((3, 2), (1,))"
@@ -240,10 +244,36 @@ def test_class_counts_known():
 
 
 def test_moved_connected_observed_on_small_shapes():
-    for n in range(2, 6):
+    # the reference for the proof in EquivalenceClass: a BFS over the
+    # undirected graph of pi moves between members, built from public pi
+    for n in range(2, 7):
         for shape in compositions_of(n):
             for cls in equivalence_classes(shape):
                 assert cls.moved_connected
+                neighbors = {t: set() for t in cls.members}
+                for t in cls.members:
+                    for i in range(1, n):
+                        result = pi(t, i)
+                        if result.kind == "moved":
+                            neighbors[t].add(result.tableau)
+                            neighbors[result.tableau].add(t)
+                seen, frontier = {cls.sink}, [cls.sink]
+                while frontier:
+                    frontier = [u for t in frontier for u in neighbors[t] - seen]
+                    seen.update(frontier)
+                assert seen == set(cls.members), cls.signature
+
+
+def test_positions_derived_once_per_tableau(monkeypatch):
+    calls = []
+    positions = hecke.positions
+    monkeypatch.setattr(hecke, "positions", lambda t: calls.append(t) or positions(t))
+    shape = (2, 2, 2, 2)  # 336 tableaux
+    equivalence_classes(shape)
+    assert len(calls) == 2 * 336  # the table, then is_source
+    calls.clear()
+    verify_hecke_relations(shape)
+    assert len(calls) == 336
 
 
 def test_class_report_json_fields():

@@ -178,6 +178,11 @@ def test_ldyck_to_ltree_deep_left_path():
     assert edge_stats(ldyck_to_ltree(d)) == (0, 1499, 0, 0)
 
 
+def test_ldyck_to_ltree_refuses_the_empty_path():
+    with pytest.raises(ValueError, match="need at least one node: 0"):
+        ldyck_to_ltree(LabeledDyckPath(()))
+
+
 def test_ldyck_to_ltree_requires_canonical():
     with pytest.raises(ValueError):
         ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "D1")))
