@@ -182,6 +182,14 @@ def test_equivalence_classes_reports_a_move_out_of_its_class(monkeypatch):
         equivalence_classes((2, 1))
 
 
+def test_equivalence_classes_reports_a_move_into_another_class(monkeypatch):
+    # ((2, 1), (3,)) is a tableau of the shape, alone in another class
+    other = Tableau.from_rows([[2, 1], [3]])
+    monkeypatch.setattr(hecke, "swap_entries", lambda t, i: other)
+    with pytest.raises(AssertionError, match=r"pi_1 moves \(\(3, 2\), \(1,\)\) out"):
+        equivalence_classes((2, 1))
+
+
 def test_apply_word_zero_absorbs():
     t = Tableau.from_rows([[2, 1], [4, 3]])
     assert apply_word(t, (2,)) is None
