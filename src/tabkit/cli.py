@@ -366,9 +366,10 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         agree = True
         for a in perms:
             for b in perms:
-                if is_2112_avoiding(a, b) != weak_bruhat_leq(a, b):
+                avoids = is_2112_avoiding(a, b)
+                if avoids != weak_bruhat_leq(a, b):
                     agree = False
-                if is_allowable_pair(a, b):
+                if avoids and is_allowable_pair(a, b):
                     pairs.add((a, b))
         covers = all(
             is_allowable_pair(p, apply_left_swap(p, v))

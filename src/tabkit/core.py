@@ -96,9 +96,15 @@ def inversions(p: Sequence[int]) -> frozenset[tuple[int, int]]:
 
 def weak_bruhat_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Left weak order: a <= b iff every inversion of a is an inversion of b."""
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    return inversions(a) <= inversions(b)
+    n = len(a)
+    if n != len(b):
+        raise ValueError(f"size mismatch: {n} vs {len(b)}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            # the inversion (i, j) of a must be one of b
+            if a[i] > a[j] and b[i] <= b[j]:
+                return False
+    return True
 
 
 def apply_left_swap(p: Perm, v: int) -> Perm:

@@ -220,7 +220,7 @@ def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
             up_at[label] = position
         else:
             down_at[label] = position
-    return Tableau(
+    return Tableau._trusted(
         tuple((down_at[i], up_at[i]) for i in range(1, d.semi_length + 1))
     )
 

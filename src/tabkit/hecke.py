@@ -73,8 +73,15 @@ def classify(t: Tableau, i: int) -> DescentClass:
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:
-    """The filling with entries i and i+1 interchanged."""
-    return Tableau(
+    """The filling with entries i and i+1 interchanged.
+
+    Raises ValueError unless i is a positive integer; then the swap keeps
+    every entry a positive integer, so the image is not checked again.
+    """
+    # exact type test: bool is an int subclass and must not pass
+    if type(i) is not int or i < 1:
+        raise ValueError(f"index must be a positive integer: {i!r}")
+    return Tableau._trusted(
         tuple(
             tuple(i + 1 if x == i else i if x == i + 1 else x for x in row)
             for row in t.rows

@@ -91,6 +91,13 @@ class _Filling:
     def from_rows(cls: type[_F], rows: Iterable[Iterable[int]]) -> _F:
         return cls(tuple(tuple(row) for row in rows))
 
+    @classmethod
+    def _trusted(cls: type[_F], rows: tuple[tuple[int, ...], ...]) -> _F:
+        # rows the library built and knows to be valid: no checks run
+        filling = object.__new__(cls)
+        object.__setattr__(filling, "rows", rows)
+        return filling
+
     @property
     def shape(self) -> Composition:
         return tuple(len(row) for row in self.rows)
@@ -315,7 +322,11 @@ def descent_quadruple(t: Tableau) -> tuple[int, int, int, int]:
 
 
 def pct_to_rt(t: Tableau) -> ReverseTableau:
-    """Sort each column into the partition shape, top to bottom decreasing."""
+    """Sort each column into the partition shape, top to bottom decreasing.
+
+    The input is validated; the result is then a reverse tableau by the
+    bijection theorem (see the module docstring) and is not checked again.
+    """
     result = validate_pct(t)
     if not result.valid:
         raise ValueError(
@@ -330,7 +341,7 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
     rows = tuple(
         tuple(cols[j][i] for j in range(lam[i])) for i in range(len(lam))
     )
-    return ReverseTableau(rows)
+    return ReverseTableau._trusted(rows)
 
 
 def _check_type(sigma: Sequence[int], ell: int) -> Perm:
@@ -363,7 +374,7 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
                 raise AssertionError(
                     f"no row accepts {v} in column {k + 1}; input corrupt"
                 )
-    return Tableau.from_rows(built)
+    return Tableau._trusted(tuple(map(tuple, built)))
 
 
 def _nonempty(shape: Sequence[int]) -> Composition:
@@ -405,7 +416,7 @@ def _spct_walk(
     r = 0
     while True:
         if v == 0:
-            yield kind.from_rows(rows)
+            yield kind._trusted(tuple(map(tuple, rows)))
             r = ell
         while r < ell:
             c = lengths[r]
