@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tabkit.allowable import is_2112_avoiding, is_allowable_pair
 from tabkit.cli import _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.tableaux import Tableau
 
@@ -162,6 +163,18 @@ def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
     monkeypatch.undo()
     report = run_json(capsys, "verify", "pairs", "--max-n", "3", "--max-objects", "41")
     assert report["results"]["passed"] is True
+
+
+def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
+    avoiding = mock.Mock(wraps=is_2112_avoiding)
+    allowable = mock.Mock(wraps=is_allowable_pair)
+    monkeypatch.setattr("tabkit.cli.is_2112_avoiding", avoiding)
+    monkeypatch.setattr("tabkit.cli.is_allowable_pair", allowable)
+    report = run_json(capsys, "verify", "pairs", "--max-n", "4")
+    assert report["results"]["passed"] is True
+    # 1 + 4 + 36 + 576 candidates; the allowable test runs on the 172 that
+    # avoid 2112 and on the 43 cover pairs
+    assert (avoiding.call_count, allowable.call_count) == (617, 215)
 
 
 def test_text_and_csv_renderings(capsys):
@@ -347,6 +360,17 @@ def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):
         capsys, "map", "rt-to-pct", "--in", str(source), "--sigma", "1 2"
     )
     assert report["results"]["result"]["rows"] == [[3, 2], [4, 1]]
+
+
+def test_map_refuses_invalid_shape_bijection_input(capsys, monkeypatch):
+    # rows increase: not a valid PCT
+    code, out, err = map_stdin(capsys, monkeypatch, "pct-to-rt", {"rows": [[1, 2], [4, 3]]})
+    assert code == 2 and out == "" and err.startswith("error:")
+    for data in ({"rows": [[3, 4], [2, 1]], "reverse": True},  # row increases
+                 {"rows": [[4, 3], [2, 1]]}):  # not marked reverse
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "map", "rt-to-pct", "--in", "-", "--sigma", "1 2")
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_map_type_mismatch_is_usage_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -84,6 +85,18 @@ def test_weak_bruhat_known():
     assert weak_bruhat_leq((2, 1, 3), (3, 2, 1))
     with pytest.raises(ValueError):
         weak_bruhat_leq((1, 2), (1, 2, 3))
+
+
+def test_weak_bruhat_is_inversion_set_containment():
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        for a in perms:
+            for b in perms:
+                assert weak_bruhat_leq(a, b) == (inversions(a) <= inversions(b))
+    # words with repeated letters: equal letters form no inversion
+    for a, b in [((2, 2, 1), (3, 1, 2)), ((2, 2, 1), (3, 2, 1)),
+                 ((1, 1), (2, 1)), ((2, 1), (1, 1))]:
+        assert weak_bruhat_leq(a, b) == (inversions(a) <= inversions(b))
 
 
 @given(p=permutation_strategy())
@@ -194,7 +207,5 @@ def test_chain_count_to_longest_element(n):
 
 def test_factorial_many_permutations_are_comparable_to_top():
     n = 4
-    from itertools import permutations
-
     top = (4, 3, 2, 1)
     assert sum(weak_bruhat_leq(p, top) for p in permutations(range(1, n + 1))) == factorial(n)

@@ -167,6 +167,7 @@ def test_golden_tableau_pair():
 @given(d=ldyck_strategy())
 def test_ldyck_spct_round_trip(d):
     t = ldyck_to_spct(d)
+    assert t == Tableau(t.rows)  # built without the constructor checks
     assert validate_pct(t).valid
     assert t.shape == (2,) * d.semi_length
     assert spct_to_ldyck(t) == d

@@ -60,6 +60,9 @@ def test_swap_entries():
     t = Tableau.from_rows([[2, 1], [4, 3]])
     assert swap_entries(t, 2).rows == ((3, 1), (4, 2))
     assert swap_entries(swap_entries(t, 2), 2) == t
+    for i in (0, True):  # would put 0, or the bool True, into the filling
+        with pytest.raises(ValueError):
+            swap_entries(t, i)
 
 
 def test_pi_outcomes():
@@ -118,6 +121,26 @@ def test_pi_preserves_shape_and_type():
                     assert image.shape == shape
                     assert check.sigma == sigma
                     assert is_standard(image)
+
+
+def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
+    # a moved image is built without the constructor checks
+    images = []
+    image = hecke._image
+
+    def recording_image(t, kind, i):
+        result = image(t, kind, i)
+        if result.kind == "moved":
+            images.append(result.tableau)
+        return result
+
+    monkeypatch.setattr(hecke, "_image", recording_image)
+    for n in range(2, 7):
+        for shape in compositions_of(n):
+            hecke._action(list(enumerate_spct(shape)))
+    assert len(images) > 1000
+    for moved in images:
+        assert moved == Tableau(moved.rows)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 from collections import defaultdict
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
@@ -186,6 +186,17 @@ def test_enumerated_are_valid_standard(t):
     assert is_standard(t)
 
 
+def test_enumerated_tableaux_pass_the_constructor_checks():
+    # the walk builds its tableaux without running the constructor checks
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            for t in enumerate_spct(shape):
+                assert t == Tableau(t.rows)
+        for lam in {to_partition(c) for c in compositions_of(n)}:
+            for T in enumerate_srt(lam):
+                assert T == ReverseTableau(T.rows)
+
+
 def test_enumerate_matches_brute_force():
     for n in range(1, 5):
         for shape in compositions_of(n):
@@ -364,6 +375,36 @@ def test_pct_rt_round_trip(t):
     T = pct_to_rt(t)
     assert to_partition(t.shape) == T.shape
     assert rt_to_pct(T, sigma) == t
+
+
+def valid_pcts(max_n):
+    """Every valid PCT of size at most max_n with entries at most its size,
+    semistandard ones included, with its type."""
+    for n in range(1, max_n + 1):
+        for shape in compositions_of(n):
+            # rows weakly decrease in every valid PCT
+            choices = [
+                list(combinations_with_replacement(range(n, 0, -1), width))
+                for width in shape
+            ]
+            for rows in product(*choices):
+                t = Tableau(rows)
+                result = validate_pct(t)
+                if result.valid:
+                    yield t, result.sigma
+
+
+def test_shape_bijection_outputs_pass_the_constructor_checks():
+    # pct_to_rt and rt_to_pct build their results without the checks
+    count = 0
+    for t, sigma in valid_pcts(5):
+        T = pct_to_rt(t)
+        assert T == ReverseTableau(T.rows)
+        back = rt_to_pct(T, sigma)
+        assert back == Tableau(back.rows) and back == t
+        count += 1
+    assert count > sum(1 for n in range(1, 6) for c in compositions_of(n)
+                       for _ in enumerate_spct(c))
 
 
 def test_known_pct_rt_pair():
