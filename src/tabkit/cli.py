@@ -38,6 +38,7 @@ from math import factorial
 
 from .allowable import (
     is_2112_avoiding,
+    is_123312_avoiding,
     is_allowable_pair,
     realize_sct,
 )
@@ -64,7 +65,7 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
-    descent_quadruple,
+    descent_quadruple_counts,
     enumerate_spct,
     enumerate_spct_sigma,
     enumerate_srt,
@@ -369,7 +370,7 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
                 avoids = is_2112_avoiding(a, b)
                 if avoids != weak_bruhat_leq(a, b):
                     agree = False
-                if avoids and is_allowable_pair(a, b):
+                if avoids and is_123312_avoiding(a, b):
                     pairs.add((a, b))
         covers = all(
             is_allowable_pair(p, apply_left_swap(p, v))
@@ -428,7 +429,7 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     expected = factorial(n) * catalan(n)
     if 2 * expected > cap:
         raise GuardExceeded(f"stats quadruple at n={n} needs {2 * expected} objects")
-    tableau_side = Counter(descent_quadruple(t) for t in enumerate_spct((2,) * n))
+    tableau_side = descent_quadruple_counts(n)
     tree_side = Counter(edge_stats(t) for t in enumerate_ltrees(n))
     quadruples = sorted(set(tableau_side) | set(tree_side))
     rows = [

@@ -10,6 +10,11 @@ two or more, and satisfy the braid relation, with zero absorbing.
 Tableaux sharing all standardized column words form an equivalence class;
 every class contains exactly one source (each non-descent i < n has i+1
 immediately to its left) and exactly one sink (every descent attacking).
+
+The relation and class checks read one table of operator images per shape,
+built on the row words of the enumeration walk: a move swaps two letters.
+The public functions on a ``Tableau`` apply the same cell rules through
+``positions``.
 """
 
 from __future__ import annotations
@@ -18,9 +23,21 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 
 from .core import Perm, check_composition
-from .tableaux import Tableau, enumerate_spct, positions, st_column, st_word
+from .tableaux import (
+    Rows,
+    Tableau,
+    Word,
+    _cells,
+    _columns,
+    _nonempty,
+    _rows,
+    _spct_walk,
+    positions,
+    st_word,
+)
 
 __all__ = [
     "DescentClass",
@@ -54,8 +71,8 @@ class HeckeResult:
     tableau: Tableau | None  # the input if fixed, the image if moved, else None
 
 
-def _classify(pos: dict[int, tuple[int, int]], i: int) -> DescentClass:
-    (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+def _classify(r1: int, c1: int, r2: int, c2: int) -> DescentClass:
+    # entry i in row r1 and column c1, entry i+1 in row r2 and column c2
     if c2 < c1:
         return DescentClass.NOT_DESCENT
     # same column, or adjacent columns with i+1 strictly southeast of i
@@ -69,7 +86,7 @@ def classify(t: Tableau, i: int) -> DescentClass:
     pos = positions(t)
     if not 1 <= i <= t.size - 1:
         raise ValueError(f"index out of range: {i}")
-    return _classify(pos, i)
+    return _classify(*pos[i], *pos[i + 1])
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:
@@ -89,22 +106,20 @@ def swap_entries(t: Tableau, i: int) -> Tableau:
     )
 
 
-def _image(t: Tableau, kind: DescentClass, i: int) -> HeckeResult:
+def pi(t: Tableau, i: int) -> HeckeResult:
+    """Apply the i-th descent operator.
+
+    A moved result is not revalidated here.  ``verify_hecke_relations``
+    checks that every moved image of its table is a standard tableau of the
+    same shape and type, and the tests check that this function agrees with
+    that table on every shape of size at most 6.
+    """
+    kind = classify(t, i)
     if kind is DescentClass.NOT_DESCENT:
         return HeckeResult("fixed", t)
     if kind is DescentClass.ATTACKING:
         return HeckeResult("zero", None)
     return HeckeResult("moved", swap_entries(t, i))
-
-
-def pi(t: Tableau, i: int) -> HeckeResult:
-    """Apply the i-th descent operator.
-
-    A moved result is not revalidated here.  ``verify_hecke_relations``
-    checks that every moved image is a standard tableau of the same shape
-    and type, and the tests check that on every shape of size at most 6.
-    """
-    return _image(t, classify(t, i), i)
 
 
 def apply_word(t: Tableau, word: Sequence[int]) -> Tableau | None:
@@ -127,16 +142,42 @@ class RelationReport:
     counterexample: str | None
 
 
-def _action(tableaux: Sequence[Tableau]) -> list[list[int | None]]:
-    # row k, entry i-1: the index of pi_i(tableaux[k]) in the list, so k
-    # when pi_i fixes it; -1 when zero, None when the image is not listed
-    index = {None: -1} | {t: k for k, t in enumerate(tableaux)}
-    table = []
-    for t in tableaux:
-        pos = positions(t)
-        table.append([index.get(_image(t, _classify(pos, i), i).tableau)
-                      for i in range(1, t.size)])
-    return table
+def _image(word: Word, cols: list[int], i: int) -> Word | None:
+    # pi_i on a row word and its columns: the word when pi_i fixes it, None
+    # when zero, else the word with the rows of i and i+1 swapped, which is
+    # the filling with the two entries swapped (they sit in different rows)
+    p = len(word) - i  # the letter of i; that of i+1 comes just before
+    kind = _classify(word[p], cols[p], word[p - 1], cols[p - 1])
+    if kind is DescentClass.NOT_DESCENT:
+        return word
+    if kind is DescentClass.ATTACKING:
+        return None
+    return word[: p - 1] + (word[p], word[p - 1]) + word[p + 1 :]
+
+
+def _action(
+    words: Sequence[Word], columns: Sequence[list[int]]
+) -> list[list[int | None]]:
+    # row k, entry i-1: the index of pi_i(words[k]) in the list, so k when
+    # pi_i fixes it; -1 when zero, None when the image is not listed
+    index = {None: -1} | {w: k for k, w in enumerate(words)}
+    return [
+        [index.get(_image(w, cols, i)) for i in range(1, len(w))]
+        for w, cols in zip(words, columns)
+    ]
+
+
+def _walk(
+    shape: Sequence[int], *, by_rows: bool = False
+) -> tuple[list[Word], list[Rows], list[list[int]]]:
+    # the shape's row words, their rows and their columns, in the order of
+    # enumerate_spct or sorted by rows
+    listed = list(_spct_walk(_nonempty(shape), kind=None))
+    if by_rows:
+        listed.sort(key=itemgetter(1))
+    words = [w for w, _ in listed]
+    ell = len(shape)
+    return words, [rows for _, rows in listed], [_columns(w, ell) for w in words]
 
 
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
@@ -150,18 +191,20 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """
     shape = check_composition(shape)
     n = sum(shape)
-    tableaux = list(enumerate_spct(shape))
-    table = _action(tableaux)
-    types = [st_column(t, 1) for t in tableaux]
+    words, rows, columns = _walk(shape)
+    table = _action(words, columns)
+    # the rows in the order their first-column entries arrive fix the type
+    types = [tuple(dict.fromkeys(w)) for w in words]
     checks = 0
 
     def fail(witness: str) -> RelationReport:
-        return RelationReport(False, shape, len(tableaux), checks, witness)
+        return RelationReport(False, shape, len(words), checks, witness)
 
-    for k, t in enumerate(tableaux):
+    for k, w in enumerate(words):
         for i, m in enumerate(table[k], start=1):
             if m is None or (m >= 0 and types[m] != types[k]):
-                return fail(f"pi_{i} image {pi(t, i).tableau.rows} of {t.rows} "
+                image = _rows(_image(w, columns[k], i))
+                return fail(f"pi_{i} image {image} of {rows[k]} "
                             "is not a valid standard tableau of the same type")
     table.append([-1] * (n - 1))  # the zero, at index -1, fixed by every pi_i
     relations = (
@@ -177,29 +220,33 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
             k = table[k][i - 1]
         return k
 
-    for k, t in enumerate(tableaux):
+    for k in range(len(words)):
         for name, left, right in relations:
             checks += 1
             if image(k, left) != image(k, right):
-                return fail(f"{name} on {t.rows}")
-    return RelationReport(True, shape, len(tableaux), checks, None)
+                return fail(f"{name} on {rows[k]}")
+    return RelationReport(True, shape, len(words), checks, None)
+
+
+def _is_source(rows: Sequence[int], cols: Sequence[int]) -> bool:
+    # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
+    # before it; a non-descent i needs i+1 immediately to its left
+    return all(
+        c2 >= c1 or (r2 == r1 and c2 == c1 - 1)
+        for r2, c2, r1, c1 in zip(rows, cols, rows[1:], cols[1:])
+    )
 
 
 def is_source(t: Tableau) -> bool:
     """Every non-descent i < n has i+1 in the cell immediately to its left."""
-    pos = positions(t)
-    for i in range(1, t.size):
-        (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-        if c2 < c1 and not (r2 == r1 and c2 == c1 - 1):
-            return False
-    return True
+    return _is_source(*_cells(t))
 
 
 def is_sink(t: Tableau) -> bool:
     """Every descent is attacking."""
     pos = positions(t)
     return all(
-        _classify(pos, i) is not DescentClass.NONATTACKING
+        _classify(*pos[i], *pos[i + 1]) is not DescentClass.NONATTACKING
         for i in range(1, t.size)
     )
 
@@ -221,6 +268,13 @@ class EquivalenceClass:
     moved_connected: bool
 
 
+def _class_key(word: Word, cols: list[int]) -> tuple[tuple[int, int], ...]:
+    # (column, row) of every letter, column by column and, within a column,
+    # largest entry first: this fixes, and is fixed by, every standardized
+    # column word of a tableau of the shape
+    return tuple(sorted(zip(cols, word), key=itemgetter(0)))
+
+
 def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     """Partition the standard tableaux of a shape by standardized column word.
 
@@ -231,21 +285,23 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     of entry times column, so every member's moves lead to the sink and the
     class is connected (see ``EquivalenceClass``).
     """
-    tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
-    signatures = [st_word(t) for t in tableaux]
+    words, rows, columns = _walk(shape, by_rows=True)
+    keys = [_class_key(w, cols) for w, cols in zip(words, columns)]
     movers = set()
-    for k, i, m in _moves(tableaux):
-        if signatures[m] != signatures[k]:
-            raise AssertionError(f"pi_{i} moves {tableaux[k].rows} out of its class")
+    for k, i, m in _moves(words, columns):
+        if keys[m] != keys[k]:
+            raise AssertionError(f"pi_{i} moves {rows[k]} out of its class")
         movers.add(k)
-    by_signature: dict[tuple[Perm, ...], list[int]] = {}
-    for k, signature in enumerate(signatures):
-        by_signature.setdefault(signature, []).append(k)
+    by_key: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for k, key in enumerate(keys):
+        by_key.setdefault(key, []).append(k)
+    tableaux = [Tableau._trusted(r) for r in rows]
     classes = []
-    for signature in sorted(by_signature):
-        members = tuple(tableaux[k] for k in by_signature[signature])
-        sources = [t for t in members if is_source(t)]
-        sinks = [tableaux[k] for k in by_signature[signature] if k not in movers]
+    # the one st_word per class, for its signature and the order of classes
+    for signature, ks in sorted((st_word(tableaux[ks[0]]), ks) for ks in by_key.values()):
+        members = tuple(tableaux[k] for k in ks)
+        sources = [tableaux[k] for k in ks if _is_source(words[k], columns[k])]
+        sinks = [tableaux[k] for k in ks if k not in movers]
         if len(sources) != 1 or len(sinks) != 1:
             raise AssertionError(f"class {signature} has {len(sources)} sources "
                                  f"and {len(sinks)} sinks")
@@ -253,12 +309,14 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     return tuple(classes)
 
 
-def _moves(tableaux: list[Tableau]) -> Iterator[tuple[int, int, int]]:
-    # (k, i, m) for each move of tableaux[k] to tableaux[m] by pi_i
-    for k, row in enumerate(_action(tableaux)):
+def _moves(
+    words: Sequence[Word], columns: Sequence[list[int]]
+) -> Iterator[tuple[int, int, int]]:
+    # (k, i, m) for each move of words[k] to words[m] by pi_i
+    for k, row in enumerate(_action(words, columns)):
         for i, m in enumerate(row, start=1):
             if m is None:
-                raise AssertionError(f"pi_{i} moves {tableaux[k].rows} out of its class")
+                raise AssertionError(f"pi_{i} moves {_rows(words[k])} out of its class")
             if m != k and m >= 0:
                 yield k, i, m
 
@@ -278,12 +336,12 @@ def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
 
 def orbit_dot(shape: Sequence[int]) -> str:
     """DOT digraph of all moved transitions on the tableaux of one shape."""
-    tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
+    words, rows, columns = _walk(shape, by_rows=True)
     lines = ["digraph orbits {"]
-    for k, t in enumerate(tableaux):
-        label = "/".join(",".join(map(str, row)) for row in t.rows)
+    for k, t in enumerate(rows):
+        label = "/".join(",".join(map(str, row)) for row in t)
         lines.append(f'  t{k} [label="{label}"];')
-    for k, i, m in _moves(tableaux):
+    for k, i, m in _moves(words, columns):
         lines.append(f'  t{k} -> t{m} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

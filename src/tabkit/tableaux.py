@@ -22,6 +22,7 @@ sorted shape, and reverse tableaux of that partition shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -49,6 +50,7 @@ __all__ = [
     "st_word",
     "descent_set",
     "descent_quadruple",
+    "descent_quadruple_counts",
     "pct_to_rt",
     "rt_to_pct",
     "enumerate_spct",
@@ -75,6 +77,10 @@ def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
 
 
 _F = TypeVar("_F", bound="_Filling")
+Rows = tuple[tuple[int, ...], ...]
+# A row word lists, for n, n-1, ..., 1, the row (from 0) holding that entry.
+# Rows decrease to the right, so it fixes a standard filling.
+Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,11 @@ class _Filling:
 
     @property
     def shape(self) -> Composition:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def size(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     def entry(self, row: int, col: int) -> int:
         """Entry at 1-indexed (row, col)."""
@@ -302,23 +308,55 @@ def descent_quadruple(t: Tableau) -> tuple[int, int, int, int]:
     """
     if any(len(row) != 2 for row in t.rows):
         raise ValueError(f"shape must be a two-column rectangle: {t.shape}")
+    return _quadruple(*_cells(t))
+
+
+def descent_quadruple_counts(n: int) -> Counter[tuple[int, int, int, int]]:
+    """How many standard tableaux of the two-column rectangle with n rows
+    have each ``descent_quadruple``, read off the cells of the walk that
+    ``enumerate_spct`` runs, without building the tableaux."""
+    if n < 1:
+        raise ValueError(f"need at least one row: {n}")
+    return Counter(
+        _quadruple(word, _columns(word, n))
+        for word, _ in _spct_walk((2,) * n, kind=None)
+    )
+
+
+def _cells(t: Tableau | ReverseTableau) -> tuple[list[int], list[int]]:
+    # the rows and columns of n, n-1, ..., 1, the order of the walk's word
     pos = positions(t)
-    north = south = northeast = southeast = 0
-    for i in range(1, t.size):
-        (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-        if c1 != 1:
-            continue
-        if c2 == 1:
-            if r2 < r1:
-                north += 1
-            else:
-                south += 1
-        else:
-            if r2 < r1:
-                northeast += 1
-            else:
-                southeast += 1
-    return (north, south, northeast, southeast)
+    cells = [pos[v] for v in range(len(pos), 0, -1)]
+    return [r for r, _ in cells], [c for _, c in cells]
+
+
+def _columns(word: Word, ell: int) -> list[int]:
+    # the column of each letter of a row word: every row fills left to
+    # right, and the word lists its entries largest first
+    filled = [0] * ell
+    cols = []
+    for r in word:
+        filled[r] += 1
+        cols.append(filled[r])
+    return cols
+
+
+def _quadruple(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, int, int]:
+    # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
+    # before it; i+1 counts as south of i unless strictly north
+    counts = [0, 0, 0, 0]  # north, south, northeast, southeast
+    for p in range(1, len(rows)):
+        if cols[p] == 1:
+            counts[2 * (cols[p - 1] != 1) + (rows[p - 1] >= rows[p])] += 1
+    return (counts[0], counts[1], counts[2], counts[3])
+
+
+def _rows(word: Word) -> Rows:
+    # the filling of a row word
+    rows: list[list[int]] = [[] for _ in range(max(word) + 1)]
+    for v, r in zip(range(len(word), 0, -1), word):
+        rows[r].append(v)
+    return tuple(map(tuple, rows))
 
 
 def pct_to_rt(t: Tableau) -> ReverseTableau:
@@ -398,12 +436,14 @@ def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
 
 
 def _spct_walk(
-    shape: Composition, sigma: Perm | None = None, kind: type[_F] = Tableau
-) -> Iterator[_F]:
-    # one backtracking loop: ``chosen`` holds the rows of n, n-1, ..., v+1,
-    # and ``r`` is the first row still to try for the entry v.  Under a type
-    # sigma, row r starts only after row after[r], of type value sigma[r] + 1
-    # (a fixed 1 at lengths[ell] stands for it when there is none).
+    shape: Composition, sigma: Perm | None = None, kind: type[_F] | None = Tableau
+) -> Iterator:
+    # one backtracking loop: ``chosen`` holds the rows (from 0) of n, n-1,
+    # ..., v+1, and ``r`` is the first row still to try for the entry v.
+    # It yields each standard PCT as a ``kind``, or with kind None as its
+    # row word, tuple(chosen), and its rows.  Under a type sigma, row r
+    # starts only after row after[r], of type value sigma[r] + 1 (a fixed 1
+    # at lengths[ell] stands for it when there is none).
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
     lengths = [0] * ell + [1]
@@ -416,7 +456,10 @@ def _spct_walk(
     r = 0
     while True:
         if v == 0:
-            yield kind._trusted(tuple(map(tuple, rows)))
+            if kind is None:
+                yield tuple(chosen), tuple(map(tuple, rows))
+            else:
+                yield kind._trusted(tuple(map(tuple, rows)))
             r = ell
         while r < ell:
             c = lengths[r]

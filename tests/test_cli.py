@@ -9,9 +9,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tabkit.allowable import is_2112_avoiding, is_allowable_pair
-from tabkit.cli import _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
-from tabkit.tableaux import Tableau
+from tabkit import hecke
+from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
+from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 
 
 def run(capsys, *argv):
@@ -113,10 +113,13 @@ def test_verify_hecke_single_shape(capsys):
 
 
 def test_verify_hecke_reports_a_broken_image(capsys, monkeypatch):
-    # a swap that leaves every row increasing breaks validity
+    # every move lands on the row word of (4, 1)/(3, 2), which breaks the
+    # triple condition (a row word cannot describe increasing rows)
+    image = hecke._image
     monkeypatch.setattr(
-        "tabkit.hecke.swap_entries",
-        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
+        "tabkit.hecke._image",
+        lambda w, cols, i: image(w, cols, i) if image(w, cols, i) in (w, None)
+        else (0, 1, 1, 0),
     )
     code, out, err = run(capsys, "verify", "hecke", "--shape", "2,2")
     assert code == 1 and err == ""
@@ -167,14 +170,17 @@ def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
 
 def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
     avoiding = mock.Mock(wraps=is_2112_avoiding)
+    avoiding_123312 = mock.Mock(wraps=is_123312_avoiding)
     allowable = mock.Mock(wraps=is_allowable_pair)
     monkeypatch.setattr("tabkit.cli.is_2112_avoiding", avoiding)
+    monkeypatch.setattr("tabkit.cli.is_123312_avoiding", avoiding_123312)
     monkeypatch.setattr("tabkit.cli.is_allowable_pair", allowable)
     report = run_json(capsys, "verify", "pairs", "--max-n", "4")
     assert report["results"]["passed"] is True
-    # 1 + 4 + 36 + 576 candidates; the allowable test runs on the 172 that
-    # avoid 2112 and on the 43 cover pairs
-    assert (avoiding.call_count, allowable.call_count) == (617, 215)
+    # 1 + 4 + 36 + 576 candidates; the 123-312 test runs on the 172 that
+    # avoid 2112, and the allowable test only on the 43 cover pairs
+    calls = (avoiding.call_count, avoiding_123312.call_count, allowable.call_count)
+    assert calls == (617, 172, 43)
 
 
 def test_text_and_csv_renderings(capsys):
@@ -341,6 +347,36 @@ def test_map_fuzz_exits_0_or_2_with_one_line(transform, data):
         code = main(argv)
     assert code in (0, 2), (code, err.getvalue())
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+# small values, negatives included, so that every run is quick and a few
+# are usage errors; shapes stay at size 5 or less (``--shape`` is uncapped)
+flag_values = st.integers(-1, 6).map(str)
+shape_values = st.sampled_from(["1", "2,1", "1,2,2", "2,2,1", "0", "-1", "a", ""])
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+@given(
+    flags=st.dictionaries(
+        st.sampled_from(["--max-n", "--n", "--max-size", "--samples", "--seed"]),
+        flag_values,
+        max_size=3,
+    ),
+    shape=st.none() | shape_values,
+    cap=st.integers(0, 300),
+)
+def test_verify_fuzz_exits_0_1_or_2_with_one_line(suite, flags, shape, cap):
+    argv = ["verify", suite, "--max-objects", str(cap)]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    if shape is not None:
+        argv += ["--shape", shape]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_map_rt_to_pct_needs_sigma(capsys, tmp_path):

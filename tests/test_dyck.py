@@ -188,6 +188,21 @@ def test_conversion_rejects_bad_input():
         ldyck_to_spct(LabeledDyckPath(("U", "D3", "U", "D1")))  # not canonical
 
 
+def test_spct_to_ldyck_accepts_exactly_the_valid_standard_fillings():
+    # every filling of (2)^n by 1..2n, n <= 4 (41,066 in all): the round
+    # trip through ldyck_to_spct decides validity as validate_pct does
+    for n in range(1, 5):
+        for entries in permutations(range(1, 2 * n + 1)):
+            t = Tableau(tuple(zip(entries[::2], entries[1::2])))
+            try:
+                d = spct_to_ldyck(t)
+            except ValueError as exc:
+                assert str(exc) == "input is not a valid standard tableau"
+                assert not validate_pct(t).valid, t.rows
+            else:
+                assert validate_pct(t).valid and ldyck_to_spct(d) == t
+
+
 def test_srt_to_dyck_folklore():
     assert srt_to_dyck(ReverseTableau.from_rows([[4, 2], [3, 1]])).word == "UUDD"
     assert srt_to_dyck(ReverseTableau.from_rows([[4, 3], [2, 1]])).word == "UDUD"

@@ -20,6 +20,9 @@ from tabkit.hecke import (
 )
 from tabkit.tableaux import (
     Tableau,
+    _columns,
+    _rows,
+    _spct_walk,
     enumerate_spct,
     is_standard,
     st_column,
@@ -124,52 +127,64 @@ def test_pi_preserves_shape_and_type():
 
 
 def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
-    # a moved image is built without the constructor checks
-    images = []
+    # the table moves row words; the filling of each moved word is the
+    # public swap of the tableau it moved, and a valid Tableau
+    moves = []
     image = hecke._image
 
-    def recording_image(t, kind, i):
-        result = image(t, kind, i)
-        if result.kind == "moved":
-            images.append(result.tableau)
+    def recording_image(word, cols, i):
+        result = image(word, cols, i)
+        if result not in (word, None):
+            moves.append((word, i, result))
         return result
 
     monkeypatch.setattr(hecke, "_image", recording_image)
     for n in range(2, 7):
         for shape in compositions_of(n):
-            hecke._action(list(enumerate_spct(shape)))
-    assert len(images) > 1000
-    for moved in images:
-        assert moved == Tableau(moved.rows)
+            words = [w for w, _ in _spct_walk(shape, kind=None)]
+            hecke._action(words, [_columns(w, len(shape)) for w in words])
+    assert len(moves) > 1000
+    for word, i, moved in moves:
+        swapped = swap_entries(Tableau(_rows(word)), i)
+        assert Tableau(_rows(moved)) == swapped
 
 
+def moved_to(monkeypatch, target):
+    # every move of the table lands on the row word ``target``
+    image = hecke._image
+
+    def broken_image(w, cols, i):
+        result = image(w, cols, i)
+        return result if result in (w, None) else target
+
+    monkeypatch.setattr(hecke, "_image", broken_image)
+
+
+# each move lands on (4, 1)/(3, 2), a filling of the shape that breaks the
+# triple condition, or on a filling of another shape.  A row word lists each
+# entry once, in decreasing rows, so it cannot describe a non-standard or
+# row-increasing image.
 @pytest.mark.parametrize(
-    "broken_swap",
-    [
-        # every row increasing: not a valid tableau
-        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
-        # i+1 overwritten by i: a valid filling, but not standard
-        lambda t, i: Tableau.from_rows(
-            [i if x == i + 1 else x for x in row] for row in t.rows
-        ),
-    ],
-    ids=["invalid", "not-standard"],
+    "broken", [(0, 1, 1, 0), (0, 1, 1, 1)], ids=["invalid", "other-shape"]
 )
-def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken_swap):
-    monkeypatch.setattr(hecke, "swap_entries", broken_swap)
+def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken):
+    moved_to(monkeypatch, broken)
     report = verify_hecke_relations((2, 2))
     assert not report.passed
-    assert "is not a valid standard tableau" in report.counterexample
+    # ((4, 3), (2, 1)), the first tableau the walk lists, moves by pi_2
+    assert report.counterexample == (
+        f"pi_2 image {hecke._rows(broken)} of ((4, 3), (2, 1)) is not a valid "
+        "standard tableau of the same type"
+    )
 
 
 def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
-    # both standard tableaux of shape (1, 1) are valid, of types 12 and 21
-    low, high = Tableau.from_rows([[1], [2]]), Tableau.from_rows([[2], [1]])
+    # both standard tableaux of shape (1, 1) are valid, of types 12 and 21:
+    # ((1,), (2,)) has the row word (1, 0), ((2,), (1,)) has (0, 1)
     image = hecke._image
     monkeypatch.setattr(
         hecke, "_image",
-        lambda t, kind, i: hecke.HeckeResult("moved", high) if t == low
-        else image(t, kind, i),
+        lambda w, cols, i: (0, 1) if w == (1, 0) else image(w, cols, i),
     )
     report = verify_hecke_relations((1, 1))
     assert not report.passed
@@ -184,11 +199,9 @@ def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
     # tableau that pi_1 alone sends to a nonzero image
     image = hecke._image
 
-    def broken_image(t, kind, i):
-        result = image(t, kind, i)
-        if i == 1 and result.kind == "fixed":
-            return hecke.HeckeResult("zero", None)
-        return result
+    def broken_image(w, cols, i):
+        result = image(w, cols, i)
+        return None if i == 1 and result is w else result
 
     monkeypatch.setattr(hecke, "_image", broken_image)
     report = verify_hecke_relations((2, 1))
@@ -197,18 +210,15 @@ def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
 
 
 def test_equivalence_classes_reports_a_move_out_of_its_class(monkeypatch):
-    monkeypatch.setattr(
-        hecke, "swap_entries",
-        lambda t, i: Tableau.from_rows(sorted(row) for row in t.rows),
-    )
+    moved_to(monkeypatch, (0, 1, 1))  # ((3,), (2, 1)): not of the shape (2, 1)
     with pytest.raises(AssertionError, match=r"pi_1 moves \(\(3, 2\), \(1,\)\) out"):
         equivalence_classes((2, 1))
 
 
 def test_equivalence_classes_reports_a_move_into_another_class(monkeypatch):
-    # ((2, 1), (3,)) is a tableau of the shape, alone in another class
-    other = Tableau.from_rows([[2, 1], [3]])
-    monkeypatch.setattr(hecke, "swap_entries", lambda t, i: other)
+    # ((2, 1), (3,)), of row word (1, 0, 0), is a tableau of the shape,
+    # alone in another class
+    moved_to(monkeypatch, (1, 0, 0))
     with pytest.raises(AssertionError, match=r"pi_1 moves \(\(3, 2\), \(1,\)\) out"):
         equivalence_classes((2, 1))
 
@@ -296,15 +306,59 @@ def test_moved_connected_observed_on_small_shapes():
 
 
 def test_positions_derived_once_per_tableau(monkeypatch):
+    # the table reads the cells of each row word, one pass per tableau;
+    # ``positions`` serves only the public, Tableau-level functions
     calls = []
-    positions = hecke.positions
-    monkeypatch.setattr(hecke, "positions", lambda t: calls.append(t) or positions(t))
+    columns = hecke._columns
+    monkeypatch.setattr(hecke, "_columns", lambda w, ell: calls.append(w) or columns(w, ell))
+    monkeypatch.setattr(hecke, "positions", None)  # any call would raise
     shape = (2, 2, 2, 2)  # 336 tableaux
     equivalence_classes(shape)
-    assert len(calls) == 2 * 336  # the table, then is_source
+    assert len(calls) == 336
     calls.clear()
     verify_hecke_relations(shape)
     assert len(calls) == 336
+
+
+def reference_action(tableaux):
+    # the Tableau-keyed table, from public pi: row k, entry i-1 is the index
+    # of pi_i(tableaux[k]); -1 when zero, None when the image is not listed
+    index = {None: -1} | {t: k for k, t in enumerate(tableaux)}
+    return [[index.get(pi(t, i).tableau) for i in range(1, t.size)] for t in tableaux]
+
+
+def reference_classes(shape):
+    # the classes grouped by st_word over Tableau objects, with moves from
+    # public pi and sources from public is_source
+    tableaux = sorted(enumerate_spct(shape), key=lambda t: t.rows)
+    moved = {t for t in tableaux for i in range(1, t.size) if pi(t, i).kind == "moved"}
+    groups = {}
+    for t in tableaux:
+        groups.setdefault(st_word(t), []).append(t)
+    return tuple(
+        hecke.EquivalenceClass(
+            signature,
+            tuple(members),
+            *[t for t in members if is_source(t)],
+            *[t for t in members if t not in moved],
+            True,
+        )
+        for signature, members in sorted(groups.items())
+    )
+
+
+def test_table_matches_public_pi():
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            words = [w for w, _ in _spct_walk(shape, kind=None)]
+            table = hecke._action(words, [_columns(w, len(shape)) for w in words])
+            assert table == reference_action(list(enumerate_spct(shape))), shape
+
+
+def test_classes_match_the_tableau_reference():
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            assert equivalence_classes(shape) == reference_classes(shape), shape
 
 
 def test_class_report_json_fields():

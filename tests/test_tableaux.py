@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -11,6 +11,7 @@ from tabkit.tableaux import (
     Tableau,
     column_word,
     descent_quadruple,
+    descent_quadruple_counts,
     descent_set,
     enumerate_spct,
     enumerate_spct_sigma,
@@ -440,6 +441,34 @@ def test_descent_quadruple_partitions_rows(n, data):
 def test_descent_quadruple_rejects_other_shapes():
     with pytest.raises(ValueError):
         descent_quadruple(SPCT_1324)
+
+
+def reference_quadruple(t):
+    # the rule entry by entry over positions: for i in the first column,
+    # i+1 north, south, northeast or southeast, south unless strictly north
+    pos = positions(t)
+    counts = [0, 0, 0, 0]
+    for i in range(1, t.size):
+        (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+        if c1 == 1:
+            counts[(0 if c2 == 1 else 2) + (0 if r2 < r1 else 1)] += 1
+    return tuple(counts)
+
+
+def test_descent_quadruple_matches_the_per_entry_rule():
+    # every filling of (2)^n by 1..2n, n <= 3, valid or not
+    for n in range(1, 4):
+        for entries in permutations(range(1, 2 * n + 1)):
+            t = Tableau(tuple(zip(entries[::2], entries[1::2])))
+            assert descent_quadruple(t) == reference_quadruple(t), t.rows
+
+
+def test_descent_quadruple_counts_match_the_tableaux():
+    for n in range(1, 7):
+        want = Counter(descent_quadruple(t) for t in enumerate_spct((2,) * n))
+        assert descent_quadruple_counts(n) == want, n
+    with pytest.raises(ValueError, match="need at least one row: 0"):
+        descent_quadruple_counts(0)
 
 
 def test_positions_inverts_entries():
