@@ -156,28 +156,22 @@ def _image(word: Word, cols: list[int], i: int) -> Word | None:
 
 
 def _action(
-    words: Sequence[Word], columns: Sequence[list[int]]
-) -> list[list[int | None]]:
-    # row k, entry i-1: the index of pi_i(words[k]) in the list, so k when
-    # pi_i fixes it; -1 when zero, None when the image is not listed
+    words: Sequence[Word], ell: int
+) -> Iterator[tuple[list[int], list[int | None]]]:
+    # per word, its columns and its row of the table: entry i-1 is the index
+    # of pi_i(words[k]) in the list, so k when pi_i fixes it; -1 when zero,
+    # None when the image is not listed.  Columns are not kept, so a caller
+    # reads what else it needs from them as they pass.
     index = {None: -1} | {w: k for k, w in enumerate(words)}
-    return [
-        [index.get(_image(w, cols, i)) for i in range(1, len(w))]
-        for w, cols in zip(words, columns)
-    ]
+    for w in words:
+        cols = _columns(w, ell)
+        yield cols, [index.get(_image(w, cols, i)) for i in range(1, len(w))]
 
 
-def _walk(
-    shape: Sequence[int], *, by_rows: bool = False
-) -> tuple[list[Word], list[Rows], list[list[int]]]:
-    # the shape's row words, their rows and their columns, in the order of
-    # enumerate_spct or sorted by rows
-    listed = list(_spct_walk(_nonempty(shape), kind=None))
-    if by_rows:
-        listed.sort(key=itemgetter(1))
-    words = [w for w, _ in listed]
-    ell = len(shape)
-    return words, [rows for _, rows in listed], [_columns(w, ell) for w in words]
+def _by_rows(shape: Sequence[int]) -> tuple[list[Word], list[Rows]]:
+    # the row words of the shape and their rows, sorted by rows
+    listed = sorted(_spct_walk(_nonempty(shape), kind=None), key=itemgetter(1))
+    return [w for w, _ in listed], [rows for _, rows in listed]
 
 
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
@@ -191,8 +185,9 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """
     shape = check_composition(shape)
     n = sum(shape)
-    words, rows, columns = _walk(shape)
-    table = _action(words, columns)
+    ell = len(shape)
+    words = [w for w, _ in _spct_walk(_nonempty(shape), kind=None)]
+    table = [row for _, row in _action(words, ell)]
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]
     checks = 0
@@ -203,8 +198,8 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     for k, w in enumerate(words):
         for i, m in enumerate(table[k], start=1):
             if m is None or (m >= 0 and types[m] != types[k]):
-                image = _rows(_image(w, columns[k], i))
-                return fail(f"pi_{i} image {image} of {rows[k]} "
+                image = _rows(_image(w, _columns(w, ell), i))
+                return fail(f"pi_{i} image {image} of {_rows(w)} "
                             "is not a valid standard tableau of the same type")
     table.append([-1] * (n - 1))  # the zero, at index -1, fixed by every pi_i
     relations = (
@@ -224,7 +219,7 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
         for name, left, right in relations:
             checks += 1
             if image(k, left) != image(k, right):
-                return fail(f"{name} on {rows[k]}")
+                return fail(f"{name} on {_rows(words[k])}")
     return RelationReport(True, shape, len(words), checks, None)
 
 
@@ -268,11 +263,11 @@ class EquivalenceClass:
     moved_connected: bool
 
 
-def _class_key(word: Word, cols: list[int]) -> tuple[tuple[int, int], ...]:
-    # (column, row) of every letter, column by column and, within a column,
-    # largest entry first: this fixes, and is fixed by, every standardized
-    # column word of a tableau of the shape
-    return tuple(sorted(zip(cols, word), key=itemgetter(0)))
+def _class_key(word: Word, cols: list[int]) -> tuple[int, ...]:
+    # the row of every entry, column by column and, within a column, largest
+    # entry first.  The shape fixes how many entries each column has, so on
+    # one shape this fixes, and is fixed by, every standardized column word.
+    return tuple([r for _, r in sorted(zip(cols, word), key=itemgetter(0))])
 
 
 def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
@@ -285,22 +280,28 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     of entry times column, so every member's moves lead to the sink and the
     class is connected (see ``EquivalenceClass``).
     """
-    words, rows, columns = _walk(shape, by_rows=True)
-    keys = [_class_key(w, cols) for w, cols in zip(words, columns)]
+    words, rows = _by_rows(shape)
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    groups = []  # groups[k]: the indices of the class of words[k], shared
+    table, source_indices = [], set()
+    for k, (cols, row) in enumerate(_action(words, len(shape))):
+        group = by_key.setdefault(_class_key(words[k], cols), [])
+        group.append(k)
+        groups.append(group)
+        table.append(row)
+        if _is_source(words[k], cols):
+            source_indices.add(k)
     movers = set()
-    for k, i, m in _moves(words, columns):
-        if keys[m] != keys[k]:
+    for k, i, m in _moves(words, table):
+        if groups[m] is not groups[k]:
             raise AssertionError(f"pi_{i} moves {rows[k]} out of its class")
         movers.add(k)
-    by_key: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for k, key in enumerate(keys):
-        by_key.setdefault(key, []).append(k)
     tableaux = [Tableau._trusted(r) for r in rows]
     classes = []
     # the one st_word per class, for its signature and the order of classes
     for signature, ks in sorted((st_word(tableaux[ks[0]]), ks) for ks in by_key.values()):
         members = tuple(tableaux[k] for k in ks)
-        sources = [tableaux[k] for k in ks if _is_source(words[k], columns[k])]
+        sources = [tableaux[k] for k in ks if k in source_indices]
         sinks = [tableaux[k] for k in ks if k not in movers]
         if len(sources) != 1 or len(sinks) != 1:
             raise AssertionError(f"class {signature} has {len(sources)} sources "
@@ -310,10 +311,10 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
 
 
 def _moves(
-    words: Sequence[Word], columns: Sequence[list[int]]
+    words: Sequence[Word], table: list[list[int | None]]
 ) -> Iterator[tuple[int, int, int]]:
     # (k, i, m) for each move of words[k] to words[m] by pi_i
-    for k, row in enumerate(_action(words, columns)):
+    for k, row in enumerate(table):
         for i, m in enumerate(row, start=1):
             if m is None:
                 raise AssertionError(f"pi_{i} moves {_rows(words[k])} out of its class")
@@ -336,12 +337,13 @@ def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
 
 def orbit_dot(shape: Sequence[int]) -> str:
     """DOT digraph of all moved transitions on the tableaux of one shape."""
-    words, rows, columns = _walk(shape, by_rows=True)
+    words, rows = _by_rows(shape)
     lines = ["digraph orbits {"]
     for k, t in enumerate(rows):
         label = "/".join(",".join(map(str, row)) for row in t)
         lines.append(f'  t{k} [label="{label}"];')
-    for k, i, m in _moves(words, columns):
+    table = [row for _, row in _action(words, len(shape))]
+    for k, i, m in _moves(words, table):
         lines.append(f'  t{k} -> t{m} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)
