@@ -31,7 +31,6 @@ import os
 import random
 import sys
 import time
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from itertools import permutations
 from math import factorial
@@ -65,6 +64,7 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
+    count_spct,
     descent_quadruple_counts,
     enumerate_spct,
     enumerate_spct_sigma,
@@ -73,10 +73,12 @@ from .tableaux import (
     pct_to_rt,
     rt_to_pct,
     st_column,
+    two_column_census,
+    two_column_states,
 )
 from .trees import (
     Node,
-    edge_stats,
+    edge_stats_counts,
     enumerate_ltrees,
     ldyck_to_ltree,
     ltree_to_ldyck,
@@ -137,6 +139,18 @@ def _guarded(items: Iterable, cap: int, what: str) -> Iterator:
 
 def _count(items: Iterable, cap: int, what: str) -> int:
     return sum(1 for _ in _guarded(items, cap, what))
+
+
+def _predicted(shapes: Iterable, cap: int, what: str) -> list:
+    """The shapes, refused as soon as their tableaux, counted without
+    listing, pass the cap: before any shape's walk starts."""
+    total = 0
+    listed = []
+    for shape in shapes:
+        total += count_spct(shape, cap - total)
+        _check_cap(total, cap, what)
+        listed.append(shape)
+    return listed
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +254,9 @@ def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         shapes = [parse_composition(args.shape)]
     else:
         max_n = args.max_n if args.max_n is not None else 4
-        shapes = [a for n in range(1, max_n + 1) for a in compositions_of(n)]
-    total = 0
-    for shape in shapes:
+        shapes = (a for n in range(1, max_n + 1) for a in compositions_of(n))
+    for shape in _predicted(shapes, cap, "verify hecke"):
         rep = verify_hecke_relations(shape)
-        total += rep.tableaux
-        _check_cap(total, cap, "verify hecke")
         name = format_composition(shape)
         row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
                "pass": rep.passed}
@@ -255,9 +266,9 @@ def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
     for n in range(1, max_n + 1):
-        shape = (2,) * n
-        spct_count = _count(enumerate_spct(shape), cap, "verify counts")
-        class_count = len(equivalence_classes(shape))
+        # each class has one source, so the transfer counts both
+        quadruples, class_count = two_column_census(n)
+        spct_count = sum(quadruples.values())
         ldyck_count = _count(enumerate_ldyck(n), cap, "verify counts")
         ltree_count = _count(enumerate_ltrees(n), cap, "verify counts")
         want_objects = factorial(n) * catalan(n)
@@ -339,17 +350,14 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 
 def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_size = args.max_size if args.max_size is not None else 5
-    shapes = [a for m in range(1, max_size + 1) for a in compositions_of(m)]
-    total = 0
-    for shape in shapes:
+    shapes = (a for m in range(1, max_size + 1) for a in compositions_of(m))
+    for shape in _predicted(shapes, cap, "verify classes"):
         name = format_composition(shape)
         try:
             classes = equivalence_classes(shape)
         except AssertionError as exc:
             yield {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
         else:
-            total += sum(len(c.members) for c in classes)
-            _check_cap(total, cap, "verify classes")
             connected = sum(1 for c in classes if c.moved_connected)
             row = {"shape": name, "classes": len(classes), "connected": connected,
                    "pass": True}
@@ -358,9 +366,12 @@ def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 
 def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
-    tests = sum(factorial(n) ** 2 for n in range(1, max_n + 1))
-    if tests > cap:
-        raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
+    tests = 0
+    for n in range(1, max_n + 1):
+        tests += factorial(n) ** 2
+        # stop at the first size where the running total passes the cap
+        if tests > cap:
+            raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
     for n in range(1, max_n + 1):
         perms = list(permutations(range(1, n + 1)))
         pairs = set()
@@ -426,11 +437,11 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
-    expected = factorial(n) * catalan(n)
-    if 2 * expected > cap:
-        raise GuardExceeded(f"stats quadruple at n={n} needs {2 * expected} objects")
+    # the bound passes 2^n, so a large n is refused before it is computed
+    if n >= cap.bit_length() or two_column_states(n) > cap:
+        raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer states")
     tableau_side = descent_quadruple_counts(n)
-    tree_side = Counter(edge_stats(t) for t in enumerate_ltrees(n))
+    tree_side = edge_stats_counts(n)
     quadruples = sorted(set(tableau_side) | set(tree_side))
     rows = [
         {
@@ -443,7 +454,7 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     equal = tableau_side == tree_side
     results = {
         "distribution": rows,
-        "objects_per_side": expected,
+        "objects_per_side": factorial(n) * catalan(n),
         "distinct_quadruples": len(quadruples),
         "equal": equal,
     }

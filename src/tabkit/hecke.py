@@ -32,6 +32,7 @@ from .tableaux import (
     Word,
     _cells,
     _columns,
+    _is_source,
     _nonempty,
     _rows,
     _spct_walk,
@@ -221,15 +222,6 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
             if image(k, left) != image(k, right):
                 return fail(f"{name} on {_rows(words[k])}")
     return RelationReport(True, shape, len(words), checks, None)
-
-
-def _is_source(rows: Sequence[int], cols: Sequence[int]) -> bool:
-    # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
-    # before it; a non-descent i needs i+1 immediately to its left
-    return all(
-        c2 >= c1 or (r2 == r1 and c2 == c1 - 1)
-        for r2, c2, r1, c1 in zip(rows, cols, rows[1:], cols[1:])
-    )
 
 
 def is_source(t: Tableau) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import mul
 from typing import TypeVar
 
 from .core import (
@@ -51,11 +52,14 @@ __all__ = [
     "descent_set",
     "descent_quadruple",
     "descent_quadruple_counts",
+    "two_column_census",
+    "two_column_states",
     "pct_to_rt",
     "rt_to_pct",
     "enumerate_spct",
     "enumerate_spct_sigma",
     "enumerate_srt",
+    "count_spct",
     "from_json",
     "render",
 ]
@@ -313,14 +317,85 @@ def descent_quadruple(t: Tableau) -> tuple[int, int, int, int]:
 
 def descent_quadruple_counts(n: int) -> Counter[tuple[int, int, int, int]]:
     """How many standard tableaux of the two-column rectangle with n rows
-    have each ``descent_quadruple``, read off the cells of the walk that
-    ``enumerate_spct`` runs, without building the tableaux."""
+    have each ``descent_quadruple``, counted by the transfer of
+    ``two_column_census`` without listing the tableaux."""
+    return two_column_census(n)[0]
+
+
+def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
+    """The ``descent_quadruple`` distribution over the standard tableaux of
+    the two-column rectangle with n rows, and how many of them are sources
+    (``tabkit.hecke.is_source``): one per class, so (n+1)^(n-1).
+
+    One transfer over the walk that ``enumerate_spct`` runs counts both
+    without listing a tableau.  Column 1 is open in every row and column 2
+    only in the first row whose column 1 alone is filled, so a full row
+    never matters again.  A state is the rows not yet full, each marked 1
+    when its column 1 is filled, in row order, and the cell of the last
+    entry placed.  The quadruple and the source rule read only the cells of
+    i+1 and i, which is one step of the transfer.  It visits at most
+    ``two_column_states(n)`` states.
+    """
     if n < 1:
         raise ValueError(f"need at least one row: {n}")
-    return Counter(
-        _quadruple(word, _columns(word, n))
-        for word, _ in _spct_walk((2,) * n, kind=None)
-    )
+    places = _places(n)
+    # the cell of the last entry as (row, column): the q-th row not yet full
+    # stands as row 2q + 1, and a full row that sat just before it as row
+    # 2q, so rows compare as they do in the tableau
+    start = ((0,) * n, None)
+    level: dict = {start: Counter({0: 1})}
+    sources: dict = {start: 1}
+    for _ in range(2 * n):
+        reached: dict = {}
+        reached_sources: dict = {}
+        for (marks, last), counts in level.items():
+            walks_to_sources = sources.get((marks, last), 0)
+            moves = [(q, 1) for q, mark in enumerate(marks) if not mark]
+            if 1 in marks:
+                moves.append((marks.index(1), 2))
+            for q, col in moves:
+                if col == 1:
+                    state = (marks[:q] + (1,) + marks[q + 1 :], (2 * q + 1, 1))
+                else:
+                    state = (marks[:q] + marks[q + 1 :], (2 * q, 2))
+                step, source = 0, True
+                if last is not None:
+                    rows, cols = (last[0], 2 * q + 1), (last[1], col)
+                    step = sum(map(mul, _quadruple(rows, cols), places))
+                    source = _is_source(rows, cols)
+                target = reached.setdefault(state, Counter())
+                for key, ways in counts.items():
+                    target[key + step] += ways
+                if source and walks_to_sources:
+                    reached_sources[state] = (
+                        reached_sources.get(state, 0) + walks_to_sources
+                    )
+        level, sources = reached, reached_sources
+    # every walk ends with the last row full and entry 1 in its column 2
+    end = ((), (0, 2))
+    return _unpacked(level[end], n), sources.get(end, 0)
+
+
+def two_column_states(n: int) -> int:
+    """An upper bound on the states the transfer of ``two_column_census(n)``
+    visits: with k rows not yet full, 2^k markings and 2k + 1 cells of the
+    last entry (a row, or a gap between rows), summed over k <= n."""
+    return (2 * n - 1) * 2 ** (n + 1) + 3
+
+
+def _places(n: int) -> tuple[int, int, int, int]:
+    # a quadruple of counts below n packs into one int, as its digits in
+    # base n; a sum of packed quadruples packs the sum while it stays below n
+    return (n**3, n**2, n, 1)
+
+
+def _unpacked(packed: dict[int, int], n: int) -> Counter[tuple[int, int, int, int]]:
+    # the quadruples of ``_places(n)`` and their counts, zero counts dropped
+    return Counter({
+        (key // n**3, key // n**2 % n, key // n % n, key % n): ways
+        for key, ways in packed.items()
+        if ways
+    })
 
 
 def _cells(t: Tableau | ReverseTableau) -> tuple[list[int], list[int]]:
@@ -349,6 +424,15 @@ def _quadruple(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, int,
         if cols[p] == 1:
             counts[2 * (cols[p - 1] != 1) + (rows[p - 1] >= rows[p])] += 1
     return (counts[0], counts[1], counts[2], counts[3])
+
+
+def _is_source(rows: Sequence[int], cols: Sequence[int]) -> bool:
+    # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
+    # before it; a non-descent i needs i+1 immediately to its left
+    return all(
+        c2 >= c1 or (r2 == r1 and c2 == c1 - 1)
+        for r2, c2, r1, c1 in zip(rows, cols, rows[1:], cols[1:])
+    )
 
 
 def _rows(word: Word) -> Rows:
@@ -493,6 +577,51 @@ def enumerate_spct_sigma(
     arrive largest first, so the type fixes the order rows start in."""
     shape = _nonempty(shape)
     return _spct_walk(shape, _check_type(sigma, len(shape)))
+
+
+def count_spct(shape: Sequence[int], limit: int | None = None) -> int:
+    """How many standard PCTs ``enumerate_spct`` lists for the shape,
+    counted without listing them: the walk's moves depend only on its row
+    lengths, so the count runs over those.
+
+    With a limit, the count stops once it passes the limit and returns a
+    number above it.  Each prefix it counts completes to a tableau, so a
+    partial count is a lower bound: it keeps only row lengths the walk can
+    complete.  Lengths c of rows with parts a are stuck exactly when a row d
+    above a row r has max(c_r, 1) <= c_d and a_d < a_r, as r can never pass
+    d's length.  Otherwise filling one row at a time completes them: of the
+    rows not yet full, the topmost longest one, or one of largest part when
+    they are all empty.
+
+    >>> count_spct((2, 2, 2))
+    30
+    """
+    shape = _nonempty(shape)
+    ell = len(shape)
+    # a row can strand a later row only when a later part is larger
+    taller_later = [max(shape[r + 1 :], default=0) > shape[r] for r in range(ell)]
+    level = {(0,) * ell: 1}
+    for _ in range(composition_size(shape)):
+        reached: dict[tuple[int, ...], int] = {}
+        counted = 0
+        for lengths, ways in level.items():
+            for r, c in enumerate(lengths):
+                # the test of ``_spct_walk`` with no type: column 1 is always
+                # open, column c + 1 only in the first row of length c
+                if not (c == 0 or (c < shape[r] and lengths.index(c) == r)):
+                    continue
+                if taller_later[r] and any(
+                    max(lengths[k], 1) <= c + 1 and shape[k] > shape[r]
+                    for k in range(r + 1, ell)
+                ):
+                    continue
+                grown = lengths[:r] + (c + 1,) + lengths[r + 1 :]
+                reached[grown] = reached.get(grown, 0) + ways
+                counted += ways
+                if limit is not None and counted > limit:
+                    return counted
+        level = reached
+    return sum(level.values())
 
 
 def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:

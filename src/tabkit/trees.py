@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import comb
 
 from .dyck import LabeledDyckPath, labeled_dyck_word, random_ldyck, runs
+from .tableaux import _places, _unpacked
 
 __all__ = [
     "Node",
@@ -37,6 +40,7 @@ __all__ = [
     "check_ltree",
     "mlpd",
     "edge_stats",
+    "edge_stats_counts",
     "ldyck_to_ltree",
     "ltree_to_ldyck",
     "push_pop_trace",
@@ -144,6 +148,59 @@ def edge_stats(t: Node) -> tuple[int, int, int, int]:
                 rdes += 1
             stack.append(node.right)
     return (lasc, ldes, rasc, rdes)
+
+
+def edge_stats_counts(n: int) -> Counter[tuple[int, int, int, int]]:
+    """How many of the n! Cat(n) labeled trees on n nodes have each
+    ``edge_stats``, counted without listing them.
+
+    The recurrence runs over (m, j): the trees of m nodes whose root is the
+    j-th smallest of their labels.  Such a tree has a left subtree of a
+    nodes and a right one of b = m - 1 - a.  If s of the left labels and t
+    of the right ones are below the root (s + t = j - 1), the labels split
+    in C(j-1, s) C(m-j, a-s) ways, and the left edge is a descent exactly
+    when the left child is among the s smallest of its subtree's labels;
+    likewise on the right.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node: {n}")
+    lasc, ldes, rasc, rdes = _places(n)
+    # hung[a][s]: the (left, right) distributions, edge to the parent
+    # included, of the subtrees of a nodes with s labels below the parent
+    hung: list[list[tuple[Counter[int], Counter[int]]]] = [[(Counter({0: 1}),) * 2]]
+    for m in range(1, n + 1):
+        by_rank: list[Counter[int]] = [Counter() for _ in range(m)]
+        for a in range(m):
+            b = m - 1 - a
+            for s in range(a + 1):
+                for t in range(b + 1):
+                    ways = comb(s + t, s) * comb(m - 1 - s - t, a - s)
+                    _add_product(by_rank[s + t], hung[a][s][0], hung[b][t][1], ways)
+        total = sum(by_rank, Counter())
+        row = []
+        for s in range(m + 1):
+            below = sum(by_rank[:s], Counter())
+            above = total - below
+            row.append((_hung(below, ldes, above, lasc), _hung(below, rdes, above, rasc)))
+        hung.append(row)
+    return _unpacked(total, n)
+
+
+def _add_product(target: Counter[int], p: Counter[int], q: Counter[int],
+                 ways: int) -> None:
+    # target += ways * p * q, for distributions packed by ``_places``
+    for k1, v1 in p.items():
+        v1 *= ways
+        for k2, v2 in q.items():
+            target[k1 + k2] += v1 * v2
+
+
+def _hung(below: Counter[int], descent: int, above: Counter[int],
+          ascent: int) -> Counter[int]:
+    # the subtrees with their edge to the parent: a descent on those whose
+    # root is below the parent, an ascent on the others
+    return (Counter({key + descent: ways for key, ways in below.items()})
+            + Counter({key + ascent: ways for key, ways in above.items()}))
 
 
 def ldyck_to_ltree(d: LabeledDyckPath) -> Node:

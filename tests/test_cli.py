@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -168,6 +169,35 @@ def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
     assert report["results"]["passed"] is True
 
 
+def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
+    sizes = []
+    monkeypatch.setattr("tabkit.cli.factorial", lambda n: sizes.append(n) or factorial(n))
+    code, out, err = run(
+        capsys, "verify", "pairs", "--max-n", "100000", "--max-objects", "1000"
+    )
+    assert code == 2 and out == ""
+    # 1 + 4 + 36 + 576 + 14400 passes 1000 at n = 5, where the sum stops
+    assert err.startswith("refused: verify pairs up to n=100000 needs 15017 pair tests")
+    assert sizes == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hecke", "--shape", "2,2,2,2,2", "--max-objects", "1"),
+    ("verify", "hecke", "--shape", ",".join(["2"] * 40), "--max-objects", "1000"),
+    ("verify", "hecke", "--max-n", "40", "--max-objects", "1000"),
+    ("verify", "classes", "--max-size", "40", "--max-objects", "1000"),
+], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes"])
+def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
+    monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"refused: verify {argv[1]} passed {argv[-1]} objects")
+
+
 def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
     avoiding = mock.Mock(wraps=is_2112_avoiding)
     avoiding_123312 = mock.Mock(wraps=is_123312_avoiding)
@@ -221,6 +251,38 @@ def test_stats_quadruple(capsys):
     assert report["results"]["objects_per_side"] == 30
     distribution = report["results"]["distribution"]
     assert sum(row["tableaux"] for row in distribution) == 30
+
+
+def test_stats_quadruple_counts_past_listing(capsys):
+    # both sides are counted, so n = 8 fits under the default cap, which
+    # 2 * 8! * Cat(8) listed objects passed
+    results = run_json(capsys, "stats", "quadruple", "--n", "8")["results"]
+    assert results["equal"] is True
+    assert results["objects_per_side"] == 57_657_600
+    distribution = results["distribution"]
+    assert sum(row["tableaux"] for row in distribution) == 57_657_600
+    assert sum(row["trees"] for row in distribution) == 57_657_600
+
+
+def test_stats_quadruple_refuses_before_any_work(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("work started")
+
+    for name in ("factorial", "catalan", "descent_quadruple_counts", "edge_stats_counts"):
+        monkeypatch.setattr(f"tabkit.cli.{name}", work)
+    code, out, err = run(
+        capsys, "stats", "quadruple", "--n", "1000000", "--max-objects", "1000"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "refused: stats quadruple at n=1000000 needs more than 1000 transfer states\n"
+    )
+    monkeypatch.undo()
+    # the transfer at n = 3 visits at most 83 states
+    code, out, _ = run(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "82")
+    assert code == 2 and out == ""
+    report = run_json(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "83")
+    assert report["results"]["equal"] is True
 
 
 def test_map_realize_pair(capsys):
@@ -350,7 +412,7 @@ def test_map_fuzz_exits_0_or_2_with_one_line(transform, data):
 
 
 # small values, negatives included, so that every run is quick and a few
-# are usage errors; shapes stay at size 5 or less (``--shape`` is uncapped)
+# are usage errors; shapes stay at size 5 or less
 flag_values = st.integers(-1, 6).map(str)
 shape_values = st.sampled_from(["1", "2,1", "1,2,2", "2,2,1", "0", "-1", "a", ""])
 
@@ -371,6 +433,22 @@ def test_verify_fuzz_exits_0_1_or_2_with_one_line(suite, flags, shape, cap):
         argv += [flag, value]
     if shape is not None:
         argv += ["--shape", shape]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@given(
+    n=st.integers(-1, 7) | st.sampled_from([10**6, 10**30]),
+    cap=st.none() | st.integers(0, 5000),
+)
+def test_stats_fuzz_exits_0_1_or_2_with_one_line(n, cap):
+    argv = ["stats", "quadruple", "--n", str(n)]
+    if cap is not None:
+        argv += ["--max-objects", str(cap)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

@@ -26,6 +26,7 @@ from tabkit.tableaux import (
     is_standard,
     st_column,
     st_word,
+    two_column_census,
     validate_pct,
 )
 
@@ -379,3 +380,8 @@ def test_permutation_count_equals_sources_on_columns():
     classes = equivalence_classes((2, 2, 2))
     types = {cls.signature[0] for cls in classes}
     assert types == set(permutations((1, 2, 3)))
+
+
+def test_two_column_sources_count_the_classes():
+    for n in range(1, 6):
+        assert two_column_census(n)[1] == len(equivalence_classes((2,) * n)), n

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabkit.core import compositions_of, to_partition
+from tabkit.dyck import catalan
 from tabkit.tableaux import (
     ReverseTableau,
     Tableau,
+    _columns,
+    _quadruple,
+    _spct_walk,
     column_word,
+    count_spct,
     descent_quadruple,
     descent_quadruple_counts,
     descent_set,
@@ -24,6 +29,8 @@ from tabkit.tableaux import (
     rt_to_pct,
     st_column,
     st_word,
+    two_column_census,
+    two_column_states,
     validate_pct,
 )
 
@@ -463,12 +470,58 @@ def test_descent_quadruple_matches_the_per_entry_rule():
             assert descent_quadruple(t) == reference_quadruple(t), t.rows
 
 
+def walk_census(n):
+    # the reference: the quadruple of every row word the walk lists
+    return Counter(
+        _quadruple(word, _columns(word, n))
+        for word, _ in _spct_walk((2,) * n, kind=None)
+    )
+
+
 def test_descent_quadruple_counts_match_the_tableaux():
     for n in range(1, 7):
         want = Counter(descent_quadruple(t) for t in enumerate_spct((2,) * n))
+        assert walk_census(n) == want, n
         assert descent_quadruple_counts(n) == want, n
-    with pytest.raises(ValueError, match="need at least one row: 0"):
-        descent_quadruple_counts(0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one row: {bad}"):
+            descent_quadruple_counts(bad)
+
+
+def test_two_column_census_closed_forms():
+    # past enumeration: n! Cat(n) tableaux, and (n+1)^(n-1) of them with
+    # any one coordinate zero, and as many sources
+    for n in range(1, 9):
+        counts, sources = two_column_census(n)
+        assert sum(counts.values()) == factorial(n) * catalan(n), n
+        for k in range(4):
+            zero = sum(ways for q, ways in counts.items() if q[k] == 0)
+            assert zero == (n + 1) ** (n - 1), (n, k)
+        assert sources == (n + 1) ** (n - 1), n
+        assert all(sum(q) == n - 1 for q in counts), n
+
+
+def test_two_column_states_sums_the_states_by_rows_not_full():
+    for n in range(1, 12):
+        assert two_column_states(n) == sum(2**k * (2 * k + 1) for k in range(n + 1))
+
+
+def test_count_spct_matches_the_walk():
+    for m in range(1, 8):
+        for shape in compositions_of(m):
+            want = sum(1 for _ in enumerate_spct(shape))
+            assert count_spct(shape) == want, shape
+            # a limit stops the count only once it has passed: every prefix
+            # the count keeps completes to a tableau
+            assert count_spct(shape, want) == want, shape
+            assert count_spct(shape, want - 1) > want - 1, shape
+    with pytest.raises(ValueError):
+        count_spct(())
+
+
+def test_count_spct_limit_stops_early():
+    # (2)^40 has over 10^60 tableaux; unlimited, the count would not finish
+    assert count_spct((2,) * 40, 1000) > 1000
 
 
 def test_positions_inverts_entries():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabkit.dyck import LabeledDyckPath, catalan, enumerate_ldyck
-from tabkit.tableaux import descent_quadruple, enumerate_spct
+from tabkit.tableaux import descent_quadruple, descent_quadruple_counts, enumerate_spct
 from tabkit.dyck import ldyck_to_spct, spct_to_ldyck
 from tabkit.trees import (
     LeftPath,
     Node,
     check_ltree,
     edge_stats,
+    edge_stats_counts,
     enumerate_ltrees,
     ldyck_to_ltree,
     ltree_to_ldyck,
@@ -256,3 +257,23 @@ def test_statistic_transport_distributions_match():
         tableaux = Counter(descent_quadruple(t) for t in enumerate_spct((2,) * n))
         trees = Counter(edge_stats(t) for t in enumerate_ltrees(n))
         assert tableaux == trees
+
+
+def test_edge_stats_counts_match_the_trees():
+    for n in range(1, 7):
+        want = Counter(edge_stats(t) for t in enumerate_ltrees(n))
+        assert edge_stats_counts(n) == want, n
+    with pytest.raises(ValueError, match="need at least one node: 0"):
+        edge_stats_counts(0)
+
+
+def test_edge_stats_counts_closed_forms():
+    # each coordinate is zero on (n+1)^(n-1) of the n! Cat(n) trees, and the
+    # two counted sides agree past enumeration
+    for n in range(1, 9):
+        counts = edge_stats_counts(n)
+        assert sum(counts.values()) == factorial(n) * catalan(n), n
+        for k in range(4):
+            zero = sum(ways for q, ways in counts.items() if q[k] == 0)
+            assert zero == (n + 1) ** (n - 1), (n, k)
+        assert counts == descent_quadruple_counts(n), n
