@@ -64,6 +64,7 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
+    _two_column_work,
     count_spct,
     descent_quadruple_counts,
     enumerate_spct,
@@ -74,7 +75,6 @@ from .tableaux import (
     rt_to_pct,
     st_column,
     two_column_census,
-    two_column_states,
 )
 from .trees import (
     Node,
@@ -438,8 +438,8 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
     # the bound passes 2^n, so a large n is refused before it is computed
-    if n >= cap.bit_length() or two_column_states(n) > cap:
-        raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer states")
+    if n >= cap.bit_length() or _two_column_work(n) > cap:
+        raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer steps")
     tableau_side = descent_quadruple_counts(n)
     tree_side = edge_stats_counts(n)
     quadruples = sorted(set(tableau_side) | set(tree_side))

@@ -14,7 +14,9 @@ True
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
+from operator import mul
 
 __all__ = [
     "Perm",
@@ -228,3 +230,27 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(t) for t in tokens)
     except ValueError:
         raise ValueError(f"malformed {what}: {text!r}") from None
+
+
+# Quadruples of counts below n, as the two-column census and the tree
+# recurrence carry them: packed into one int, as its digits in base n.  A sum
+# of packed quadruples packs the sum while each coordinate stays below n.
+
+
+def _places(n: int) -> tuple[int, int, int, int]:
+    # the packed value of each unit quadruple
+    return (n**3, n**2, n, 1)
+
+
+def _packed(q: Sequence[int], places: Sequence[int]) -> int:
+    return sum(map(mul, q, places))
+
+
+def _unpacked(packed: dict[int, int], n: int) -> Counter[tuple[int, int, int, int]]:
+    # the quadruples of a packed distribution and their counts, zero counts
+    # dropped
+    return Counter({
+        (key // n**3, key // n**2 % n, key // n % n, key % n): ways
+        for key, ways in packed.items()
+        if ways
+    })

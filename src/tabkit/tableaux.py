@@ -25,12 +25,15 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import mul
+from math import comb
 from typing import TypeVar
 
 from .core import (
     Composition,
     Perm,
+    _packed,
+    _places,
+    _unpacked,
     check_composition,
     check_permutation,
     composition_size,
@@ -53,7 +56,6 @@ __all__ = [
     "descent_quadruple",
     "descent_quadruple_counts",
     "two_column_census",
-    "two_column_states",
     "pct_to_rt",
     "rt_to_pct",
     "enumerate_spct",
@@ -333,8 +335,8 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     never matters again.  A state is the rows not yet full, each marked 1
     when its column 1 is filled, in row order, and the cell of the last
     entry placed.  The quadruple and the source rule read only the cells of
-    i+1 and i, which is one step of the transfer.  It visits at most
-    ``two_column_states(n)`` states.
+    i+1 and i, which is one step of the transfer.  Its states and the
+    quadruples they carry are bounded by ``_two_column_work(n)``.
     """
     if n < 1:
         raise ValueError(f"need at least one row: {n}")
@@ -361,7 +363,7 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
                 step, source = 0, True
                 if last is not None:
                     rows, cols = (last[0], 2 * q + 1), (last[1], col)
-                    step = sum(map(mul, _quadruple(rows, cols), places))
+                    step = _packed(_quadruple(rows, cols), places)
                     source = _is_source(rows, cols)
                 target = reached.setdefault(state, Counter())
                 for key, ways in counts.items():
@@ -376,26 +378,14 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     return _unpacked(level[end], n), sources.get(end, 0)
 
 
-def two_column_states(n: int) -> int:
-    """An upper bound on the states the transfer of ``two_column_census(n)``
-    visits: with k rows not yet full, 2^k markings and 2k + 1 cells of the
-    last entry (a row, or a gap between rows), summed over k <= n."""
-    return (2 * n - 1) * 2 ** (n + 1) + 3
-
-
-def _places(n: int) -> tuple[int, int, int, int]:
-    # a quadruple of counts below n packs into one int, as its digits in
-    # base n; a sum of packed quadruples packs the sum while it stays below n
-    return (n**3, n**2, n, 1)
-
-
-def _unpacked(packed: dict[int, int], n: int) -> Counter[tuple[int, int, int, int]]:
-    # the quadruples of ``_places(n)`` and their counts, zero counts dropped
-    return Counter({
-        (key // n**3, key // n**2 % n, key // n % n, key % n): ways
-        for key, ways in packed.items()
-        if ways
-    })
+def _two_column_work(n: int) -> int:
+    # a bound on the work of ``two_column_census(n)``, for a cap to charge
+    # before any of it: with k rows not yet full, the transfer has 2^k
+    # markings and 2k + 1 cells of the last entry (a row, or a gap between
+    # rows), summed over k <= n.  The entries placed fix the sum of every
+    # quadruple a state carries, at most n - 1, so it carries at most
+    # C(n+2, 3) of them
+    return ((2 * n - 1) * 2 ** (n + 1) + 3) * comb(n + 2, 3)
 
 
 def _cells(t: Tableau | ReverseTableau) -> tuple[list[int], list[int]]:

@@ -29,8 +29,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
+from .core import _places, _unpacked
 from .dyck import LabeledDyckPath, labeled_dyck_word, random_ldyck, runs
-from .tableaux import _places, _unpacked
 
 __all__ = [
     "Node",
@@ -168,22 +168,32 @@ def edge_stats_counts(n: int) -> Counter[tuple[int, int, int, int]]:
     # hung[a][s]: the (left, right) distributions, edge to the parent
     # included, of the subtrees of a nodes with s labels below the parent
     hung: list[list[tuple[Counter[int], Counter[int]]]] = [[(Counter({0: 1}),) * 2]]
-    for m in range(1, n + 1):
-        by_rank: list[Counter[int]] = [Counter() for _ in range(m)]
-        for a in range(m):
-            b = m - 1 - a
-            for s in range(a + 1):
-                for t in range(b + 1):
-                    ways = comb(s + t, s) * comb(m - 1 - s - t, a - s)
-                    _add_product(by_rank[s + t], hung[a][s][0], hung[b][t][1], ways)
+    for m in range(1, n):
+        by_rank = _by_rank(m, hung)
         total = sum(by_rank, Counter())
+        # the roots below the parent are those of the s smallest ranks
         row = []
+        below: Counter[int] = Counter()
         for s in range(m + 1):
-            below = sum(by_rank[:s], Counter())
+            if s:
+                below += by_rank[s - 1]
             above = total - below
             row.append((_hung(below, ldes, above, lasc), _hung(below, rdes, above, rasc)))
         hung.append(row)
-    return _unpacked(total, n)
+    return _unpacked(sum(_by_rank(n, hung), Counter()), n)
+
+
+def _by_rank(m: int, hung: list[list[tuple[Counter[int], Counter[int]]]]
+             ) -> list[Counter[int]]:
+    # the distributions of the trees of m nodes, by the rank of the root
+    by_rank: list[Counter[int]] = [Counter() for _ in range(m)]
+    for a in range(m):
+        b = m - 1 - a
+        for s in range(a + 1):
+            for t in range(b + 1):
+                ways = comb(s + t, s) * comb(m - 1 - s - t, a - s)
+                _add_product(by_rank[s + t], hung[a][s][0], hung[b][t][1], ways)
+    return by_rank
 
 
 def _add_product(target: Counter[int], p: Counter[int], q: Counter[int],

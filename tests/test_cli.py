@@ -275,14 +275,20 @@ def test_stats_quadruple_refuses_before_any_work(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err == (
-        "refused: stats quadruple at n=1000000 needs more than 1000 transfer states\n"
+        "refused: stats quadruple at n=1000000 needs more than 1000 transfer steps\n"
     )
     monkeypatch.undo()
-    # the transfer at n = 3 visits at most 83 states
-    code, out, _ = run(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "82")
+    # the transfer at n = 3 visits at most 83 states of at most 10 quadruples
+    code, out, _ = run(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "829")
     assert code == 2 and out == ""
-    report = run_json(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "83")
+    report = run_json(capsys, "stats", "quadruple", "--n", "3", "--max-objects", "830")
     assert report["results"]["equal"] is True
+    # under the default cap n = 10 runs (8,561,300 steps) and n = 11 does not
+    code, out, err = run(capsys, "stats", "quadruple", "--n", "11")
+    assert code == 2 and out == ""
+    assert err == (
+        "refused: stats quadruple at n=11 needs more than 10000000 transfer steps\n"
+    )
 
 
 def test_map_realize_pair(capsys):

@@ -1,6 +1,6 @@
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from tabkit.tableaux import (
     _columns,
     _quadruple,
     _spct_walk,
+    _two_column_work,
     column_word,
     count_spct,
     descent_quadruple,
@@ -30,7 +31,6 @@ from tabkit.tableaux import (
     st_column,
     st_word,
     two_column_census,
-    two_column_states,
     validate_pct,
 )
 
@@ -501,9 +501,10 @@ def test_two_column_census_closed_forms():
         assert all(sum(q) == n - 1 for q in counts), n
 
 
-def test_two_column_states_sums_the_states_by_rows_not_full():
+def test_two_column_work_sums_the_states_by_rows_not_full():
     for n in range(1, 12):
-        assert two_column_states(n) == sum(2**k * (2 * k + 1) for k in range(n + 1))
+        states = sum(2**k * (2 * k + 1) for k in range(n + 1))
+        assert _two_column_work(n) == states * comb(n + 2, 3)
 
 
 def test_count_spct_matches_the_walk():
