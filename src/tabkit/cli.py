@@ -2,8 +2,8 @@
 
 Grammar: ``tk <command> <subcommand> [flags]``.
 
-- ``tk enumerate {spct|srt|ldyck|ltree}`` counts a family, optionally
-  writing the full listing to a file.
+- ``tk enumerate {spct|srt|ldyck|ltree}`` counts a family without listing
+  it, and lists it only to write the listing to a file.
 - ``tk verify {hecke|counts|bijections|classes|pairs}`` runs an invariant
   suite and exits nonzero with a counterexample on failure.
 - ``tk stats quadruple --n N`` compares the joint distribution of the
@@ -12,10 +12,11 @@ Grammar: ``tk <command> <subcommand> [flags]``.
 - ``tk map <transform>`` applies one bijection to a JSON object.
 
 Every command accepts ``--format {json,csv,text}`` (JSON is canonical) and
-``--seed`` for the sampled portions of large verifications.  Enumerations
-refuse to produce more than ``--max-objects`` objects (default 10**7,
+``--seed`` for the sampled portions of large verifications.  Every command
+is charged, before it starts, with an exact count of the objects it would
+produce, and refuses when that passes ``--max-objects`` (default 10**7,
 overridable also via the TK_MAX_OBJECTS environment variable).  Exit codes:
-0 pass, 1 invariant failure, 2 usage error.
+0 pass, 1 invariant failure, 2 usage error or refusal.
 
 Each ``cmd_*`` returns its parameters, results, rows and exit code, and
 ``main`` times it and renders the report.  Each verification suite yields
@@ -64,6 +65,7 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
+    _partition,
     _two_column_work,
     count_spct,
     descent_quadruple_counts,
@@ -131,16 +133,6 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         )
 
 
-def _guarded(items: Iterable, cap: int, what: str) -> Iterator:
-    for count, item in enumerate(items, start=1):
-        _check_cap(count, cap, what)
-        yield item
-
-
-def _count(items: Iterable, cap: int, what: str) -> int:
-    return sum(1 for _ in _guarded(items, cap, what))
-
-
 def _predicted(shapes: Iterable, cap: int, what: str) -> list:
     """The shapes, refused as soon as their tableaux, counted without
     listing, pass the cap: before any shape's walk starts."""
@@ -204,42 +196,45 @@ def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
 
 def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     kind = args.kind
+    takes = {"shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree")}
+    for flag, kinds in takes.items():
+        if getattr(args, flag) is not None and kind not in kinds:
+            raise ValueError(f"enumerate {kind} does not take --{flag}")
     params: dict = {}
     if kind in ("spct", "srt"):
         if not args.shape:
             raise ValueError(f"enumerate {kind} requires --shape")
         shape = parse_composition(args.shape)
         params["shape"] = list(shape)
-        if kind == "spct":
-            if args.sigma:
-                sigma = parse_permutation(args.sigma)
-                params["sigma"] = list(sigma)
-                objects = enumerate_spct_sigma(shape, sigma)
-            else:
-                objects = enumerate_spct(shape)
+        sigma = None
+        if kind == "srt":
+            shape = _partition(shape)
+            sigma = tuple(range(len(shape), 0, -1))
+            objects = lambda: enumerate_srt(shape)
+        elif args.sigma:
+            sigma = parse_permutation(args.sigma)
+            params["sigma"] = list(sigma)
+            objects = lambda: enumerate_spct_sigma(shape, sigma)
         else:
-            objects = enumerate_srt(shape)
+            objects = lambda: enumerate_spct(shape)
+        count = count_spct(shape, cap, sigma)
     else:
         if args.n is None:
             raise ValueError(f"enumerate {kind} requires --n")
-        params["n"] = args.n
-        if kind == "ldyck":
-            objects = enumerate_ldyck(args.n)
-        else:
-            objects = enumerate_ltrees(args.n)
+        n = params["n"] = args.n
+        if kind == "ltree" and n < 1:
+            raise ValueError(f"need at least one node: {n}")
+        count = factorial(n) * catalan(n)
+        objects = lambda: enumerate_ldyck(n) if kind == "ldyck" else enumerate_ltrees(n)
+    _check_cap(count, cap, f"enumerate {kind}")
 
-    as_json = tree_to_json if kind == "ltree" else lambda obj: obj.to_json()
-    what = f"enumerate {kind}"
+    results: dict = {"kind": kind, "count": count}
     if args.list:
-        listing = [as_json(obj) for obj in _guarded(objects, cap, what)]
-        count = len(listing)
+        as_json = tree_to_json if kind == "ltree" else lambda obj: obj.to_json()
+        listing = [as_json(obj) for obj in objects()]
         with open(args.list, "w", encoding="utf-8") as fh:
             json.dump(listing, fh, indent=2)
             fh.write("\n")
-    else:
-        count = _count(objects, cap, what)
-    results: dict = {"kind": kind, "count": count}
-    if args.list:
         results["listing_file"] = args.list
     rows = [{"kind": kind, **params, "count": count}]
     return params | {"kind": kind}, results, rows, 0
@@ -265,12 +260,14 @@ def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 
 def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
+    # the largest listing: the paths, or the trees, of size max_n
+    _check_cap(factorial(max_n) * catalan(max_n) if max_n else 0, cap, "verify counts")
     for n in range(1, max_n + 1):
         # each class has one source, so the transfer counts both
         quadruples, class_count = two_column_census(n)
         spct_count = sum(quadruples.values())
-        ldyck_count = _count(enumerate_ldyck(n), cap, "verify counts")
-        ltree_count = _count(enumerate_ltrees(n), cap, "verify counts")
+        ldyck_count = sum(1 for _ in enumerate_ldyck(n))
+        ltree_count = sum(1 for _ in enumerate_ltrees(n))
         want_objects = factorial(n) * catalan(n)
         want_classes = (n + 1) ** (n - 1)
         passed = (
@@ -328,17 +325,17 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     samples = args.samples * max(0, n - 4)
     if samples > cap:
         raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
+    # the largest listings: SPCT((1)^n), whose n! tableaux are the most of
+    # any shape of size n, and the paths of size min(n, 4)
+    k = min(n, 4)
+    largest = max(factorial(n), factorial(k) * catalan(k)) if n else 0
+    _check_cap(largest, cap, "verify bijections")
     rng = random.Random(args.seed)
     for m in range(1, n + 1):
-        tableaux = (
-            t
-            for alpha in compositions_of(m)
-            for t in _guarded(enumerate_spct(alpha), cap, "verify bijections")
-        )
+        tableaux = (t for alpha in compositions_of(m) for t in enumerate_spct(alpha))
         yield _round_trips("pct-rt", m, tableaux, _tableau_moved)
-    for m in range(1, min(n, 4) + 1):
-        paths = _guarded(enumerate_ldyck(m), cap, "verify bijections")
-        yield _round_trips("ldyck-spct-ltree", m, paths, _path_moved)
+    for m in range(1, k + 1):
+        yield _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
     for m in range(5, n + 1):
         # each sampled path is checked before its tree is drawn from ``rng``
         paths = (random_ldyck(m, rng) for _ in range(args.samples))
@@ -399,8 +396,7 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         passed = len(pairs) == want and agree and covers
         if n <= 4:
             st_pairs = {
-                (st_column(t, 1), st_column(t, 2))
-                for t in _guarded(enumerate_spct((2,) * n), cap, "verify pairs")
+                (st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)
             }
             row["matches_tableau_pairs"] = st_pairs == pairs
             passed = passed and st_pairs == pairs

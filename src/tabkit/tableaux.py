@@ -521,10 +521,7 @@ def _spct_walk(
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
     lengths = [0] * ell + [1]
-    after = [ell] * ell
-    if sigma is not None:
-        row_of = {s: r for r, s in enumerate(sigma)}
-        after = [row_of.get(s + 1, ell) for s in sigma]
+    after = _start_order(sigma, ell)
     chosen: list[int] = []
     v = composition_size(shape)
     r = 0
@@ -559,6 +556,13 @@ def _spct_walk(
             return
 
 
+def _start_order(sigma: Perm | None, ell: int) -> list[int]:
+    # for each row, the row that must start before it: the row of type
+    # value sigma[r] + 1, or ell for none (every row, with no type)
+    row_of = {s: r for r, s in enumerate(sigma or ())}
+    return [row_of.get(s + 1, ell) for s in sigma] if sigma else [ell] * ell
+
+
 def enumerate_spct_sigma(
     shape: Sequence[int], sigma: Sequence[int]
 ) -> Iterator[Tableau]:
@@ -569,10 +573,13 @@ def enumerate_spct_sigma(
     return _spct_walk(shape, _check_type(sigma, len(shape)))
 
 
-def count_spct(shape: Sequence[int], limit: int | None = None) -> int:
-    """How many standard PCTs ``enumerate_spct`` lists for the shape,
-    counted without listing them: the walk's moves depend only on its row
-    lengths, so the count runs over those.
+def count_spct(
+    shape: Sequence[int], limit: int | None = None, sigma: Sequence[int] | None = None
+) -> int:
+    """How many standard PCTs ``enumerate_spct`` lists for the shape, or
+    ``enumerate_spct_sigma`` for the shape and the type sigma, counted
+    without listing them: the walk's moves depend only on its row lengths,
+    so the count runs over those.
 
     With a limit, the count stops once it passes the limit and returns a
     number above it.  Each prefix it counts completes to a tableau, so a
@@ -583,22 +590,38 @@ def count_spct(shape: Sequence[int], limit: int | None = None) -> int:
     rows not yet full, the topmost longest one, or one of largest part when
     they are all empty.
 
+    Under a type, row r starts only once the row of type value sigma_r + 1
+    has, as in the walk.  A row d above r with a_d < a_r and sigma_d >
+    sigma_r then starts first and strands r, so the count is 0.  Past that
+    check, completion under a type rests on an exhaustive comparison with
+    the walk on every composition of size at most 7 and every type.
+
     >>> count_spct((2, 2, 2))
     30
+    >>> count_spct((2, 2, 2), sigma=(3, 2, 1))
+    5
     """
     shape = _nonempty(shape)
     ell = len(shape)
+    if sigma is not None:
+        sigma = _check_type(sigma, ell)
+        if any(shape[d] < shape[r] and sigma[d] > sigma[r]
+               for r in range(ell) for d in range(r)):
+            return 0
+    after = _start_order(sigma, ell)
     # a row can strand a later row only when a later part is larger
     taller_later = [max(shape[r + 1 :], default=0) > shape[r] for r in range(ell)]
-    level = {(0,) * ell: 1}
+    # as in the walk, a fixed 1 after the rows stands for "no row to wait on"
+    level = {(0,) * ell + (1,): 1}
     for _ in range(composition_size(shape)):
         reached: dict[tuple[int, ...], int] = {}
         counted = 0
         for lengths, ways in level.items():
-            for r, c in enumerate(lengths):
-                # the test of ``_spct_walk`` with no type: column 1 is always
-                # open, column c + 1 only in the first row of length c
-                if not (c == 0 or (c < shape[r] and lengths.index(c) == r)):
+            for r in range(ell):
+                # the test of ``_spct_walk``: column 1 opens once row after[r]
+                # has started, column c + 1 only in the first row of length c
+                c = lengths[r]
+                if not (c < shape[r] and lengths.index(c) == r if c else lengths[after[r]]):
                     continue
                 if taller_later[r] and any(
                     max(lengths[k], 1) <= c + 1 and shape[k] > shape[r]
@@ -622,10 +645,15 @@ def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:
     T(k, j+1) for rows i < k, so the triple condition forces b = T(i, j+1)
     > c; conversely decreasing columns meet the triple condition.
     """
-    lam = _nonempty(partition)
+    lam = _partition(partition)
+    return _spct_walk(lam, tuple(range(len(lam), 0, -1)), ReverseTableau)
+
+
+def _partition(shape: Sequence[int]) -> Composition:
+    lam = _nonempty(shape)
     if lam != to_partition(lam):
         raise ValueError(f"shape must be a partition: {lam}")
-    return _spct_walk(lam, tuple(range(len(lam), 0, -1)), ReverseTableau)
+    return lam
 
 
 def from_json(data: dict) -> Tableau | ReverseTableau:

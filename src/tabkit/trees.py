@@ -59,18 +59,17 @@ class Node:
     right: "Node | None" = None
 
 
-def _collect_labels(t: Node, out: list[int]) -> None:
-    out.append(t.label)
-    if t.left:
-        _collect_labels(t.left, out)
-    if t.right:
-        _collect_labels(t.right, out)
-
-
 def tree_labels(t: Node) -> tuple[int, ...]:
     """All labels in preorder (node, left, right)."""
     out: list[int] = []
-    _collect_labels(t, out)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(node.label)
+        if node.right:
+            stack.append(node.right)
+        if node.left:
+            stack.append(node.left)
     return tuple(out)
 
 
@@ -109,19 +108,18 @@ def mlpd(t: Node) -> tuple[LeftPath, ...]:
     (LeftPath(labels=(2, 1), parent=None), LeftPath(labels=(3,), parent=2))
     """
     out: list[LeftPath] = []
-
-    def walk(top: Node, parent: int | None) -> None:
+    # the tops of the paths still to read, with their parents; the path
+    # hanging highest on the chain just read is read next
+    stack: list[tuple[Node, int | None]] = [(t, None)]
+    while stack:
+        top, parent = stack.pop()
         chain: list[Node] = []
         node: Node | None = top
         while node:
             chain.append(node)
             node = node.left
         out.append(LeftPath(tuple(v.label for v in chain), parent))
-        for v in chain:
-            if v.right:
-                walk(v.right, v.label)
-
-    walk(t, None)
+        stack.extend((v.right, v.label) for v in reversed(chain) if v.right)
     return tuple(out)
 
 

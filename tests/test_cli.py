@@ -88,6 +88,20 @@ def test_enumerate_requires_the_right_flags(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("enumerate", "srt", "--shape", "3,2", "--sigma", "1,2"), "--sigma"),
+    (("enumerate", "ldyck", "--n", "3", "--sigma", "1"), "--sigma"),
+    (("enumerate", "ldyck", "--n", "3", "--shape", "9"), "--shape"),
+    (("enumerate", "ltree", "--n", "3", "--shape", "1"), "--shape"),
+    (("enumerate", "spct", "--shape", "2,2", "--n", "3"), "--n"),
+    (("enumerate", "srt", "--shape", "2,2", "--n", "0"), "--n"),
+], ids=["srt-sigma", "ldyck-sigma", "ldyck-shape", "ltree-shape", "spct-n", "srt-n"])
+def test_enumerate_refuses_flags_of_other_kinds(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: enumerate {argv[1]} does not take {flag}\n"
+
+
 def test_bad_shape_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "spct", "--shape", "0,2")
     assert code == 2
@@ -186,16 +200,60 @@ def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
     ("verify", "hecke", "--shape", ",".join(["2"] * 40), "--max-objects", "1000"),
     ("verify", "hecke", "--max-n", "40", "--max-objects", "1000"),
     ("verify", "classes", "--max-size", "40", "--max-objects", "1000"),
-], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes"])
+    ("enumerate", "spct", "--shape", ",".join(["2"] * 7), "--max-objects", "1000"),
+    # (2)^4 under the decreasing type: the 14 reverse tableaux of (2,2,2,2)
+    ("enumerate", "spct", "--shape", "2,2,2,2", "--sigma", "4,3,2,1", "--max-objects", "13"),
+    ("enumerate", "srt", "--shape", "2,2,2,2", "--max-objects", "13"),
+    ("enumerate", "ldyck", "--n", "8", "--max-objects", "1000"),
+    ("enumerate", "ltree", "--n", "8", "--max-objects", "1000"),
+    # 5! Cat(5) = 5040 paths or trees at n = 5
+    ("verify", "counts", "--max-n", "5", "--max-objects", "100"),
+    # SPCT((1)^8) holds 8! = 40320 tableaux
+    ("verify", "bijections", "--n", "8", "--samples", "0", "--max-objects", "1000"),
+], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes",
+        "enumerate-spct", "enumerate-spct-sigma", "enumerate-srt", "enumerate-ldyck",
+        "enumerate-ltree", "counts", "bijections"])
 def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
     def walk(*args, **kwargs):
         raise AssertionError("a walk started")
 
     monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
     monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
+    for name in ("enumerate_ldyck", "enumerate_ltrees", "two_column_census", "random_ldyck"):
+        monkeypatch.setattr(f"tabkit.cli.{name}", walk)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"refused: verify {argv[1]} passed {argv[-1]} objects")
+    assert err.startswith(f"refused: {argv[0]} {argv[1]} passed {argv[-1]} objects")
+
+
+def test_enumerate_counts_without_walking(capsys, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
+    report = run_json(capsys, "enumerate", "spct", "--shape", ",".join(["2"] * 7))
+    assert report["results"]["count"] == 2_162_160
+    report = run_json(capsys, "enumerate", "srt", "--shape", "4,3,1")
+    assert report["results"]["count"] == 70
+
+
+def test_enumerate_refuses_a_listing_before_writing_it(capsys, tmp_path):
+    target = tmp_path / "objects.json"
+    argv = ("enumerate", "ltree", "--n", "3", "--list", str(target))
+    code, out, err = run(capsys, *argv, "--max-objects", "29")
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("refused: enumerate ltree passed 29 objects")
+    report = run_json(capsys, *argv, "--max-objects", "30")
+    assert report["results"]["count"] == len(json.loads(target.read_text())) == 30
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "counts", "--max-n", "0"),
+    ("verify", "bijections", "--n", "0"),
+], ids=["counts", "bijections"])
+def test_verify_suites_with_nothing_to_list_pass_a_zero_cap(capsys, argv):
+    report = run_json(capsys, *argv, "--max-objects", "0")
+    assert report["results"] == {"checks": [], "passed": True}
 
 
 def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
@@ -443,6 +501,28 @@ def test_verify_fuzz_exits_0_1_or_2_with_one_line(suite, flags, shape, cap):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@given(
+    kind=st.sampled_from(["spct", "srt", "ldyck", "ltree"]),
+    shape=st.none() | shape_values | st.sampled_from(["3,1,2", "2,2,2", "1,1,1,1"]),
+    sigma=st.none() | st.sampled_from(["1", "2,1", "1,3,2", "3,1,2", "1,1", "0", "x", ""]),
+    n=st.none() | flag_values,
+    cap=st.none() | st.integers(0, 300).map(str),
+)
+def test_enumerate_fuzz_exits_0_or_2_with_one_line(kind, shape, sigma, n, cap):
+    # nothing is listed, so every count, capped or not, is quick
+    argv = ["enumerate", kind]
+    for flag, value in (("--shape", shape), ("--sigma", sigma), ("--n", n),
+                        ("--max-objects", cap)):
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
     assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
 

@@ -510,14 +510,30 @@ def test_two_column_work_sums_the_states_by_rows_not_full():
 def test_count_spct_matches_the_walk():
     for m in range(1, 8):
         for shape in compositions_of(m):
-            want = sum(1 for _ in enumerate_spct(shape))
-            assert count_spct(shape) == want, shape
-            # a limit stops the count only once it has passed: every prefix
-            # the count keeps completes to a tableau
-            assert count_spct(shape, want) == want, shape
-            assert count_spct(shape, want - 1) > want - 1, shape
+            for sigma in [None, *permutations(range(1, len(shape) + 1))]:
+                walk = enumerate_spct(shape) if sigma is None else (
+                    enumerate_spct_sigma(shape, sigma))
+                want = sum(1 for _ in walk)
+                assert count_spct(shape, None, sigma) == want, (shape, sigma)
+                # a limit stops the count only once it has passed: every
+                # prefix the count keeps completes to a tableau
+                assert count_spct(shape, want, sigma) == want, (shape, sigma)
+                assert count_spct(shape, want - 1, sigma) > want - 1, (shape, sigma)
     with pytest.raises(ValueError):
         count_spct(())
+    with pytest.raises(ValueError, match="type length 3 does not match 2 rows"):
+        count_spct((2, 2), sigma=(1, 2, 3))
+    with pytest.raises(ValueError):
+        count_spct((2, 2), sigma=(1, 1))
+
+
+def test_count_spct_is_at_most_the_factorial():
+    # the shapes that sort to lambda hold ell! f^lambda tableaux, and
+    # f^lambda <= m!/ell! since the first column's hooks multiply to at
+    # least ell!; (1)^m attains m!
+    for m in range(1, 9):
+        counts = {shape: count_spct(shape) for shape in compositions_of(m)}
+        assert max(counts.values()) == factorial(m) == counts[(1,) * m], m
 
 
 def test_count_spct_limit_stops_early():

@@ -179,6 +179,22 @@ def test_ldyck_to_ltree_deep_left_path():
     assert edge_stats(ldyck_to_ltree(d)) == (0, 1499, 0, 0)
 
 
+@pytest.mark.parametrize("steps, left_paths", [
+    (("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)), 1),
+    (tuple(step for i in range(1, 1501) for step in ("U", f"D{i}")), 1500),
+], ids=["left-path", "right-path"])
+def test_deep_trees_round_trip_without_recursion(steps, left_paths):
+    # a left path and a right path 1,500 deep, past the default recursion
+    # limit; paths are compared, since comparing trees recurses
+    d = LabeledDyckPath(steps)
+    tree = ldyck_to_ltree(d)
+    assert ltree_to_ldyck(tree) == d
+    assert check_ltree(tree) == 1500
+    paths = mlpd(tree)
+    assert len(paths) == left_paths
+    assert sorted(label for p in paths for label in p.labels) == list(range(1, 1501))
+
+
 def test_ldyck_to_ltree_refuses_the_empty_path():
     with pytest.raises(ValueError, match="need at least one node: 0"):
         ldyck_to_ltree(LabeledDyckPath(()))
