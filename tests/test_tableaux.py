@@ -511,9 +511,7 @@ def test_count_spct_matches_the_walk():
     for m in range(1, 8):
         for shape in compositions_of(m):
             for sigma in [None, *permutations(range(1, len(shape) + 1))]:
-                walk = enumerate_spct(shape) if sigma is None else (
-                    enumerate_spct_sigma(shape, sigma))
-                want = sum(1 for _ in walk)
+                want = sum(1 for _ in _spct_walk(shape, sigma))
                 assert count_spct(shape, None, sigma) == want, (shape, sigma)
                 # a limit stops the count only once it has passed: every
                 # prefix the count keeps completes to a tableau
