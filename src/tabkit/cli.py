@@ -13,8 +13,8 @@ Grammar: ``tk <command> <subcommand> [flags]``.
 
 Every command accepts ``--format {json,csv,text}`` (JSON is canonical) and
 ``--seed`` for the sampled portions of large verifications.  Every command
-is charged, before it starts, with an exact count of the objects it would
-produce, and refuses when that passes ``--max-objects`` (default 10**7,
+is charged, before it starts, with an exact count of its objects or a bound
+on its steps, and refuses when that passes ``--max-objects`` (default 10**7,
 overridable also via the TK_MAX_OBJECTS environment variable).  Exit codes:
 0 pass, 1 invariant failure, 2 usage error or refusal.
 
@@ -47,14 +47,15 @@ from .core import (
     compositions_of,
     format_composition,
     format_permutation,
+    inversions,
     left_cover_swaps,
     parse_composition,
     parse_permutation,
-    weak_bruhat_leq,
 )
 from .dyck import (
     LabeledDyckPath,
     catalan,
+    enumerate_dyck,
     enumerate_ldyck,
     ldyck_from_json,
     ldyck_to_spct,
@@ -145,6 +146,25 @@ def _predicted(shapes: Iterable, cap: int, what: str) -> list:
     return listed
 
 
+def _refuse_flags(args: argparse.Namespace, command: str, choice: str, takes: dict) -> None:
+    """Refuse a flag given to ``choice`` that ``takes`` lists only for others."""
+    for flag, choices in takes.items():
+        if getattr(args, flag) is not None and choice not in choices:
+            raise ValueError(f"{command} {choice} does not take --{flag.replace('_', '-')}")
+
+
+def _two_column_charge(sizes: Iterable[int], cap: int) -> int:
+    """The work bounds ``_two_column_work`` of the two-column transfers of
+    ``sizes``, summed until they pass the cap."""
+    total = 0
+    for n in sizes:
+        # the bound passes 2^n, so a large n passes the cap uncomputed
+        total += cap + 1 if n >= cap.bit_length() else _two_column_work(n)
+        if total > cap:
+            break
+    return total
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -196,10 +216,8 @@ def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
 
 def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     kind = args.kind
-    takes = {"shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree")}
-    for flag, kinds in takes.items():
-        if getattr(args, flag) is not None and kind not in kinds:
-            raise ValueError(f"enumerate {kind} does not take --{flag}")
+    _refuse_flags(args, "enumerate", kind,
+                  {"shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree")})
     params: dict = {}
     if kind in ("spct", "srt"):
         if not args.shape:
@@ -260,30 +278,26 @@ def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 
 def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
-    # the largest listing: the paths, or the trees, of size max_n
-    _check_cap(factorial(max_n) * catalan(max_n) if max_n else 0, cap, "verify counts")
+    # charged with the transfers' bound: the tree recurrence takes less, and
+    # so do the Cat(n) paths of the walk, through n = 26
+    _check_cap(_two_column_charge(range(1, max_n + 1), cap), cap, "verify counts")
     for n in range(1, max_n + 1):
         # each class has one source, so the transfer counts both
         quadruples, class_count = two_column_census(n)
-        spct_count = sum(quadruples.values())
-        ldyck_count = sum(1 for _ in enumerate_ldyck(n))
-        ltree_count = sum(1 for _ in enumerate_ltrees(n))
-        want_objects = factorial(n) * catalan(n)
-        want_classes = (n + 1) ** (n - 1)
-        passed = (
-            spct_count == ldyck_count == ltree_count == want_objects
-            and class_count == want_classes
-        )
         row = {
             "n": n,
-            "spct": spct_count,
-            "ldyck": ldyck_count,
-            "ltree": ltree_count,
-            "expected_objects": want_objects,
+            "spct": sum(quadruples.values()),
+            # the labeled paths: every Dyck path under each of n! labelings
+            "ldyck": factorial(n) * sum(1 for _ in enumerate_dyck(n)),
+            "ltree": sum(edge_stats_counts(n).values()),
+            "expected_objects": factorial(n) * catalan(n),
             "classes": class_count,
-            "expected_classes": want_classes,
-            "pass": passed,
+            "expected_classes": (n + 1) ** (n - 1),
         }
+        passed = row["pass"] = (
+            row["spct"] == row["ldyck"] == row["ltree"] == row["expected_objects"]
+            and class_count == row["expected_classes"]
+        )
         yield row, None if passed else f"n={n}: {row}"
 
 
@@ -322,7 +336,8 @@ def _round_trips(check: str, size: int, cases: Iterable,
 
 def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     n = args.n if args.n is not None else 4
-    samples = args.samples * max(0, n - 4)
+    per_size = args.samples if args.samples is not None else 200
+    samples = per_size * max(0, n - 4)
     if samples > cap:
         raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
     # the largest listings: SPCT((1)^n), whose n! tableaux are the most of
@@ -338,7 +353,7 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         yield _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
     for m in range(5, n + 1):
         # each sampled path is checked before its tree is drawn from ``rng``
-        paths = (random_ldyck(m, rng) for _ in range(args.samples))
+        paths = (random_ldyck(m, rng) for _ in range(per_size))
         yield _round_trips(
             "sampled", m, paths,
             lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
@@ -355,10 +370,7 @@ def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         except AssertionError as exc:
             yield {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
         else:
-            connected = sum(1 for c in classes if c.moved_connected)
-            row = {"shape": name, "classes": len(classes), "connected": connected,
-                   "pass": True}
-            yield row, None
+            yield {"shape": name, "classes": len(classes), "pass": True}, None
 
 
 def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
@@ -370,19 +382,20 @@ def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         if tests > cap:
             raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
     for n in range(1, max_n + 1):
-        perms = list(permutations(range(1, n + 1)))
+        inv = {p: inversions(p) for p in permutations(range(1, n + 1))}
         pairs = set()
         agree = True
-        for a in perms:
-            for b in perms:
+        for a, below in inv.items():
+            for b, above in inv.items():
+                # the scan's answer against the weak order's definition
                 avoids = is_2112_avoiding(a, b)
-                if avoids != weak_bruhat_leq(a, b):
+                if avoids != (below <= above):
                     agree = False
                 if avoids and is_123312_avoiding(a, b):
                     pairs.add((a, b))
         covers = all(
             is_allowable_pair(p, apply_left_swap(p, v))
-            for p in perms
+            for p in inv
             for v in left_cover_swaps(p)
         )
         want = (n + 1) ** (n - 1)
@@ -414,6 +427,10 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
+    _refuse_flags(args, "verify", args.suite, {
+        "shape": ("hecke",), "max_n": ("hecke", "counts", "pairs"), "n": ("bijections",),
+        "max_size": ("classes",), "samples": ("bijections",),
+    })
     checks = list(_SUITES[args.suite](args, cap))
     rows = [row for row, _ in checks]
     witnesses = [witness for _, witness in checks if witness is not None]
@@ -433,8 +450,7 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
-    # the bound passes 2^n, so a large n is refused before it is computed
-    if n >= cap.bit_length() or _two_column_work(n) > cap:
+    if _two_column_charge([n], cap) > cap:
         raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer steps")
     tableau_side = descent_quadruple_counts(n)
     tree_side = edge_stats_counts(n)
@@ -568,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="largest size (hecke/counts/pairs)")
     p.add_argument("--n", type=int, help="largest size (bijections)")
     p.add_argument("--max-size", type=int, help="largest shape size (classes)")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=int,
                    help="sample count beyond the exhaustive range (default 200)")
     p.set_defaults(func=cmd_verify)
 

@@ -242,17 +242,16 @@ def is_sink(t: Tableau) -> bool:
 class EquivalenceClass:
     """All tableaux of one shape sharing every standardized column word.
 
-    ``moved_connected`` is always True: a move swaps a nonattacking descent
-    i, i+1 with c(i+1) > c(i), so it lowers the sum of entry times column by
-    c(i+1) - c(i) > 0.  Every chain of moves therefore ends, inside the
-    class, at a member with no move, and the class has exactly one: its sink.
+    Every member reaches the sink by moves: a move swaps a nonattacking
+    descent i, i+1 with c(i+1) > c(i), so it lowers the sum of entry times
+    column by c(i+1) - c(i) > 0.  Every chain of moves therefore ends, inside
+    the class, at a member with no move, and the class has exactly one.
     """
 
     signature: tuple[Perm, ...]
     members: tuple[Tableau, ...]
     source: Tableau
     sink: Tableau
-    moved_connected: bool
 
 
 def _class_key(word: Word, cols: list[int]) -> tuple[int, ...]:
@@ -269,8 +268,8 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     operator images over the shape gives every move, and a move between two
     signatures raises AssertionError.  Each class records its unique source
     and its sink, the one member that no pi_i moves.  A move lowers the sum
-    of entry times column, so every member's moves lead to the sink and the
-    class is connected (see ``EquivalenceClass``).
+    of entry times column, so every member's moves lead to the sink (see
+    ``EquivalenceClass``).
     """
     words, rows = _by_rows(shape)
     by_key: dict[tuple[int, ...], list[int]] = {}
@@ -298,7 +297,7 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
         if len(sources) != 1 or len(sinks) != 1:
             raise AssertionError(f"class {signature} has {len(sources)} sources "
                                  f"and {len(sinks)} sinks")
-        classes.append(EquivalenceClass(signature, members, sources[0], sinks[0], True))
+        classes.append(EquivalenceClass(signature, members, sources[0], sinks[0]))
     return tuple(classes)
 
 
@@ -321,7 +320,6 @@ def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
             "size": len(c.members),
             "source": c.source.to_json(),
             "sink": c.sink.to_json(),
-            "moved_connected": c.moved_connected,
         }
         for c in classes
     ]

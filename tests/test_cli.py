@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
+from tabkit.dyck import catalan
 
 
 def run(capsys, *argv):
@@ -206,24 +207,77 @@ def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
     ("enumerate", "srt", "--shape", "2,2,2,2", "--max-objects", "13"),
     ("enumerate", "ldyck", "--n", "8", "--max-objects", "1000"),
     ("enumerate", "ltree", "--n", "8", "--max-objects", "1000"),
-    # 5! Cat(5) = 5040 paths or trees at n = 5
+    # the transfers to n = 5 are charged 25,750 steps
     ("verify", "counts", "--max-n", "5", "--max-objects", "100"),
+    # n = 10 adds 8,561,300 steps, past the default cap
+    ("verify", "counts", "--max-n", "10", "--max-objects", str(DEFAULT_MAX_OBJECTS)),
     # SPCT((1)^8) holds 8! = 40320 tableaux
     ("verify", "bijections", "--n", "8", "--samples", "0", "--max-objects", "1000"),
 ], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes",
         "enumerate-spct", "enumerate-spct-sigma", "enumerate-srt", "enumerate-ldyck",
-        "enumerate-ltree", "counts", "bijections"])
+        "enumerate-ltree", "counts", "counts-default-cap", "bijections"])
 def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
     def walk(*args, **kwargs):
         raise AssertionError("a walk started")
 
     monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
     monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
-    for name in ("enumerate_ldyck", "enumerate_ltrees", "two_column_census", "random_ldyck"):
+    for name in ("enumerate_ldyck", "enumerate_ltrees", "enumerate_dyck",
+                 "two_column_census", "edge_stats_counts", "random_ldyck"):
         monkeypatch.setattr(f"tabkit.cli.{name}", walk)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"refused: {argv[0]} {argv[1]} passed {argv[-1]} objects")
+
+
+def test_verify_counts_counts_past_listing(capsys, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("a listing started")
+
+    monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
+    monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
+    monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
+    monkeypatch.setattr("tabkit.cli.enumerate_ldyck", walk)
+    monkeypatch.setattr("tabkit.cli.enumerate_ltrees", walk)
+    # 9! Cat(9) = 1,764,322,560 paths, and as many trees: counted, not listed
+    report = run_json(capsys, "verify", "counts", "--max-n", "9")
+    assert report["results"]["passed"] is True
+    rows = report["results"]["checks"]
+    assert [row["n"] for row in rows] == list(range(1, 10))
+    for row in rows:
+        n = row["n"]
+        assert row["spct"] == row["ldyck"] == row["ltree"] == factorial(n) * catalan(n), row
+        assert row["classes"] == (n + 1) ** (n - 1), row
+
+
+def test_verify_counts_is_charged_the_transfer_bounds(capsys):
+    # 7 + 108 + 830 + 4540 + 20265 transfer steps for n = 1..5
+    argv = ("verify", "counts", "--max-n", "5")
+    code, out, err = run(capsys, *argv, "--max-objects", "25749")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: verify counts passed 25749 objects")
+    report = run_json(capsys, *argv, "--max-objects", "25750")
+    assert report["results"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "bijections", "--max-n", "8"), "--max-n"),
+    (("verify", "pairs", "--n", "9"), "--n"),
+    (("verify", "counts", "--max-size", "9"), "--max-size"),
+    (("verify", "counts", "--shape", "2,2"), "--shape"),
+    (("verify", "classes", "--samples", "5"), "--samples"),
+    (("verify", "hecke", "--n", "3"), "--n"),
+], ids=["bijections-max-n", "pairs-n", "counts-max-size", "counts-shape",
+        "classes-samples", "hecke-n"])
+def test_verify_refuses_flags_of_other_suites(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[1]} does not take {flag}\n"
+
+
+def test_verify_bijections_draws_200_samples_by_default(capsys):
+    rows = run_json(capsys, "verify", "bijections", "--n", "5")["results"]["checks"]
+    assert [row["cases"] for row in rows if row["check"] == "sampled"] == [200]
 
 
 def test_enumerate_counts_without_walking(capsys, monkeypatch):
