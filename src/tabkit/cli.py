@@ -11,12 +11,13 @@ Grammar: ``tk <command> <subcommand> [flags]``.
   edge statistics on labeled binary trees.
 - ``tk map <transform>`` applies one bijection to a JSON object.
 
-Every command accepts ``--format {json,csv,text}`` (JSON is canonical) and
-``--seed`` for the sampled portions of large verifications.  Every command
-is charged, before it starts, with an exact count of its objects or a bound
-on its steps, and refuses when that passes ``--max-objects`` (default 10**7,
-overridable also via the TK_MAX_OBJECTS environment variable).  Exit codes:
-0 pass, 1 invariant failure, 2 usage error or refusal.
+Every command accepts ``--format {json,csv,text}`` (JSON is canonical); only
+``tk verify bijections``, the one command that samples, takes ``--seed``
+(default 0).  Every command is charged, before it starts, with an exact
+count of its objects or a bound on its steps, and refuses when that passes
+``--max-objects`` (default 10**7, overridable also via the TK_MAX_OBJECTS
+environment variable).  Exit codes: 0 pass, 1 invariant failure, 2 usage
+error or refusal.
 
 Each ``cmd_*`` returns its parameters, results, rows and exit code, and
 ``main`` times it and renders the report.  Each verification suite yields
@@ -216,8 +217,9 @@ def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
 
 def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     kind = args.kind
-    _refuse_flags(args, "enumerate", kind,
-                  {"shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree")})
+    _refuse_flags(args, "enumerate", kind, {
+        "shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree"), "seed": (),
+    })
     params: dict = {}
     if kind in ("spct", "srt"):
         if not args.shape:
@@ -429,8 +431,10 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
     _refuse_flags(args, "verify", args.suite, {
         "shape": ("hecke",), "max_n": ("hecke", "counts", "pairs"), "n": ("bijections",),
-        "max_size": ("classes",), "samples": ("bijections",),
+        "max_size": ("classes",), "samples": ("bijections",), "seed": ("bijections",),
     })
+    if args.suite == "bijections" and args.seed is None:
+        args.seed = 0  # the samples' seed, reported with them
     checks = list(_SUITES[args.suite](args, cap))
     rows = [row for row, _ in checks]
     witnesses = [witness for _, witness in checks if witness is not None]
@@ -447,6 +451,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
 
 
 def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
+    _refuse_flags(args, "stats", args.kind, {"seed": ()})
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
@@ -518,6 +523,7 @@ _TRANSFORMS: dict[str, Callable[[dict, argparse.Namespace, dict], dict]] = {
 
 def cmd_map(args: argparse.Namespace, cap: int) -> Outcome:
     transform = args.transform
+    _refuse_flags(args, "map", transform, {"seed": ()})
     params: dict = {"transform": transform}
     if transform in _TRANSFORMS:
         if not args.infile:
@@ -554,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json)",
     )
     common.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for any sampled verification (default 0)",
+        "--seed", type=int, default=None,
+        help="seed for the samples of verify bijections (default 0)",
     )
     common.add_argument(
         "--max-objects", type=int, default=None, metavar="N",
@@ -619,7 +625,16 @@ def main(argv: list[str] | None = None) -> int:
             "results": results,
             "elapsed_seconds": round(time.perf_counter() - started, 6),
         }
-        _emit(args.format, report, rows)
+        try:
+            _emit(args.format, report, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early: leave with the command's code,
+            # and send what is still buffered to the null device, so that
+            # the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

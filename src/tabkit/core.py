@@ -76,8 +76,9 @@ def standardize(word: Sequence[int]) -> Perm:
     """
     if len(word) == 0:
         raise ValueError("empty input")
-    # sort positions by (letter, position); rank = image
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
+    # sort positions by letter, stably so that ties keep their order; the
+    # rank is the image
+    order = sorted(range(len(word)), key=word.__getitem__)
     images = [0] * len(word)
     for rank, pos in enumerate(order, start=1):
         images[pos] = rank

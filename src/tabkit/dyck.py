@@ -82,7 +82,12 @@ class DyckPath:
 
 @dataclass(frozen=True)
 class LabeledDyckPath:
-    """Steps 'U' and 'D<label>'; down labels distinct positive integers."""
+    """Steps 'U' and 'D<label>'; down labels distinct positive integers.
+
+    The labels are parsed once, at construction, into ``_downs``: a plain
+    attribute, not a field, so equality, hashing and repr read only the
+    steps.
+    """
 
     steps: tuple[str, ...]
 
@@ -101,6 +106,7 @@ class LabeledDyckPath:
         _check_balance(shape, "path")
         if len(set(labels)) != len(labels):
             raise ValueError(f"down-step labels repeat: {labels}")
+        object.__setattr__(self, "_downs", tuple(labels))
 
     @property
     def semi_length(self) -> int:
@@ -109,14 +115,13 @@ class LabeledDyckPath:
     @property
     def down_labels(self) -> tuple[int, ...]:
         """Down-step labels, left to right."""
-        return tuple(
-            int(s[1:]) for s in self.steps if s != "U"
-        )
+        return self._downs
 
     @property
     def canonical(self) -> bool:
         """True iff the labels are exactly 1..n."""
-        return sorted(self.down_labels) == list(range(1, self.semi_length + 1))
+        # n distinct positive labels with largest n are exactly 1..n
+        return max(self._downs, default=0) == self.semi_length
 
     @property
     def unlabeled(self) -> DyckPath:
@@ -150,13 +155,14 @@ def runs(d: LabeledDyckPath) -> tuple[tuple[int, ...], ...]:
     """Maximal down-step blocks, rightmost block first, labels left to right."""
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
+    labels = iter(d.down_labels)
     for s in d.steps:
         if s == "U":
             if current:
                 blocks.append(tuple(current))
                 current = []
         else:
-            current.append(int(s[1:]))
+            current.append(next(labels))
     if current:
         blocks.append(tuple(current))
     return tuple(reversed(blocks))
@@ -170,13 +176,14 @@ def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
     """
     assigned: list[int] = []
     available: list[int] = []  # heap of the later down labels not yet taken
+    labels = reversed(d.down_labels)
     for s in reversed(d.steps):
         if s == "U":
             if not available:  # impossible on a valid path
                 raise AssertionError("no label available; path corrupt")
             assigned.append(heapq.heappop(available))
         else:
-            heapq.heappush(available, int(s[1:]))
+            heapq.heappush(available, next(labels))
     return tuple(reversed(assigned))
 
 
@@ -218,18 +225,16 @@ def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
     """Rebuild the two-column tableau: label i with its up-step at position p
     and down-step at position q gives row i the entries q then p."""
     _require_canonical(d)
-    word = labeled_dyck_word(d)
-    up_at: dict[int, int] = {}
-    down_at: dict[int, int] = {}
-    for position, token in enumerate(word, start=1):
-        label = int(token[1:])
-        if token.startswith("U"):
-            up_at[label] = position
+    n = d.semi_length
+    ups, downs = iter(up_step_labels(d)), iter(d.down_labels)
+    up_at = [0] * (n + 1)
+    down_at = [0] * (n + 1)
+    for position, s in enumerate(d.steps, start=1):
+        if s == "U":
+            up_at[next(ups)] = position
         else:
-            down_at[label] = position
-    return Tableau._trusted(
-        tuple((down_at[i], up_at[i]) for i in range(1, d.semi_length + 1))
-    )
+            down_at[next(downs)] = position
+    return Tableau._trusted(tuple(zip(down_at[1:], up_at[1:])))
 
 
 def srt_to_dyck(T: ReverseTableau) -> DyckPath:

@@ -22,9 +22,11 @@ sorted shape, and reverse tableaux of that partition shape.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
 from typing import TypeVar
 
@@ -185,8 +187,58 @@ def validate_pct(t: Tableau) -> ValidationResult:
     """Check the PCT conditions, reporting every violation with its cells.
 
     On success the result carries the type: the standardization of the first
-    column read top to bottom.
+    column read top to bottom.  Validity is decided by ``_is_pct`` in one
+    sweep over the rows, O(cells log n); the violations are listed only for
+    input it rejects.
     """
+    if _is_pct(t.rows, t.size):
+        return ValidationResult(standardize([row[0] for row in t.rows]), ())
+    return ValidationResult(None, _violations(t))
+
+
+def _is_pct(rows: Rows, n: int) -> bool:
+    # For the columns j, j+1, an earlier row i with a = (i, j) and b = (i,
+    # j+1), b = 0 when absent, forbids c = (k, j+1) in [b, a] for every
+    # later row k.  So each column pair keeps the union of the earlier rows'
+    # intervals [b, a], as sorted disjoint intervals with their starts and
+    # ends in two lists, and a row's c is looked up before its own interval
+    # joins.  A row's c in the pair j, j+1 is its own b there.
+    firsts: set[int] = set()
+    starts: list[list[int]] = [[] for _ in range(max(map(len, rows)))]
+    ends: list[list[int]] = [[] for _ in starts]
+    for row in rows:
+        # rows weakly decrease (checked below), so row[0] is their largest
+        if row[0] > n or row[0] in firsts:
+            return False
+        firsts.add(row[0])
+        last = len(row) - 1
+        for j, a in enumerate(row):
+            lows, highs = starts[j], ends[j]
+            if j < last:
+                b = row[j + 1]
+                if b > a:
+                    return False
+                # only the last interval starting at or below b can cover
+                # it; past that check, the intervals from lo on end above b
+                lo = bisect_right(lows, b)
+                if lo and highs[lo - 1] >= b:
+                    return False
+            else:
+                b = lo = 0
+            # merge [b, a] with the intervals it meets: from lo, those
+            # starting at or below a
+            hi = bisect_right(lows, a, lo)
+            if lo < hi:
+                b = min(b, lows[lo])
+                a = max(a, highs[hi - 1])
+            lows[lo:hi] = (b,)
+            highs[lo:hi] = (a,)
+    return True
+
+
+def _violations(t: Tableau) -> tuple[Violation, ...]:
+    # every violation, in the order the conditions are listed, by a loop over
+    # the cells and over the pairs of rows: run only on rejected input
     violations: list[Violation] = []
     n = t.size
 
@@ -201,9 +253,9 @@ def validate_pct(t: Tableau) -> ValidationResult:
                     )
                 )
 
-    first_col = [row[0] for row in t.rows]
     seen: dict[int, int] = {}
-    for r, x in enumerate(first_col, start=1):
+    for r, row in enumerate(t.rows, start=1):
+        x = row[0]
         if x in seen:
             violations.append(
                 Violation(
@@ -226,8 +278,8 @@ def validate_pct(t: Tableau) -> ValidationResult:
                     )
                 )
 
-    # triple condition, every configuration by triple loop; an absent cell
-    # (i, j+1) counts as zero, so a >= c with no b at all is a violation
+    # an absent cell (i, j+1) counts as zero, so a >= c with no b at all is a
+    # violation
     ell = len(t.rows)
     for i in range(ell):
         for k in range(i + 1, ell):
@@ -249,11 +301,7 @@ def validate_pct(t: Tableau) -> ValidationResult:
                             "entry above",
                         )
                     )
-
-    sigma = None
-    if not violations:
-        sigma = standardize(first_col)
-    return ValidationResult(sigma, tuple(violations))
+    return tuple(violations)
 
 
 def is_standard(t: Tableau | ReverseTableau) -> bool:
@@ -439,21 +487,22 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
     The input is validated; the result is then a reverse tableau by the
     bijection theorem (see the module docstring) and is not checked again.
     """
-    result = validate_pct(t)
-    if not result.valid:
+    if not _is_pct(t.rows, t.size):
         raise ValueError(
-            "not a valid PCT: " + "; ".join(v.message for v in result.violations)
+            "not a valid PCT: " + "; ".join(v.message for v in _violations(t))
         )
-    lam = to_partition(t.shape)
-    ncols = lam[0]
-    cols = [
-        sorted((row[j] for row in t.rows if len(row) > j), reverse=True)
-        for j in range(ncols)
-    ]
-    rows = tuple(
-        tuple(cols[j][i] for j in range(lam[i])) for i in range(len(lam))
-    )
-    return ReverseTableau._trusted(rows)
+    cols: list[list[int]] = [[] for _ in range(max(map(len, t.rows)))]
+    for row in t.rows:
+        for col, x in zip(cols, row):
+            col.append(x)
+    # the columns shorten to the right, so the i-th entry of each column
+    # long enough makes up row i
+    rows: list[list[int]] = [[] for _ in t.rows]
+    for col in cols:
+        col.sort(reverse=True)
+        for row, x in zip(rows, col):
+            row.append(x)
+    return ReverseTableau._trusted(tuple(map(tuple, rows)))
 
 
 def _check_type(sigma: Sequence[int], ell: int) -> Perm:
@@ -469,23 +518,35 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     The first column of T is distributed over the rows so that it
     standardizes to sigma; each later column's entries are then placed in
     decreasing order, each into the smallest-index row that has exactly the
-    preceding columns filled and keeps the row weakly decreasing.
+    preceding columns filled and keeps the row weakly decreasing.  Those
+    rows only gain members as the entries fall, so they wait in a heap of
+    row indices: O(n log n) in all.
     """
     sigma = _check_type(sigma, len(T.rows))
-    first = sorted(row[0] for row in T.rows)
-    built: list[list[int]] = [[first[sigma[r] - 1]] for r in range(len(T.rows))]
-    ncols = len(T.rows[0])
-    for k in range(1, ncols):
-        entries = sorted((row[k] for row in T.rows if len(row) > k), reverse=True)
-        for v in entries:
-            for row in built:
-                if len(row) == k and row[-1] >= v:
-                    row.append(v)
-                    break
-            else:  # impossible for a reverse tableau input: signals a bug
+    # the columns of T strictly decrease downward: read upward, the first
+    # lists its entries sorted, and each later one lists them largest first
+    first = [row[0] for row in reversed(T.rows)]
+    built: list[list[int]] = [[first[s - 1]] for s in sigma]
+    # the rows that took an entry of the column last placed, largest first
+    filled = sorted(range(len(built)), key=sigma.__getitem__, reverse=True)
+    for k in range(1, len(T.rows[0])):
+        waiting, filled = filled, []
+        heap: list[int] = []  # the rows open to the next entry
+        i = 0
+        for row in T.rows:
+            if len(row) <= k:
+                break
+            v = row[k]
+            while i < len(waiting) and built[waiting[i]][-1] >= v:
+                heappush(heap, waiting[i])
+                i += 1
+            if not heap:  # impossible for a reverse tableau input: signals a bug
                 raise AssertionError(
                     f"no row accepts {v} in column {k + 1}; input corrupt"
                 )
+            r = heappop(heap)
+            built[r].append(v)
+            filled.append(r)
     return Tableau._trusted(tuple(map(tuple, built)))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import _places, _unpacked
-from .dyck import LabeledDyckPath, labeled_dyck_word, random_ldyck, runs
+from .dyck import LabeledDyckPath, random_ldyck, runs, up_step_labels
 
 __all__ = [
     "Node",
@@ -222,15 +222,19 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
     if d.semi_length == 0:
         raise ValueError("need at least one node: 0")
     blocks = runs(d)
-    word = labeled_dyck_word(d)
     # the up-step right after each down block names the node the block hangs
     # from; read right to left, these match blocks[1:] (blocks[0] ends the
     # path and holds the root)
-    parents = [
-        int(word[k][1:])
-        for k in range(len(word) - 1, 0, -1)
-        if word[k][0] == "U" and word[k - 1][0] == "D"
-    ]
+    parents = []
+    ups = iter(up_step_labels(d))
+    after_down = False
+    for s in d.steps:
+        if s == "U":
+            label = next(ups)
+            if after_down:
+                parents.append(label)
+        after_down = s != "U"
+    parents.reverse()
 
     # a block hangs from a node of an earlier block, so building the blocks
     # last first finds every right subtree already built

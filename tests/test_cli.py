@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -331,7 +332,7 @@ def test_text_and_csv_renderings(capsys):
     *body, elapsed = out.splitlines()
     assert body == [
         "command: verify",
-        "parameters: suite=counts max_n=2 seed=0",
+        "parameters: suite=counts max_n=2",
         "n  spct  ldyck  ltree  expected_objects  classes  expected_classes  pass",
         "1  1     1      1      1                 1        1                 True",
         "2  4     4      4      4                 3        3                 True",
@@ -351,7 +352,7 @@ def test_text_and_csv_renderings(capsys):
     assert code == 0
     assert out.splitlines()[:-1] == [
         "command: verify",
-        "parameters: suite=hecke max_n=0 seed=0",
+        "parameters: suite=hecke max_n=0",
         "(no rows)",
         "passed: True",
     ]
@@ -688,6 +689,31 @@ def test_seed_changes_samples(capsys):
     assert second["parameters"]["seed"] == 2
 
 
+def test_verify_bijections_reports_its_default_seed(capsys):
+    report = run_json(capsys, "verify", "bijections", "--n", "5", "--samples", "3")
+    assert report["parameters"]["seed"] == 0
+    again = run_json(capsys, "verify", "bijections", "--n", "5", "--samples", "3",
+                     "--seed", "0")
+    assert again["results"]["checks"] == report["results"]["checks"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("verify", "counts", "--max-n", "2"), "verify counts"),
+    (("verify", "hecke", "--max-n", "2"), "verify hecke"),
+    (("verify", "classes", "--max-size", "2"), "verify classes"),
+    (("verify", "pairs", "--max-n", "2"), "verify pairs"),
+    (("enumerate", "ldyck", "--n", "2"), "enumerate ldyck"),
+    (("stats", "quadruple", "--n", "2"), "stats quadruple"),
+    (("map", "realize-pair", "--a", "1 2", "--b", "2 1"), "map realize-pair"),
+], ids=["counts", "hecke", "classes", "pairs", "enumerate", "stats", "map"])
+def test_only_the_sampling_command_takes_a_seed(capsys, argv, name):
+    code, out, err = run(capsys, *argv, "--seed", "7")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} does not take --seed\n"
+    # without the flag nothing reports a seed
+    assert "seed" not in run_json(capsys, *argv)["parameters"]
+
+
 def test_negative_sample_count_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "bijections", "--samples", "-3")
     assert code == 2 and out == ""
@@ -731,6 +757,28 @@ def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypat
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "counts", "--max-n", "3", "--format", "text"], 0),
+    (["map", "realize-pair", "--a", "1 2", "--b", "2 1"], 0),
+], ids=["verify", "map"])
+def test_closed_stdout_leaves_quietly_with_the_commands_code(argv, code):
+    # nothing reads the pipe: its read end is closed before the command
+    # starts, so every write to stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tabkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
+    assert result.stderr == ""
 
 
 def test_installed_script_smoke():

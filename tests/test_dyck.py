@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import factorial
@@ -79,6 +80,17 @@ def test_labeled_path_properties():
     assert d.canonical
     assert d.unlabeled == DyckPath(("U", "D", "U", "D"))
     assert not LabeledDyckPath(("U", "D3", "U", "D1")).canonical
+    assert LabeledDyckPath(()).canonical
+
+
+def test_parsed_labels_stay_out_of_equality_hash_and_repr():
+    d = LabeledDyckPath(("U", "U", "D12", "D3"))
+    assert [f.name for f in fields(d)] == ["steps"]
+    assert repr(d) == "LabeledDyckPath(steps=('U', 'U', 'D12', 'D3'))"
+    assert d.down_labels == (12, 3)
+    twin = LabeledDyckPath(("U", "U", "D12", "D3"))
+    assert d == twin and hash(d) == hash(twin)
+    assert d != LabeledDyckPath(("U", "U", "D3", "D12"))
 
 
 def test_catalan_known():

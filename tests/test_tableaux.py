@@ -5,11 +5,14 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tabkit.core import compositions_of, to_partition
+from tabkit.core import compositions_of, standardize, to_partition
 from tabkit.dyck import catalan
 from tabkit.tableaux import (
     ReverseTableau,
     Tableau,
+    ValidationResult,
+    Violation,
+    _check_type,
     _columns,
     _quadruple,
     _spct_walk,
@@ -186,6 +189,74 @@ def validate_pct_alt(t: Tableau) -> bool:
 @given(t=filling_strategy())
 def test_validators_agree(t):
     assert validate_pct(t).valid == validate_pct_alt(t)
+
+
+def reference_validate_pct(t: Tableau) -> ValidationResult:
+    """``validate_pct`` as a loop over every pair of rows for the triple
+    condition: the reference its one-sweep check is compared with, down to
+    the order and text of each violation."""
+    violations = []
+    n = t.size
+    for r, row in enumerate(t.rows, start=1):
+        for c, x in enumerate(row, start=1):
+            if x > n:
+                violations.append(Violation(
+                    "entry-range", ((r, c),),
+                    f"entry {x} at ({r},{c}) exceeds the cell count {n}",
+                ))
+    first_col = [row[0] for row in t.rows]
+    seen = {}
+    for r, x in enumerate(first_col, start=1):
+        if x in seen:
+            violations.append(Violation(
+                "first-column-repeat", ((seen[x], 1), (r, 1)),
+                f"first column repeats {x} at rows {seen[x]} and {r}",
+            ))
+        else:
+            seen[x] = r
+    for r, row in enumerate(t.rows, start=1):
+        for c in range(1, len(row)):
+            if row[c - 1] < row[c]:
+                violations.append(Violation(
+                    "row-increase", ((r, c), (r, c + 1)),
+                    f"row {r} increases from column {c} to {c + 1}",
+                ))
+    ell = len(t.rows)
+    for i in range(ell):
+        for k in range(i + 1, ell):
+            for j in range(min(len(t.rows[i]), len(t.rows[k]) - 1)):
+                a = t.rows[i][j]
+                b = t.rows[i][j + 1] if j + 1 < len(t.rows[i]) else None
+                c = t.rows[k][j + 1]
+                if a >= c and (b is None or b <= c):
+                    detail = (f"({i + 1},{j + 2})={b}" if b is not None
+                              else f"({i + 1},{j + 2}) empty")
+                    violations.append(Violation(
+                        "triple", ((i + 1, j + 1), (i + 1, j + 2), (k + 1, j + 2)),
+                        f"cells ({i + 1},{j + 1})={a}, {detail}, ({k + 1},{j + 2})={c}: "
+                        f"{a} >= {c} needs a larger entry above",
+                    ))
+    sigma = None if violations else standardize(first_col)
+    return ValidationResult(sigma, tuple(violations))
+
+
+def test_validate_pct_matches_the_triple_loop_on_every_small_filling():
+    # entries up to n + 1, so that every kind of violation occurs
+    fillings = 0
+    for n in range(1, 5):
+        for shape in compositions_of(n):
+            for entries in product(range(1, n + 2), repeat=n):
+                cells = iter(entries)
+                t = Tableau.from_rows([[next(cells) for _ in range(w)] for w in shape])
+                assert validate_pct(t) == reference_validate_pct(t), t.rows
+                fillings += 1
+    # 2^(n-1) compositions of n, each with (n+1)^n fillings
+    assert fillings == sum(2 ** (n - 1) * (n + 1) ** n for n in range(1, 5))
+
+
+@given(t=filling_strategy() | filling_strategy(max_n=10))
+def test_validate_pct_matches_the_triple_loop(t):
+    assert validate_pct(t) == reference_validate_pct(t)
 
 
 @given(t=spct_strategy())
@@ -375,6 +446,53 @@ def test_column_sort_union_identity(n, sigma_index):
         assert total == hook_count(lam)
         assert len(images) == total
         assert images == {T.rows for T in enumerate_srt(lam)}
+
+
+def reference_rt_to_pct(T: ReverseTableau, sigma) -> Tableau:
+    """``rt_to_pct`` placing each entry by a linear scan over the rows: the
+    reference its heap of open rows is compared with."""
+    sigma = _check_type(sigma, len(T.rows))
+    first = sorted(row[0] for row in T.rows)
+    built = [[first[sigma[r] - 1]] for r in range(len(T.rows))]
+    for k in range(1, len(T.rows[0])):
+        entries = sorted((row[k] for row in T.rows if len(row) > k), reverse=True)
+        for v in entries:
+            for row in built:
+                if len(row) == k and row[-1] >= v:
+                    row.append(v)
+                    break
+            else:
+                raise AssertionError(
+                    f"no row accepts {v} in column {k + 1}; input corrupt"
+                )
+    return Tableau.from_rows(built)
+
+
+def outcome(f, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return "returned", f(*args)
+    except Exception as exc:  # compared, never swallowed
+        return "raised", type(exc), str(exc)
+
+
+def test_rt_to_pct_matches_the_linear_scan_under_every_type():
+    calls = 0
+    for n in range(1, 7):
+        for lam in sorted({to_partition(a) for a in compositions_of(n)}):
+            for T in enumerate_srt(lam):
+                for sigma in permutations(range(1, len(lam) + 1)):
+                    assert outcome(rt_to_pct, T, sigma) == outcome(
+                        reference_rt_to_pct, T, sigma
+                    ), (T.rows, sigma)
+                    calls += 1
+    # every standard reverse tableau of size at most 6, under each of its
+    # row count's factorial types
+    assert calls == sum(
+        factorial(len(lam)) * hook_count(lam)
+        for n in range(1, 7)
+        for lam in {to_partition(a) for a in compositions_of(n)}
+    )
 
 
 @given(t=spct_strategy())

@@ -5,8 +5,16 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from tabkit.dyck import LabeledDyckPath, catalan, enumerate_ldyck
-from tabkit.tableaux import descent_quadruple, descent_quadruple_counts, enumerate_spct
+from tabkit.dyck import LabeledDyckPath, catalan, enumerate_ldyck, random_ldyck
+from tabkit.tableaux import (
+    descent_quadruple,
+    descent_quadruple_counts,
+    enumerate_spct,
+    pct_to_rt,
+    rt_to_pct,
+    st_column,
+    validate_pct,
+)
 from tabkit.dyck import ldyck_to_spct, spct_to_ldyck
 from tabkit.trees import (
     LeftPath,
@@ -293,3 +301,16 @@ def test_edge_stats_counts_closed_forms():
             zero = sum(ways for q, ways in counts.items() if q[k] == 0)
             assert zero == (n + 1) ** (n - 1), (n, k)
         assert counts == descent_quadruple_counts(n), n
+
+
+def test_the_whole_chain_at_semi_length_ten_thousand():
+    # one seeded path through every bijection, each step checked; a step
+    # quadratic in the rows would take minutes here
+    d = random_ldyck(10**4, random.Random(1))
+    t = ldyck_to_spct(d)
+    assert validate_pct(t).valid
+    assert rt_to_pct(pct_to_rt(t), st_column(t, 1)) == t
+    assert spct_to_ldyck(t) == d
+    tree = ldyck_to_ltree(d)
+    assert ltree_to_ldyck(tree) == d
+    assert descent_quadruple(t) == edge_stats(tree)
