@@ -25,8 +25,16 @@ import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Perm, check_permutation, maximal_chain_to, weak_bruhat_leq
-from .tableaux import Tableau
+from .core import (
+    Perm,
+    apply_left_swap,
+    check_permutation,
+    inversions,
+    left_cover_swaps,
+    maximal_chain_to,
+    weak_bruhat_leq,
+)
+from .tableaux import Tableau, enumerate_spct, st_column
 
 __all__ = [
     "PermGraph",
@@ -35,6 +43,7 @@ __all__ = [
     "is_allowable_pair",
     "is_allowable_sequence",
     "allowable_pairs",
+    "verify_pairs",
     "build_graph",
     "is_acyclic",
     "topological_spct",
@@ -96,6 +105,46 @@ def allowable_pairs(n: int):
         for b in perms:
             if is_allowable_pair(a, b):
                 yield (a, b)
+
+
+def verify_pairs(n: int) -> dict:
+    """The paper's checks on the pairs of size n, as one report: the number
+    of allowable pairs against (n+1)^(n-1), the 2112 scan against the left
+    weak order (once per candidate; the 123-312 scan runs only where 2112 is
+    avoided), every weak-order cover allowable, and, for n <= 4, the pairs
+    equal to the column types of the two-column standard tableaux.
+
+    >>> verify_pairs(3)["pairs"]
+    16
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1: {n}")
+    inv = {p: inversions(p) for p in permutations(range(1, n + 1))}
+    pairs = set()
+    agree = True
+    for a, below in inv.items():
+        for b, above in inv.items():
+            avoids = is_2112_avoiding(a, b)
+            if avoids != (below <= above):
+                agree = False
+            if avoids and is_123312_avoiding(a, b):
+                pairs.add((a, b))
+    report = {
+        "n": n,
+        "pairs": len(pairs),
+        "expected": (n + 1) ** (n - 1),
+        "weak_order_agrees": agree,
+        "covers_allowable": all(
+            is_allowable_pair(p, apply_left_swap(p, v)) for p in inv for v in left_cover_swaps(p)
+        ),
+    }
+    if n <= 4:
+        columns = {(st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)}
+        report["matches_tableau_pairs"] = columns == pairs
+    # the count matches and every verdict holds
+    verdicts = [value for value in report.values() if isinstance(value, bool)]
+    report["pass"] = len(pairs) == report["expected"] and all(verdicts)
+    return report
 
 
 @dataclass(frozen=True)

@@ -34,22 +34,14 @@ import random
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import permutations
+from itertools import chain
 from math import factorial
 
-from .allowable import (
-    is_2112_avoiding,
-    is_123312_avoiding,
-    is_allowable_pair,
-    realize_sct,
-)
+from .allowable import realize_sct, verify_pairs
 from .core import (
-    apply_left_swap,
     compositions_of,
     format_composition,
     format_permutation,
-    inversions,
-    left_cover_swaps,
     parse_composition,
     parse_permutation,
 )
@@ -147,23 +139,27 @@ def _predicted(shapes: Iterable, cap: int, what: str) -> list:
     return listed
 
 
-def _refuse_flags(args: argparse.Namespace, command: str, choice: str, takes: dict) -> None:
-    """Refuse a flag given to ``choice`` that ``takes`` lists only for others."""
-    for flag, choices in takes.items():
-        if getattr(args, flag) is not None and choice not in choices:
-            raise ValueError(f"{command} {choice} does not take --{flag.replace('_', '-')}")
-
-
-def _two_column_charge(sizes: Iterable[int], cap: int) -> int:
-    """The work bounds ``_two_column_work`` of the two-column transfers of
-    ``sizes``, summed until they pass the cap."""
+def _charge(costs: Iterable[int], cap: int) -> int:
+    """The sum of ``costs``, taken one at a time until it passes the cap."""
     total = 0
-    for n in sizes:
-        # the bound passes 2^n, so a large n passes the cap uncomputed
-        total += cap + 1 if n >= cap.bit_length() else _two_column_work(n)
+    for cost in costs:
+        total += cost
         if total > cap:
             break
     return total
+
+
+def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
+    # ``_two_column_work(n)`` passes 2^n, so a large n passes the cap uncomputed
+    return (cap + 1 if n >= cap.bit_length() else _two_column_work(n) for n in sizes)
+
+
+def _refuse_flags(args: argparse.Namespace, command: str, choice: str, takes: dict) -> None:
+    """Refuse ``--seed``, or a flag that ``takes`` declares, unless ``choice`` takes it."""
+    for flag in dict.fromkeys((*chain.from_iterable(takes.values()), "seed")):
+        if getattr(args, flag) is not None and flag not in takes[choice]:
+            typed = "in" if flag == "infile" else flag.replace("_", "-")
+            raise ValueError(f"{command} {choice} does not take --{typed}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +211,16 @@ def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
 # tk enumerate
 
 
+# the optional flags each kind takes
+_KINDS = {"spct": ("shape", "sigma"), "srt": ("shape",), "ldyck": ("n",), "ltree": ("n",)}
+
+
 def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     kind = args.kind
-    _refuse_flags(args, "enumerate", kind, {
-        "shape": ("spct", "srt"), "sigma": ("spct",), "n": ("ldyck", "ltree"), "seed": (),
-    })
+    _refuse_flags(args, "enumerate", kind, _KINDS)
     params: dict = {}
     if kind in ("spct", "srt"):
-        if not args.shape:
+        if args.shape is None:
             raise ValueError(f"enumerate {kind} requires --shape")
         shape = parse_composition(args.shape)
         params["shape"] = list(shape)
@@ -231,7 +229,7 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
             shape = _partition(shape)
             sigma = tuple(range(len(shape), 0, -1))
             objects = lambda: enumerate_srt(shape)
-        elif args.sigma:
+        elif args.sigma is not None:
             sigma = parse_permutation(args.sigma)
             params["sigma"] = list(sigma)
             objects = lambda: enumerate_spct_sigma(shape, sigma)
@@ -249,7 +247,7 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
     _check_cap(count, cap, f"enumerate {kind}")
 
     results: dict = {"kind": kind, "count": count}
-    if args.list:
+    if args.list is not None:
         as_json = tree_to_json if kind == "ltree" else lambda obj: obj.to_json()
         listing = [as_json(obj) for obj in objects()]
         with open(args.list, "w", encoding="utf-8") as fh:
@@ -265,7 +263,9 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
 
 
 def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    if args.shape:
+    if args.shape is not None:
+        if args.max_n is not None:
+            raise ValueError("verify hecke takes --shape or --max-n, not both")
         shapes = [parse_composition(args.shape)]
     else:
         max_n = args.max_n if args.max_n is not None else 4
@@ -282,7 +282,7 @@ def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
     # charged with the transfers' bound: the tree recurrence takes less, and
     # so do the Cat(n) paths of the walk, through n = 26
-    _check_cap(_two_column_charge(range(1, max_n + 1), cap), cap, "verify counts")
+    _check_cap(_charge(_transfer_costs(range(1, max_n + 1), cap), cap), cap, "verify counts")
     for n in range(1, max_n + 1):
         # each class has one source, so the transfer counts both
         quadruples, class_count = two_column_census(n)
@@ -342,11 +342,12 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     samples = per_size * max(0, n - 4)
     if samples > cap:
         raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
-    # the largest listings: SPCT((1)^n), whose n! tableaux are the most of
-    # any shape of size n, and the paths of size min(n, 4)
     k = min(n, 4)
-    largest = max(factorial(n), factorial(k) * catalan(k)) if n else 0
-    _check_cap(largest, cap, "verify bijections")
+    # the samples, the paths of size <= k and the tableaux of size <= n
+    paths = sum(factorial(m) * catalan(m) for m in range(1, k + 1))
+    shapes = (alpha for m in range(1, n + 1) for alpha in compositions_of(m))
+    costs = chain((samples, paths), (count_spct(alpha, cap) for alpha in shapes))
+    _check_cap(_charge(costs, cap), cap, "verify bijections")
     rng = random.Random(args.seed)
     for m in range(1, n + 1):
         tableaux = (t for alpha in compositions_of(m) for t in enumerate_spct(alpha))
@@ -377,65 +378,30 @@ def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
 
 def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     max_n = args.max_n if args.max_n is not None else 4
-    tests = 0
+    tests = _charge((factorial(n) ** 2 for n in range(1, max_n + 1)), cap)
+    if tests > cap:
+        raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
     for n in range(1, max_n + 1):
-        tests += factorial(n) ** 2
-        # stop at the first size where the running total passes the cap
-        if tests > cap:
-            raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
-    for n in range(1, max_n + 1):
-        inv = {p: inversions(p) for p in permutations(range(1, n + 1))}
-        pairs = set()
-        agree = True
-        for a, below in inv.items():
-            for b, above in inv.items():
-                # the scan's answer against the weak order's definition
-                avoids = is_2112_avoiding(a, b)
-                if avoids != (below <= above):
-                    agree = False
-                if avoids and is_123312_avoiding(a, b):
-                    pairs.add((a, b))
-        covers = all(
-            is_allowable_pair(p, apply_left_swap(p, v))
-            for p in inv
-            for v in left_cover_swaps(p)
-        )
-        want = (n + 1) ** (n - 1)
-        row = {
-            "n": n,
-            "pairs": len(pairs),
-            "expected": want,
-            "weak_order_agrees": agree,
-            "covers_allowable": covers,
-        }
-        passed = len(pairs) == want and agree and covers
-        if n <= 4:
-            st_pairs = {
-                (st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)
-            }
-            row["matches_tableau_pairs"] = st_pairs == pairs
-            passed = passed and st_pairs == pairs
-        row["pass"] = passed
-        yield row, None if passed else f"n={n}: {row}"
+        row = verify_pairs(n)
+        yield row, None if row["pass"] else f"n={n}: {row}"
 
 
+# each suite and the optional flags it takes
 _SUITES = {
-    "hecke": _suite_hecke,
-    "counts": _suite_counts,
-    "bijections": _suite_bijections,
-    "classes": _suite_classes,
-    "pairs": _suite_pairs,
+    "hecke": (_suite_hecke, ("shape", "max_n")),
+    "counts": (_suite_counts, ("max_n",)),
+    "bijections": (_suite_bijections, ("n", "samples", "seed")),
+    "classes": (_suite_classes, ("max_size",)),
+    "pairs": (_suite_pairs, ("max_n",)),
 }
 
 
 def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
-    _refuse_flags(args, "verify", args.suite, {
-        "shape": ("hecke",), "max_n": ("hecke", "counts", "pairs"), "n": ("bijections",),
-        "max_size": ("classes",), "samples": ("bijections",), "seed": ("bijections",),
-    })
+    suite, _ = _SUITES[args.suite]
+    _refuse_flags(args, "verify", args.suite, {k: flags for k, (_, flags) in _SUITES.items()})
     if args.suite == "bijections" and args.seed is None:
         args.seed = 0  # the samples' seed, reported with them
-    checks = list(_SUITES[args.suite](args, cap))
+    checks = list(suite(args, cap))
     rows = [row for row, _ in checks]
     witnesses = [witness for _, witness in checks if witness is not None]
     names = ("suite", "shape", "max_n", "n", "max_size", "seed")
@@ -451,11 +417,11 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
 
 
 def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
-    _refuse_flags(args, "stats", args.kind, {"seed": ()})
+    _refuse_flags(args, "stats", args.kind, {"quadruple": ()})
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
-    if _two_column_charge([n], cap) > cap:
+    if _charge(_transfer_costs([n], cap), cap) > cap:
         raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer steps")
     tableau_side = descent_quadruple_counts(n)
     tree_side = edge_stats_counts(n)
@@ -503,7 +469,7 @@ def _load_tableau(data: dict, kind: type) -> Tableau | ReverseTableau:
 
 
 def _rt_to_pct(data: dict, args: argparse.Namespace, params: dict) -> dict:
-    if not args.sigma:
+    if args.sigma is None:
         raise ValueError(f"map {args.transform} requires --sigma")
     sigma = parse_permutation(args.sigma)
     params["sigma"] = format_permutation(sigma)
@@ -519,19 +485,23 @@ _TRANSFORMS: dict[str, Callable[[dict, argparse.Namespace, dict], dict]] = {
     "ldyck-to-ltree": lambda js, *_: tree_to_json(ldyck_to_ltree(ldyck_from_json(js))),
     "ltree-to-ldyck": lambda js, *_: ltree_to_ldyck(tree_from_json(js)).to_json(),
 }
+# the optional flags each transform takes
+_MAP_FLAGS = dict.fromkeys(_TRANSFORMS, ("infile",)) | {
+    "rt-to-pct": ("infile", "sigma"), "realize-pair": ("a", "b"),
+}
 
 
 def cmd_map(args: argparse.Namespace, cap: int) -> Outcome:
     transform = args.transform
-    _refuse_flags(args, "map", transform, {"seed": ()})
+    _refuse_flags(args, "map", transform, _MAP_FLAGS)
     params: dict = {"transform": transform}
     if transform in _TRANSFORMS:
-        if not args.infile:
+        if args.infile is None:
             raise ValueError(f"map {transform} requires --in FILE (or --in -)")
         params["in"] = args.infile
         produced = _TRANSFORMS[transform](_load_json(args.infile), args, params)
     else:
-        if not args.a or not args.b:
+        if args.a is None or args.b is None:
             raise ValueError(f"map {transform} requires --a and --b")
         a = parse_permutation(args.a)
         b = parse_permutation(args.b)
@@ -540,7 +510,7 @@ def cmd_map(args: argparse.Namespace, cap: int) -> Outcome:
         produced = realize_sct(a, b).to_json()
 
     results: dict = {"result": produced}
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(produced, fh, indent=2)
             fh.write("\n")
@@ -577,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", parents=[common], help="count a family")
-    p.add_argument("kind", choices=("spct", "srt", "ldyck", "ltree"))
+    p.add_argument("kind", choices=tuple(_KINDS))
     p.add_argument("--shape", help="composition such as 2,2,2 (spct/srt)")
     p.add_argument("--sigma", help="restrict spct to one type, e.g. '3 1 2'")
     p.add_argument("--n", type=int, help="semi-length or node count (ldyck/ltree)")
@@ -601,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("map", parents=[common], help="apply one bijection")
-    p.add_argument("transform", choices=(*_TRANSFORMS, "realize-pair"))
+    p.add_argument("transform", choices=tuple(_MAP_FLAGS))
     p.add_argument("--in", dest="infile", metavar="FILE",
                    help="input JSON file, or - for stdin")
     p.add_argument("--out", metavar="FILE", help="write the result JSON here")

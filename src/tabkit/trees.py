@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import _places, _unpacked
-from .dyck import LabeledDyckPath, random_ldyck, runs, up_step_labels
+from .dyck import LabeledDyckPath, _require_canonical, random_ldyck, runs, up_step_labels
 
 __all__ = [
     "Node",
@@ -217,8 +217,7 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
     >>> ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "U", "D1", "D2")))
     Node(label=2, left=Node(label=1, left=None, right=None), right=Node(label=3, left=None, right=None))
     """
-    if not d.canonical:
-        raise ValueError(f"labels must be exactly 1..{d.semi_length}")
+    _require_canonical(d)
     if d.semi_length == 0:
         raise ValueError("need at least one node: 0")
     blocks = runs(d)

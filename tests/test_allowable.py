@@ -15,6 +15,7 @@ from tabkit.allowable import (
     is_allowable_sequence,
     realize_sct,
     topological_spct,
+    verify_pairs,
 )
 from tabkit.core import identity, inversions, maximal_chain_to, weak_bruhat_leq
 from tabkit.tableaux import enumerate_spct, st_column, st_word, validate_pct
@@ -123,6 +124,30 @@ def test_st_pairs_of_two_column_tableaux_are_the_allowable_pairs():
             (st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)
         }
         assert observed == set(allowable_pairs(n))
+
+
+def test_verify_pairs_reports_every_check():
+    assert verify_pairs(4) == {
+        "n": 4, "pairs": 125, "expected": 125, "weak_order_agrees": True,
+        "covers_allowable": True, "matches_tableau_pairs": True, "pass": True,
+    }
+    # past n = 4 the tableau pairs are not listed
+    assert list(verify_pairs(5)) == [
+        "n", "pairs", "expected", "weak_order_agrees", "covers_allowable", "pass",
+    ]
+    with pytest.raises(ValueError):
+        verify_pairs(0)
+
+
+def test_verify_pairs_fails_on_a_broken_scan(monkeypatch):
+    # without the 123-312 scan the 2112-avoiding pairs are too many
+    monkeypatch.setattr("tabkit.allowable.is_123312_avoiding", lambda a, b: True)
+    report = verify_pairs(3)
+    assert (report["pairs"], report["matches_tableau_pairs"], report["pass"]) == (17, False, False)
+    # a 2112 scan that passes everything disagrees with the weak order
+    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", lambda a, b: True)
+    report = verify_pairs(3)
+    assert (report["weak_order_agrees"], report["pass"]) == (False, False)
 
 
 def test_graph_shape_and_edge_counts():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -129,6 +130,24 @@ def test_verify_hecke_single_shape(capsys):
     assert len(report["results"]["checks"]) == 1
 
 
+def test_verify_hecke_refuses_a_shape_with_a_max_n(capsys):
+    code, out, err = run(capsys, "verify", "hecke", "--shape", "2,2", "--max-n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: verify hecke takes --shape or --max-n, not both\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "hecke", "--shape", ""), "empty composition"),
+    (("enumerate", "spct", "--shape", ""), "empty composition"),
+    (("enumerate", "spct", "--shape", "2,2", "--sigma", ""), "empty permutation"),
+    (("map", "realize-pair", "--a", "", "--b", "1"), "empty permutation"),
+], ids=["hecke-shape", "enumerate-shape", "enumerate-sigma", "map-a"])
+def test_empty_flag_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_verify_hecke_reports_a_broken_image(capsys, monkeypatch):
     # every move lands on the row word of (4, 1)/(3, 2), which breaks the
     # triple condition (a row word cannot describe increasing rows)
@@ -175,7 +194,7 @@ def test_verify_counts_reports_the_first_failing_size(capsys, monkeypatch):
 
 def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("tabkit.cli.is_2112_avoiding", lambda a, b: calls.append(a))
+    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", lambda a, b: calls.append(a))
     # 1!^2 + 2!^2 + 3!^2 = 41 pair tests
     code, out, err = run(capsys, "verify", "pairs", "--max-n", "3", "--max-objects", "40")
     assert code == 2 and out == "" and calls == []
@@ -214,9 +233,13 @@ def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
     ("verify", "counts", "--max-n", "10", "--max-objects", str(DEFAULT_MAX_OBJECTS)),
     # SPCT((1)^8) holds 8! = 40320 tableaux
     ("verify", "bijections", "--n", "8", "--samples", "0", "--max-objects", "1000"),
+    # no shape of size <= 7 holds more than 7! = 5040 tableaux, but all of
+    # them hold 17,487
+    ("verify", "bijections", "--n", "7", "--samples", "0", "--max-objects", "6000"),
 ], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes",
         "enumerate-spct", "enumerate-spct-sigma", "enumerate-srt", "enumerate-ldyck",
-        "enumerate-ltree", "counts", "counts-default-cap", "bijections"])
+        "enumerate-ltree", "counts", "counts-default-cap", "bijections",
+        "bijections-total"])
 def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
     def walk(*args, **kwargs):
         raise AssertionError("a walk started")
@@ -315,15 +338,17 @@ def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
     avoiding = mock.Mock(wraps=is_2112_avoiding)
     avoiding_123312 = mock.Mock(wraps=is_123312_avoiding)
     allowable = mock.Mock(wraps=is_allowable_pair)
-    monkeypatch.setattr("tabkit.cli.is_2112_avoiding", avoiding)
-    monkeypatch.setattr("tabkit.cli.is_123312_avoiding", avoiding_123312)
-    monkeypatch.setattr("tabkit.cli.is_allowable_pair", allowable)
+    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", avoiding)
+    monkeypatch.setattr("tabkit.allowable.is_123312_avoiding", avoiding_123312)
+    monkeypatch.setattr("tabkit.allowable.is_allowable_pair", allowable)
     report = run_json(capsys, "verify", "pairs", "--max-n", "4")
     assert report["results"]["passed"] is True
     # 1 + 4 + 36 + 576 candidates; the 123-312 test runs on the 172 that
-    # avoid 2112, and the allowable test only on the 43 cover pairs
+    # avoid 2112, and the allowable test only on the 43 cover pairs.  Each
+    # cover pair avoids 2112, so its allowable test runs both scans once
+    # more: 617 + 43 and 172 + 43
     calls = (avoiding.call_count, avoiding_123312.call_count, allowable.call_count)
-    assert calls == (617, 172, 43)
+    assert calls == (660, 215, 43)
 
 
 def test_text_and_csv_renderings(capsys):
@@ -409,6 +434,21 @@ def test_map_realize_pair(capsys):
         capsys, "map", "realize-pair", "--a", "1 2", "--b", "1 2"
     )
     assert report["results"]["result"]["rows"] == [[2, 1], [4, 3]]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("map", "pct-to-rt", "--in", "-", "--sigma", "1 2"), "--sigma"),
+    (("map", "ltree-to-ldyck", "--in", "-", "--a", "1"), "--a"),
+    (("map", "rt-to-pct", "--in", "-", "--sigma", "1", "--b", "1"), "--b"),
+    (("map", "realize-pair", "--a", "1 2", "--b", "2 1", "--in", "-"), "--in"),
+    (("map", "realize-pair", "--a", "1 2", "--b", "2 1", "--sigma", "1"), "--sigma"),
+], ids=["pct-to-rt-sigma", "ltree-to-ldyck-a", "rt-to-pct-b", "realize-pair-in",
+        "realize-pair-sigma"])
+def test_map_refuses_flags_of_other_transforms(capsys, argv, flag):
+    # refused before any input is read
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: map {argv[1]} does not take {flag}\n"
 
 
 def test_map_pipeline_via_files(capsys, tmp_path):
@@ -748,9 +788,13 @@ def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypat
     code, out, err = run(capsys, *argv, "--max-objects", "799")
     assert code == 2 and out == "" and calls == []
     assert err.startswith("refused: verify bijections up to n=6 draws 800 samples")
+    # then the 2,370 standard tableaux of size <= 6 and the 1 + 4 + 30 + 336
+    # labeled paths of size <= 4: 800 + 2370 + 371 = 3541 objects
+    code, out, err = run(capsys, *argv, "--max-objects", "3540")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("refused: verify bijections passed 3540 objects")
     monkeypatch.undo()
-    # the largest exhaustive listing, SPCT((1)^6), holds 720 tableaux
-    report = run_json(capsys, *argv, "--max-objects", "800")
+    report = run_json(capsys, *argv, "--max-objects", "3541")
     assert report["results"]["passed"] is True
 
 
@@ -779,6 +823,30 @@ def test_closed_stdout_leaves_quietly_with_the_commands_code(argv, code):
         os.close(write_end)
     assert result.returncode == code
     assert result.stderr == ""
+
+
+# the seven commands of the benchmark's cli-exhaustive pass, at seed 1
+CLI_EXHAUSTIVE = [
+    ["enumerate", "spct", "--shape", "2,2,2,2,2"],
+    ["verify", "counts", "--max-n", "4"],
+    ["verify", "hecke", "--max-n", "5"],
+    ["verify", "classes", "--max-size", "6"],
+    ["verify", "bijections", "--n", "6", "--samples", "50", "--seed", "1"],
+    ["verify", "pairs", "--max-n", "5"],
+    ["stats", "quadruple", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_EXHAUSTIVE, ids=["-".join(a[:2]) for a in CLI_EXHAUSTIVE])
+def test_cli_exhaustive_reports_match_the_recorded_ones(capsys, argv):
+    """``tests/cli_exhaustive.json`` holds the ``parameters`` and ``results``
+    of each command's JSON report, keyed by its argv joined with spaces.  It
+    was recorded by running these argv lists through ``main`` before the pair
+    checks moved from the CLI into ``allowable.verify_pairs``, so a
+    refactoring of the CLI must leave every report as it was."""
+    recorded = json.loads((Path(__file__).parent / "cli_exhaustive.json").read_text())
+    report = run_json(capsys, *argv)
+    assert {k: report[k] for k in ("parameters", "results")} == recorded[" ".join(argv)]
 
 
 def test_installed_script_smoke():
