@@ -34,16 +34,18 @@ import random
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, permutations
 from math import factorial
 
 from .allowable import realize_sct, verify_pairs
 from .core import (
+    Perm,
     compositions_of,
     format_composition,
     format_permutation,
     parse_composition,
     parse_permutation,
+    partitions_of,
 )
 from .dyck import (
     LabeledDyckPath,
@@ -62,6 +64,7 @@ from .tableaux import (
     _partition,
     _two_column_work,
     count_spct,
+    count_srt,
     descent_quadruple_counts,
     enumerate_spct,
     enumerate_spct_sigma,
@@ -303,9 +306,15 @@ def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
         yield row, None if passed else f"n={n}: {row}"
 
 
-def _tableau_moved(t: Tableau) -> str | None:
-    if rt_to_pct(pct_to_rt(t), st_column(t, 1)) != t:
-        return f"tableau/reverse-tableau round trip moved {t.rows}"
+def _type_moved(case: tuple[ReverseTableau, Perm]) -> str | None:
+    T, sigma = case
+    t = rt_to_pct(T, sigma)
+    try:
+        back = pct_to_rt(t)  # validates t
+    except ValueError:
+        return f"rt_to_pct of {T.rows} under type {sigma} is not a valid PCT: {t.rows}"
+    if back != T or st_column(t, 1) != sigma:
+        return f"reverse-tableau/tableau round trip moved {T.rows} under type {sigma}"
     return None
 
 
@@ -336,6 +345,26 @@ def _round_trips(check: str, size: int, cases: Iterable,
     return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad
 
 
+def _pct_rt(m: int) -> Check:
+    # every reverse tableau T of size m under every type sigma of its rows:
+    # each image must be a valid PCT that pct_to_rt and its first column
+    # take back to (T, sigma), so the images are distinct standard PCTs of
+    # size m; as many as there are, they are all of them
+    cases = (
+        (T, sigma)
+        for lam in partitions_of(m)
+        for T in enumerate_srt(lam)
+        for sigma in permutations(range(1, len(lam) + 1))
+    )
+    row, bad = _round_trips("pct-rt", m, cases, _type_moved)
+    if bad is None:
+        spct = sum(count_spct(alpha) for alpha in compositions_of(m))
+        if row["cases"] != spct:
+            row["pass"] = False
+            bad = f"size {m}: {row['cases']} (T, sigma) cases but {spct} standard PCTs"
+    return row, bad
+
+
 def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     n = args.n if args.n is not None else 4
     per_size = args.samples if args.samples is not None else 200
@@ -343,15 +372,15 @@ def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
     if samples > cap:
         raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
     k = min(n, 4)
-    # the samples, the paths of size <= k and the tableaux of size <= n
+    # the samples, the paths of size <= k and the (T, sigma) cases of size
+    # <= n: l(lam)! f^lam for each partition lam, by the hook-length formula
     paths = sum(factorial(m) * catalan(m) for m in range(1, k + 1))
-    shapes = (alpha for m in range(1, n + 1) for alpha in compositions_of(m))
-    costs = chain((samples, paths), (count_spct(alpha, cap) for alpha in shapes))
-    _check_cap(_charge(costs, cap), cap, "verify bijections")
+    cases = (factorial(len(lam)) * count_srt(lam)
+             for m in range(1, n + 1) for lam in partitions_of(m))
+    _check_cap(_charge(chain((samples, paths), cases), cap), cap, "verify bijections")
     rng = random.Random(args.seed)
     for m in range(1, n + 1):
-        tableaux = (t for alpha in compositions_of(m) for t in enumerate_spct(alpha))
-        yield _round_trips("pct-rt", m, tableaux, _tableau_moved)
+        yield _pct_rt(m)
     for m in range(1, k + 1):
         yield _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
     for m in range(5, n + 1):

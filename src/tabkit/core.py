@@ -35,6 +35,7 @@ __all__ = [
     "hat",
     "to_partition",
     "compositions_of",
+    "partitions_of",
     "parse_permutation",
     "format_permutation",
     "parse_composition",
@@ -203,6 +204,34 @@ def compositions_of(n: int) -> Iterator[Composition]:
                 last = i
         parts.append(n - last)
         yield tuple(parts)
+
+
+def partitions_of(n: int) -> Iterator[Composition]:
+    """All partitions of n, parts weakly decreasing, each exactly once.
+
+    Order: reverse lexicographic, so (n) comes first and (1, ..., 1) last.
+    Each next partition drops the trailing ones, lowers the last part x > 1
+    by one, and refills what that freed with parts of x - 1.
+
+    >>> list(partitions_of(4))
+    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        x = parts.pop() - 1
+        q, r = divmod(ones + x + 1, x)
+        parts += [x] * q
+        if r:
+            parts.append(r)
 
 
 def parse_permutation(text: str) -> Perm:

@@ -84,9 +84,9 @@ class DyckPath:
 class LabeledDyckPath:
     """Steps 'U' and 'D<label>'; down labels distinct positive integers.
 
-    The labels are parsed once, at construction, into ``_downs``: a plain
-    attribute, not a field, so equality, hashing and repr read only the
-    steps.
+    The labels are parsed once, at construction, into ``_downs``, and
+    ``up_step_labels`` stores its result in ``_ups``: plain attributes, not
+    fields, so equality, hashing and repr read only the steps.
     """
 
     steps: tuple[str, ...]
@@ -107,6 +107,15 @@ class LabeledDyckPath:
         if len(set(labels)) != len(labels):
             raise ValueError(f"down-step labels repeat: {labels}")
         object.__setattr__(self, "_downs", tuple(labels))
+
+    @classmethod
+    def _trusted(cls, steps: tuple[str, ...], downs: tuple[int, ...]) -> LabeledDyckPath:
+        # steps the library built and knows to form a path, with their down
+        # labels left to right: no parse and no checks run
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "_downs", downs)
+        return path
 
     @property
     def semi_length(self) -> int:
@@ -172,8 +181,12 @@ def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
     """Labels acquired by the up-steps, reported left to right.
 
     Scanning right to left, an up-step takes the smallest label among
-    down-steps after it that no up-step after it has taken.
+    down-steps after it that no up-step after it has taken.  The result is
+    stored on the path, so each path is scanned once.
     """
+    ups = getattr(d, "_ups", None)
+    if ups is not None:
+        return ups
     assigned: list[int] = []
     available: list[int] = []  # heap of the later down labels not yet taken
     labels = reversed(d.down_labels)
@@ -184,7 +197,9 @@ def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
             assigned.append(heapq.heappop(available))
         else:
             heapq.heappush(available, next(labels))
-    return tuple(reversed(assigned))
+    ups = tuple(reversed(assigned))
+    object.__setattr__(d, "_ups", ups)
+    return ups
 
 
 def labeled_dyck_word(d: LabeledDyckPath) -> tuple[str, ...]:
@@ -204,15 +219,17 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
     labeled by the row containing i.  On the two-column rectangles the map
     is a bijection with inverse ``ldyck_to_spct``, so the input is valid
     exactly when the steps form a path that ``ldyck_to_spct`` takes back to
-    it; that is checked in O(n log n), without ``validate_pct``.
+    it; that is checked in O(n log n), without ``validate_pct``.  Each row
+    has one cell in column 1, so the down labels are 1..n, each once.
     """
     if any(len(row) != 2 for row in t.rows):
         raise ValueError(f"shape must be a two-column rectangle: {t.shape}")
     try:
         pos = positions(t)  # raises unless standard
-        d = LabeledDyckPath(tuple(
-            "U" if pos[i][1] == 2 else f"D{pos[i][0]}" for i in range(1, t.size + 1)
-        ))
+        cells = [pos[i] for i in range(1, t.size + 1)]
+        steps = tuple("U" if c == 2 else f"D{r}" for r, c in cells)
+        _check_balance(steps, "path")
+        d = LabeledDyckPath._trusted(steps, tuple(r for r, c in cells if c == 1))
         valid = ldyck_to_spct(d).rows == t.rows
     except ValueError:
         valid = False
@@ -278,13 +295,14 @@ def enumerate_ldyck(n: int) -> Iterator[LabeledDyckPath]:
     """All n! Cat(n) canonical labeled paths of semi-length n."""
     from itertools import permutations
 
+    tokens = [f"D{label}" for label in range(n + 1)]
     for path in enumerate_dyck(n):
         down_positions = [k for k, s in enumerate(path.steps) if s == "D"]
         for labels in permutations(range(1, n + 1)):
             steps = list(path.steps)
             for k, label in zip(down_positions, labels):
-                steps[k] = f"D{label}"
-            yield LabeledDyckPath(tuple(steps))
+                steps[k] = tokens[label]
+            yield LabeledDyckPath._trusted(tuple(steps), labels)
 
 
 def random_ldyck(n: int, rng: random.Random) -> LabeledDyckPath:
@@ -307,9 +325,10 @@ def random_ldyck(n: int, rng: random.Random) -> LabeledDyckPath:
         if height < low:
             low, cut = height, k + 1
     path = (word[cut:] + word[:cut])[:-1]  # drop the final down-step
-    labels = iter(rng.sample(range(1, n + 1), n))
-    return LabeledDyckPath(
-        tuple(s if s == "U" else f"D{next(labels)}" for s in path)
+    labels = tuple(rng.sample(range(1, n + 1), n))
+    downs = iter(labels)
+    return LabeledDyckPath._trusted(
+        tuple(s if s == "U" else f"D{next(downs)}" for s in path), labels
     )
 
 

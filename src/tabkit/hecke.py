@@ -37,7 +37,6 @@ from .tableaux import (
     _rows,
     _spct_walk,
     positions,
-    st_word,
 )
 
 __all__ = [
@@ -261,6 +260,20 @@ def _class_key(word: Word, cols: list[int]) -> tuple[int, ...]:
     return tuple([r for _, r in sorted(zip(cols, word), key=itemgetter(0))])
 
 
+def _signature(key: tuple[int, ...], heights: Sequence[int]) -> tuple[Perm, ...]:
+    # ``st_word`` of the class of a key, on a shape whose columns have these
+    # heights: a column's entries are distinct, so the one at index k of its
+    # part of the key (largest first) ranks h - k, and its row places it in
+    # the column word
+    signature = []
+    start = 0
+    for h in heights:
+        rows = key[start : start + h]
+        signature.append(tuple(h - k for k in sorted(range(h), key=rows.__getitem__)))
+        start += h
+    return tuple(signature)
+
+
 def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     """Partition the standard tableaux of a shape by standardized column word.
 
@@ -272,6 +285,7 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     ``EquivalenceClass``).
     """
     words, rows = _by_rows(shape)
+    heights = [sum(part > j for part in shape) for j in range(max(shape))]
     by_key: dict[tuple[int, ...], list[int]] = {}
     groups = []  # groups[k]: the indices of the class of words[k], shared
     table, source_indices = [], set()
@@ -289,8 +303,9 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
         movers.add(k)
     tableaux = [Tableau._trusted(r) for r in rows]
     classes = []
-    # the one st_word per class, for its signature and the order of classes
-    for signature, ks in sorted((st_word(tableaux[ks[0]]), ks) for ks in by_key.values()):
+    # the signature of each class is read off its key, and orders the classes
+    for signature, ks in sorted((_signature(key, heights), ks)
+                                for key, ks in by_key.items()):
         members = tuple(tableaux[k] for k in ks)
         sources = [tableaux[k] for k in ks if k in source_indices]
         sinks = [tableaux[k] for k in ks if k not in movers]

@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb
+from math import comb, factorial
 from typing import TypeVar
 
 from .core import (
@@ -64,6 +64,7 @@ __all__ = [
     "enumerate_spct_sigma",
     "enumerate_srt",
     "count_spct",
+    "count_srt",
     "from_json",
     "render",
 ]
@@ -328,9 +329,13 @@ def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
 
 def column_word(t: Tableau | ReverseTableau, col: int) -> tuple[int, ...]:
     """Column col read top to bottom."""
-    if not 1 <= col <= max(len(row) for row in t.rows):
-        raise ValueError(f"column index out of range: {col}")
-    return tuple(row[col - 1] for row in t.rows if len(row) >= col)
+    # every row reaches column 0 or below, so only col >= 1 is read; past
+    # the longest row the column is empty
+    if col >= 1:
+        word = tuple(row[col - 1] for row in t.rows if len(row) >= col)
+        if word:
+            return word
+    raise ValueError(f"column index out of range: {col}")
 
 
 def st_column(t: Tableau | ReverseTableau, col: int) -> Perm:
@@ -708,6 +713,25 @@ def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:
     """
     lam = _partition(partition)
     return _spct_walk(lam, tuple(range(len(lam), 0, -1)), ReverseTableau)
+
+
+def count_srt(partition: Sequence[int]) -> int:
+    """How many standard reverse tableaux ``enumerate_srt`` lists for the
+    partition, by the hook-length formula (Frame, Robinson and Thrall,
+    1954): complementing the entries, n + 1 - x, makes them the standard
+    Young tableaux of the shape.
+
+    >>> count_srt((3, 2))
+    5
+    """
+    lam = _partition(partition)
+    heights = [sum(part > j for part in lam) for j in range(lam[0])]
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            # the cell (i, j), the cells right of it and the cells below it
+            hooks *= part - j + heights[j] - i - 1
+    return factorial(sum(lam)) // hooks
 
 
 def _partition(shape: Sequence[int]) -> Composition:

@@ -300,12 +300,10 @@ def ltree_to_ldyck(t: Node) -> LabeledDyckPath:
     >>> ltree_to_ldyck(Node(2, Node(1), Node(3))).steps
     ('U', 'D3', 'U', 'U', 'D1', 'D2')
     """
-    trace = push_pop_trace(t)
-    steps = tuple(
-        f"D{label}" if op == "push" else "U"
-        for op, label in reversed(trace)
-    )
-    return LabeledDyckPath(steps)
+    trace = push_pop_trace(t)[::-1]
+    steps = tuple(f"D{label}" if op == "push" else "U" for op, label in trace)
+    downs = tuple(label for op, label in trace if op == "push")
+    return LabeledDyckPath._trusted(steps, downs)
 
 
 def _shapes(n: int) -> Iterator[tuple | None]:

@@ -16,6 +16,7 @@ from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.dyck import catalan
+from tabkit.tableaux import Tableau
 
 
 def run(capsys, *argv):
@@ -233,8 +234,8 @@ def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
     ("verify", "counts", "--max-n", "10", "--max-objects", str(DEFAULT_MAX_OBJECTS)),
     # SPCT((1)^8) holds 8! = 40320 tableaux
     ("verify", "bijections", "--n", "8", "--samples", "0", "--max-objects", "1000"),
-    # no shape of size <= 7 holds more than 7! = 5040 tableaux, but all of
-    # them hold 17,487
+    # no partition lam of size <= 7 gives more than l(lam)! f^lam = 7! = 5040
+    # (T, sigma) cases, but all of them give 17,487
     ("verify", "bijections", "--n", "7", "--samples", "0", "--max-objects", "6000"),
 ], ids=["hecke-shape", "hecke-long-shape", "hecke-max-n", "classes",
         "enumerate-spct", "enumerate-spct-sigma", "enumerate-srt", "enumerate-ldyck",
@@ -344,11 +345,10 @@ def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
     report = run_json(capsys, "verify", "pairs", "--max-n", "4")
     assert report["results"]["passed"] is True
     # 1 + 4 + 36 + 576 candidates; the 123-312 test runs on the 172 that
-    # avoid 2112, and the allowable test only on the 43 cover pairs.  Each
-    # cover pair avoids 2112, so its allowable test runs both scans once
-    # more: 617 + 43 and 172 + 43
+    # avoid 2112, and the 43 cover pairs are looked up among the pairs found,
+    # not scanned again
     calls = (avoiding.call_count, avoiding_123312.call_count, allowable.call_count)
-    assert calls == (660, 215, 43)
+    assert calls == (617, 172, 0)
 
 
 def test_text_and_csv_renderings(capsys):
@@ -782,13 +782,14 @@ def test_stats_quadruple_needs_a_positive_n(capsys):
 
 def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("tabkit.cli.enumerate_spct", lambda shape: calls.append(shape))
+    for name in ("enumerate_srt", "rt_to_pct"):
+        monkeypatch.setattr(f"tabkit.cli.{name}", lambda *args: calls.append(args))
     # sizes 5 and 6 draw 400 samples each
     argv = ("verify", "bijections", "--n", "6", "--samples", "400")
     code, out, err = run(capsys, *argv, "--max-objects", "799")
     assert code == 2 and out == "" and calls == []
     assert err.startswith("refused: verify bijections up to n=6 draws 800 samples")
-    # then the 2,370 standard tableaux of size <= 6 and the 1 + 4 + 30 + 336
+    # then the 2,370 (T, sigma) cases of size <= 6 and the 1 + 4 + 30 + 336
     # labeled paths of size <= 4: 800 + 2370 + 371 = 3541 objects
     code, out, err = run(capsys, *argv, "--max-objects", "3540")
     assert code == 2 and out == "" and calls == []
@@ -796,6 +797,28 @@ def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypat
     monkeypatch.undo()
     report = run_json(capsys, *argv, "--max-objects", "3541")
     assert report["results"]["passed"] is True
+
+
+def test_verify_bijections_refuses_n_10_without_counting_shapes(capsys, monkeypatch):
+    calls = []
+    monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
+    monkeypatch.setattr("tabkit.cli.count_spct", lambda *args: calls.append(args))
+    # 371 paths and 13,903,448 (T, sigma) cases of size <= 10, from the
+    # hook-length formula
+    code, out, err = run(capsys, "verify", "bijections", "--n", "10", "--samples", "0")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith(f"refused: verify bijections passed {DEFAULT_MAX_OBJECTS} objects")
+
+
+def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
+    monkeypatch.setattr("tabkit.cli.rt_to_pct", lambda T, sigma: Tableau(((1,), (1,))))
+    code, out, err = run(capsys, "verify", "bijections", "--n", "1")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["checks"][0] == {"check": "pct-rt", "size": 1, "cases": 1, "pass": False}
+    assert results["counterexample"] == (
+        "rt_to_pct of ((1,),) under type (1,) is not a valid PCT: ((1,), (1,))"
+    )
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -20,6 +20,7 @@ from tabkit.core import (
     maximal_chain_to,
     parse_composition,
     parse_permutation,
+    partitions_of,
     standardize,
     to_partition,
     weak_bruhat_leq,
@@ -144,6 +145,17 @@ def test_maximal_chain_deterministic():
 def test_compositions_of_known():
     assert list(compositions_of(1)) == [(1,)]
     assert list(compositions_of(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_partitions_of_are_the_sorted_compositions(n):
+    listed = list(partitions_of(n))
+    assert listed == sorted({to_partition(c) for c in compositions_of(n)}, reverse=True)
+
+
+def test_partitions_of_refuses_a_nonpositive_size():
+    with pytest.raises(ValueError):
+        next(partitions_of(0))
 
 
 @given(n=st.integers(min_value=1, max_value=10))

@@ -90,6 +90,8 @@ def test_parsed_labels_stay_out_of_equality_hash_and_repr():
     assert d.down_labels == (12, 3)
     twin = LabeledDyckPath(("U", "U", "D12", "D3"))
     assert d == twin and hash(d) == hash(twin)
+    assert up_step_labels(d) == (12, 3)  # stored on d, not on twin
+    assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
     assert d != LabeledDyckPath(("U", "U", "D3", "D12"))
 
 
@@ -196,6 +198,10 @@ def test_conversion_rejects_bad_input():
         spct_to_ldyck(Tableau.from_rows([[2, 1], [3]]))
     with pytest.raises(ValueError):
         spct_to_ldyck(Tableau.from_rows([[3, 1], [4, 2]]))  # invalid tableau
+    # its steps D1 U D2 U dip below the ground: a ValueError, not the
+    # labeling rule's AssertionError
+    with pytest.raises(ValueError, match="^input is not a valid standard tableau$"):
+        spct_to_ldyck(Tableau(((1, 2), (3, 4))))
     with pytest.raises(ValueError):
         ldyck_to_spct(LabeledDyckPath(("U", "D3", "U", "D1")))  # not canonical
 

@@ -251,7 +251,7 @@ def test_source_and_sink_membership():
 
 
 def test_equivalence_classes_partition():
-    for shape in [(2, 2), (2, 1, 2), (1, 1, 2)]:
+    for shape in (alpha for n in range(1, 7) for alpha in compositions_of(n)):
         classes = equivalence_classes(shape)
         union = [t for cls in classes for t in cls.members]
         assert len(union) == sum(1 for _ in enumerate_spct(shape))
@@ -261,7 +261,8 @@ def test_equivalence_classes_partition():
             assert cls.sink in cls.members
             assert is_source(cls.source)
             assert is_sink(cls.sink)
-            # the signature is the standardized column word common to members
+            # the signature, read off the class key, is the standardized
+            # column word of every member
             assert {st_word(t) for t in cls.members} == {cls.signature}
 
 

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tabkit.core import compositions_of, standardize, to_partition
+from tabkit.core import compositions_of, partitions_of, standardize, to_partition
 from tabkit.dyck import catalan
 from tabkit.tableaux import (
     ReverseTableau,
@@ -19,6 +19,7 @@ from tabkit.tableaux import (
     _two_column_work,
     column_word,
     count_spct,
+    count_srt,
     descent_quadruple,
     descent_quadruple_counts,
     descent_set,
@@ -422,9 +423,18 @@ def test_enumerate_srt_matches_hook_counts():
         assert sum(1 for _ in enumerate_srt(lam)) == hook_count(lam)
 
 
+def test_count_srt_is_the_hook_product_and_the_walk_count():
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            decreasing = tuple(range(len(lam), 0, -1))
+            assert count_srt(lam) == hook_count(lam) == count_spct(lam, sigma=decreasing)
+
+
 def test_srt_rejects_non_partition():
     with pytest.raises(ValueError):
         list(enumerate_srt((1, 2)))
+    with pytest.raises(ValueError):
+        count_srt((1, 2))
 
 
 @given(sigma_index=st.integers(0, 23), n=st.integers(1, 5))
@@ -493,6 +503,25 @@ def test_rt_to_pct_matches_the_linear_scan_under_every_type():
         for n in range(1, 7)
         for lam in {to_partition(a) for a in compositions_of(n)}
     )
+
+
+def test_rt_to_pct_images_are_the_standard_pcts_of_each_size():
+    # the reference for the pct-rt rows of ``tk verify bijections``, which
+    # run the (T, sigma) direction: every standard PCT of size m is the image
+    # of exactly one (T, sigma), and goes back to itself through its own T
+    # and first-column type
+    for m in range(1, 7):
+        images = [
+            rt_to_pct(T, sigma).rows
+            for lam in partitions_of(m)
+            for T in enumerate_srt(lam)
+            for sigma in permutations(range(1, len(lam) + 1))
+        ]
+        listed = [t for alpha in compositions_of(m) for t in enumerate_spct(alpha)]
+        assert len(images) == len(set(images)) == len(listed)
+        assert set(images) == {t.rows for t in listed}
+        for t in listed:
+            assert rt_to_pct(pct_to_rt(t), st_column(t, 1)) == t
 
 
 @given(t=spct_strategy())

@@ -15,7 +15,7 @@ from tabkit.tableaux import (
     st_column,
     validate_pct,
 )
-from tabkit.dyck import ldyck_to_spct, spct_to_ldyck
+from tabkit.dyck import ldyck_to_spct, spct_to_ldyck, up_step_labels
 from tabkit.trees import (
     LeftPath,
     Node,
@@ -314,3 +314,24 @@ def test_the_whole_chain_at_semi_length_ten_thousand():
     tree = ldyck_to_ltree(d)
     assert ltree_to_ldyck(tree) == d
     assert descent_quadruple(t) == edge_stats(tree)
+
+
+def built_paths():
+    # the paths the library builds from their labels, with no token parse
+    for n in range(6):
+        yield from enumerate_ldyck(n)
+    rng = random.Random(3)
+    for n in range(40):
+        yield random_ldyck(n, rng)
+    for n in range(1, 5):
+        yield from map(ltree_to_ldyck, enumerate_ltrees(n))
+        yield from map(spct_to_ldyck, enumerate_spct((2,) * n))
+
+
+def test_built_paths_equal_their_parsed_twins():
+    for d in built_paths():
+        parsed = LabeledDyckPath(d.steps)
+        assert d == parsed and hash(d) == hash(parsed), d.steps
+        assert type(d.down_labels) is tuple and d.down_labels == parsed.down_labels
+        # the labels stored by the first call are those of a fresh path
+        assert up_step_labels(d) is up_step_labels(d) == up_step_labels(parsed)
