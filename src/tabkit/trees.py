@@ -1,20 +1,18 @@
 """Labeled plane binary trees and their labeled-Dyck-path conversions.
 
-Trees are immutable nodes with a label and optional left/right children;
-equality is structural.  Deleting every edge from a node to its right child
-splits a tree into maximal left paths; conversely a tree is determined by
-those paths plus, for each non-root path, the node whose right child is the
-path's top.
+Trees are immutable nodes with a label and optional left/right children.
+Equality is structural: it compares the preorders of (label, has a left
+child, has a right child), which fix a tree, without recursion.
 
-The conversion from a labeled Dyck path reads the maximal down-step blocks
-right to left; each block becomes a left path whose labels, root to leaf, are
-the block's labels right to left.  The first path is the root path, and each
-later path hangs as the right subtree of the node named by the up-step label
-immediately following the block's last down-step.  The inverse conversion
-replays the tree as a push/pop process: push a left path root to leaf, pop
-the minimum pushed-but-unpopped label, and after popping a node with a right
-child, push that child's left path.  Reading the operations in reverse, a
-push is a labeled down-step and a pop a labeled up-step.
+Both conversions are one push/pop replay: push the root's left path root to
+leaf, pop the smallest pushed-but-unpopped label, and after popping a node
+with a right child, push that child's left path.  A push right after the
+push of p is p's left child, and one right after the pop of m is m's right
+child.  Read in reverse, a push is a labeled down-step and a pop an up-step
+with the label ``dyck.up_step_labels`` gives it.  So each maximal down-step
+block is a left path, labels right to left; the rightmost block holds the
+root, and every other one hangs as the right subtree of the node named by
+the up-step right after it.
 
 Edges are classified by comparing labels: a right child larger than its
 parent is a right ascent, smaller a right descent, and likewise on the left.
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import _places, _unpacked
-from .dyck import LabeledDyckPath, _require_canonical, random_ldyck, runs, up_step_labels
+from .dyck import LabeledDyckPath, _require_canonical, random_ldyck, up_step_labels
 
 __all__ = [
     "Node",
@@ -52,25 +50,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
     label: int
     left: "Node | None" = None
     right: "Node | None" = None
 
+    def _key(self) -> tuple[tuple[int, bool, bool], ...]:
+        # (label, has a left child, has a right child) in preorder fixes a tree
+        return tuple((v.label, v.left is not None, v.right is not None)
+                     for v in _preorder(self))
 
-def tree_labels(t: Node) -> tuple[int, ...]:
-    """All labels in preorder (node, left, right)."""
-    out: list[int] = []
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _preorder(t: Node) -> Iterator[Node]:
+    """Every node of t in preorder (node, left, right), by an explicit stack."""
     stack = [t]
     while stack:
         node = stack.pop()
-        out.append(node.label)
+        yield node
         if node.right:
             stack.append(node.right)
         if node.left:
             stack.append(node.left)
-    return tuple(out)
+
+
+def tree_labels(t: Node) -> tuple[int, ...]:
+    """All labels in preorder (node, left, right)."""
+    return tuple(node.label for node in _preorder(t))
 
 
 def node_count(t: Node) -> int:
@@ -130,21 +144,17 @@ def edge_stats(t: Node) -> tuple[int, int, int, int]:
     (0, 1, 1, 0)
     """
     lasc = ldes = rasc = rdes = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
+    for node in _preorder(t):
         if node.left:
             if node.left.label > node.label:
                 lasc += 1
             else:
                 ldes += 1
-            stack.append(node.left)
         if node.right:
             if node.right.label > node.label:
                 rasc += 1
             else:
                 rdes += 1
-            stack.append(node.right)
     return (lasc, ldes, rasc, rdes)
 
 
@@ -212,45 +222,35 @@ def _hung(below: Counter[int], descent: int, above: Counter[int],
 
 
 def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
-    """Assemble the tree from the down-step blocks of a canonical path.
+    """Read a canonical path right to left as the tree's push/pop replay: a
+    down-step pushes its label, an up-step pops its own.
 
     >>> ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "U", "D1", "D2")))
     Node(label=2, left=Node(label=1, left=None, right=None), right=Node(label=3, left=None, right=None))
     """
     _require_canonical(d)
-    if d.semi_length == 0:
+    n = d.semi_length
+    if n == 0:
         raise ValueError("need at least one node: 0")
-    blocks = runs(d)
-    # the up-step right after each down block names the node the block hangs
-    # from; read right to left, these match blocks[1:] (blocks[0] ends the
-    # path and holds the root)
-    parents = []
-    ups = iter(up_step_labels(d))
-    after_down = False
-    for s in d.steps:
+    # the children by label, 0 for none; the root is recorded as the left
+    # child of 0
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    ups = reversed(up_step_labels(d))
+    downs = reversed(d.down_labels)
+    side, last = left, 0  # a push hangs on this side of the last label
+    for s in reversed(d.steps):
         if s == "U":
-            label = next(ups)
-            if after_down:
-                parents.append(label)
-        after_down = s != "U"
-    parents.reverse()
-
-    # a block hangs from a node of an earlier block, so building the blocks
-    # last first finds every right subtree already built
-    hanging: dict[int, Node] = {}  # node label -> its right subtree
-
-    def left_path(block: tuple[int, ...]) -> Node:
-        node = None
-        for label in block:
-            node = Node(label, node, hanging.pop(label, None))
-        return node
-
-    for block, j in reversed(list(zip(blocks[1:], parents))):
-        hanging[j] = left_path(block)
-    root = left_path(blocks[0])
-    if hanging:  # impossible on a valid word
-        raise AssertionError(f"attachment point {min(hanging)} not in the tree")
-    return root
+            side, last = right, next(ups)
+        else:
+            side[last] = label = next(downs)
+            side, last = left, label
+    # the labels left to right are pushed last first, so every child is
+    # built before its parent
+    nodes: list[Node | None] = [None] * (n + 1)
+    for label in d.down_labels:
+        nodes[label] = Node(label, nodes[left[label]], nodes[right[label]])
+    return nodes[left[0]]
 
 
 def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
@@ -261,33 +261,19 @@ def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
     push that child's left path before popping again.
     """
     n = check_ltree(t)
-    by_label: dict[int, Node] = {}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        by_label[node.label] = node
-        if node.left:
-            stack.append(node.left)
-        if node.right:
-            stack.append(node.right)
-
     trace: list[tuple[str, int]] = []
-    heap: list[int] = []
-
-    def push_chain(top: Node) -> None:
-        node: Node | None = top
-        while node:
+    # (label, node) pairs: the labels are distinct, so nodes are never compared
+    heap: list[tuple[int, Node]] = []
+    node: Node | None = t  # the next node of the left path being pushed
+    while node or heap:
+        if node:
             trace.append(("push", node.label))
-            heapq.heappush(heap, node.label)
+            heapq.heappush(heap, (node.label, node))
             node = node.left
-
-    push_chain(t)
-    while heap:
-        m = heapq.heappop(heap)
-        trace.append(("pop", m))
-        right = by_label[m].right
-        if right:
-            push_chain(right)
+        else:
+            label, popped = heapq.heappop(heap)
+            trace.append(("pop", label))
+            node = popped.right
     if len(trace) != 2 * n:  # impossible: every node pushed and popped once
         raise AssertionError(f"trace has {len(trace)} operations, wanted {2 * n}")
     return tuple(trace)
@@ -370,9 +356,7 @@ def tree_from_json(data: dict) -> Node:
 def tree_dot(t: Node) -> str:
     """DOT digraph; edges tagged L/R, descent edges drawn bold."""
     lines = ["digraph tree {"]
-    stack = [t]
-    while stack:
-        node = stack.pop()
+    for node in _preorder(t):
         lines.append(f"  n{node.label} [label=\"{node.label}\"];")
         for side, child in (("L", node.left), ("R", node.right)):
             if child:
@@ -380,6 +364,5 @@ def tree_dot(t: Node) -> str:
                 lines.append(
                     f'  n{node.label} -> n{child.label} [label="{side}"{bold}];'
                 )
-                stack.append(child)
     lines.append("}")
     return "\n".join(lines)

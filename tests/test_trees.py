@@ -15,7 +15,7 @@ from tabkit.tableaux import (
     st_column,
     validate_pct,
 )
-from tabkit.dyck import ldyck_to_spct, spct_to_ldyck, up_step_labels
+from tabkit.dyck import ldyck_to_spct, runs, spct_to_ldyck, up_step_labels
 from tabkit.trees import (
     LeftPath,
     Node,
@@ -79,7 +79,7 @@ def test_node_structure():
 
 
 def test_tree_labels_and_count():
-    assert sorted(tree_labels(GOLDEN_TREE)) == list(range(1, 11))
+    assert tree_labels(GOLDEN_TREE) == (5, 2, 9, 8, 6, 10, 1, 4, 3, 7)  # preorder
     assert node_count(GOLDEN_TREE) == 10
     assert node_count(Node(1)) == 1
 
@@ -187,20 +187,93 @@ def test_ldyck_to_ltree_deep_left_path():
     assert edge_stats(ldyck_to_ltree(d)) == (0, 1499, 0, 0)
 
 
-@pytest.mark.parametrize("steps, left_paths", [
-    (("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)), 1),
-    (tuple(step for i in range(1, 1501) for step in ("U", f"D{i}")), 1500),
+@pytest.mark.parametrize("steps, stats, left_paths", [
+    (("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)), (0, 1499, 0, 0), 1),
+    (tuple(step for i in range(1, 1501) for step in ("U", f"D{i}")), (0, 0, 0, 1499),
+     1500),
 ], ids=["left-path", "right-path"])
-def test_deep_trees_round_trip_without_recursion(steps, left_paths):
+def test_deep_trees_round_trip_without_recursion(steps, stats, left_paths):
     # a left path and a right path 1,500 deep, past the default recursion
-    # limit; paths are compared, since comparing trees recurses
+    # limit, through every tree function that walks them
     d = LabeledDyckPath(steps)
     tree = ldyck_to_ltree(d)
-    assert ltree_to_ldyck(tree) == d
+    assert tree.label == 1500
+    assert edge_stats(tree) == stats
     assert check_ltree(tree) == 1500
+    assert len(push_pop_trace(tree)) == 3000
+    path = ltree_to_ldyck(tree)
+    assert path == d
+    back = ldyck_to_ltree(path)
+    assert back == tree and hash(back) == hash(tree)
     paths = mlpd(tree)
     assert len(paths) == left_paths
     assert sorted(label for p in paths for label in p.labels) == list(range(1, 1501))
+
+
+def test_a_tree_of_a_hundred_thousand_nodes_compares_as_a_tree():
+    # its height is 1,107, so a recursive equality would fail
+    tree = random_ltree(10**5, random.Random(1))
+    back = ldyck_to_ltree(ltree_to_ldyck(tree))
+    assert back is not tree
+    assert back == tree and hash(back) == hash(tree)
+
+
+def _mirror(t):
+    return t and Node(t.label, _mirror(t.right), _mirror(t.left))
+
+
+def _relabeled(t, f):
+    return t and Node(f(t.label), _relabeled(t.left, f), _relabeled(t.right, f))
+
+
+def test_equality_tells_shapes_and_labels_apart():
+    assert _mirror(GOLDEN_TREE) != GOLDEN_TREE
+    assert _mirror(_mirror(GOLDEN_TREE)) == GOLDEN_TREE
+    assert _relabeled(GOLDEN_TREE, lambda x: 11 - x) != GOLDEN_TREE
+    assert Node(1, Node(2)) != Node(1, None, Node(2))
+    assert Node(1) != 1 and Node(1) != (1, None, None)
+
+
+def blocks_to_ltree(d):
+    """The block characterisation of the tree of a labeled path: each down
+    block of ``runs`` is a left path whose labels, root to leaf, are the
+    block's labels right to left; the rightmost block holds the root, and
+    every other block hangs as the right subtree of the node named by the
+    up-step label right after it."""
+    blocks = runs(d)
+    parents = []  # the up-step labels right after a block, left to right
+    ups = iter(up_step_labels(d))
+    after_down = False
+    for s in d.steps:
+        if s == "U":
+            label = next(ups)
+            if after_down:
+                parents.append(label)
+        after_down = s != "U"
+    parents.reverse()
+    # a block hangs from a node of a block to its right, so building the
+    # blocks left to right finds every right subtree already built
+    hanging = {}  # node label -> its right subtree
+
+    def left_path(block):
+        node = None
+        for label in block:
+            node = Node(label, node, hanging.pop(label, None))
+        return node
+
+    for block, j in reversed(list(zip(blocks[1:], parents))):
+        hanging[j] = left_path(block)
+    root = left_path(blocks[0])
+    assert not hanging
+    return root
+
+
+def test_replay_matches_the_block_characterisation():
+    rng = random.Random(17)
+    paths = [d for n in range(1, 6) for d in enumerate_ldyck(n)]
+    paths += [random_ldyck(64, rng) for _ in range(200)]
+    for d in paths:
+        assert ldyck_to_ltree(d) == blocks_to_ltree(d), d.steps
 
 
 def test_ldyck_to_ltree_refuses_the_empty_path():
