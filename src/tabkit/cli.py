@@ -39,6 +39,7 @@ from math import factorial
 
 from .allowable import realize_sct, verify_pairs
 from .core import (
+    Composition,
     Perm,
     compositions_of,
     format_composition,
@@ -61,7 +62,6 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
-    _partition,
     _two_column_work,
     count_spct,
     count_srt,
@@ -123,33 +123,31 @@ def _check_sizes(args: argparse.Namespace) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be nonnegative: {value}")
 
 
-def _check_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise GuardExceeded(
-            f"{what} passed {cap} objects; raise --max-objects or TK_MAX_OBJECTS"
-        )
-
-
-def _predicted(shapes: Iterable, cap: int, what: str) -> list:
-    """The shapes, refused as soon as their tableaux, counted without
-    listing, pass the cap: before any shape's walk starts."""
-    total = 0
-    listed = []
-    for shape in shapes:
-        total += count_spct(shape, cap - total)
-        _check_cap(total, cap, what)
-        listed.append(shape)
-    return listed
-
-
-def _charge(costs: Iterable[int], cap: int) -> int:
-    """The sum of ``costs``, taken one at a time until it passes the cap."""
+def _charge(costs: Iterable[int], cap: int, what: str,
+            refusal: Callable[[int], str] | None = None) -> None:
+    """Sum ``costs`` one at a time, and refuse ``what`` as soon as the sum
+    passes the cap, with ``refusal(sum)`` in place of the cap's message."""
     total = 0
     for cost in costs:
         total += cost
         if total > cap:
-            break
-    return total
+            why = (refusal(total) if refusal
+                   else f"passed {cap} objects; raise --max-objects or TK_MAX_OBJECTS")
+            raise GuardExceeded(f"{what} {why}")
+
+
+def _compositions(max_size: int) -> Iterator[Composition]:
+    """Every composition of size 1..max_size, generated lazily."""
+    return (shape for m in range(1, max_size + 1) for shape in compositions_of(m))
+
+
+def _charged_shapes(shapes: Callable[[], Iterable[Composition]], cap: int,
+                    what: str) -> Iterable[Composition]:
+    """``shapes()``, once the tableaux of every shape, counted without
+    listing, are charged.  The shapes are generated twice and never listed:
+    a size past the cap can have more shapes than memory holds."""
+    _charge((count_spct(shape, cap) for shape in shapes()), cap, what)
+    return shapes()
 
 
 def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
@@ -227,18 +225,17 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
             raise ValueError(f"enumerate {kind} requires --shape")
         shape = parse_composition(args.shape)
         params["shape"] = list(shape)
-        sigma = None
         if kind == "srt":
-            shape = _partition(shape)
-            sigma = tuple(range(len(shape), 0, -1))
+            count = count_srt(shape)
             objects = lambda: enumerate_srt(shape)
         elif args.sigma is not None:
             sigma = parse_permutation(args.sigma)
             params["sigma"] = list(sigma)
+            count = count_spct(shape, cap, sigma)
             objects = lambda: enumerate_spct_sigma(shape, sigma)
         else:
+            count = count_spct(shape, cap)
             objects = lambda: enumerate_spct(shape)
-        count = count_spct(shape, cap, sigma)
     else:
         if args.n is None:
             raise ValueError(f"enumerate {kind} requires --n")
@@ -247,7 +244,7 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
             raise ValueError(f"need at least one node: {n}")
         count = factorial(n) * catalan(n)
         objects = lambda: enumerate_ldyck(n) if kind == "ldyck" else enumerate_ltrees(n)
-    _check_cap(count, cap, f"enumerate {kind}")
+    _charge([count], cap, f"enumerate {kind}")
 
     results: dict = {"kind": kind, "count": count}
     if args.list is not None:
@@ -265,27 +262,23 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
 # tk verify
 
 
-def _suite_hecke(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    if args.shape is not None:
-        if args.max_n is not None:
-            raise ValueError("verify hecke takes --shape or --max-n, not both")
-        shapes = [parse_composition(args.shape)]
+def _suite_hecke(cap: int, shape: str | None, max_n: int | None) -> Iterator[Check]:
+    if max_n is None:
+        shapes = lambda: [parse_composition(shape)]
     else:
-        max_n = args.max_n if args.max_n is not None else 4
-        shapes = (a for n in range(1, max_n + 1) for a in compositions_of(n))
-    for shape in _predicted(shapes, cap, "verify hecke"):
-        rep = verify_hecke_relations(shape)
-        name = format_composition(shape)
+        shapes = lambda: _compositions(max_n)
+    for alpha in _charged_shapes(shapes, cap, "verify hecke"):
+        rep = verify_hecke_relations(alpha)
+        name = format_composition(alpha)
         row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
                "pass": rep.passed}
         yield row, None if rep.passed else f"shape {name}: {rep.counterexample}"
 
 
-def _suite_counts(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    max_n = args.max_n if args.max_n is not None else 4
+def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
     # charged with the transfers' bound: the tree recurrence takes less, and
     # so do the Cat(n) paths of the walk, through n = 26
-    _check_cap(_charge(_transfer_costs(range(1, max_n + 1), cap), cap), cap, "verify counts")
+    _charge(_transfer_costs(range(1, max_n + 1), cap), cap, "verify counts")
     for n in range(1, max_n + 1):
         # each class has one source, so the transfer counts both
         quadruples, class_count = two_column_census(n)
@@ -328,7 +321,9 @@ def _path_moved(d: LabeledDyckPath) -> str | None:
 
 def _tree_moved(tree: Node) -> str | None:
     if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
-        return f"tree/path round trip moved {tree}"
+        # named by the preorder key of its equality: the repr recurses
+        return (f"tree/path round trip moved the tree with (label, has a left child, "
+                f"has a right child) in preorder {tree._key()}")
     return None
 
 
@@ -365,37 +360,33 @@ def _pct_rt(m: int) -> Check:
     return row, bad
 
 
-def _suite_bijections(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    n = args.n if args.n is not None else 4
-    per_size = args.samples if args.samples is not None else 200
-    samples = per_size * max(0, n - 4)
-    if samples > cap:
-        raise GuardExceeded(f"verify bijections up to n={n} draws {samples} samples")
+def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Check]:
+    drawn = samples * max(0, n - 4)
+    _charge([drawn], cap, "verify bijections",
+            lambda _: f"up to n={n} draws {drawn} samples")
     k = min(n, 4)
     # the samples, the paths of size <= k and the (T, sigma) cases of size
     # <= n: l(lam)! f^lam for each partition lam, by the hook-length formula
     paths = sum(factorial(m) * catalan(m) for m in range(1, k + 1))
     cases = (factorial(len(lam)) * count_srt(lam)
              for m in range(1, n + 1) for lam in partitions_of(m))
-    _check_cap(_charge(chain((samples, paths), cases), cap), cap, "verify bijections")
-    rng = random.Random(args.seed)
+    _charge(chain((drawn, paths), cases), cap, "verify bijections")
+    rng = random.Random(seed)
     for m in range(1, n + 1):
         yield _pct_rt(m)
     for m in range(1, k + 1):
         yield _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
     for m in range(5, n + 1):
         # each sampled path is checked before its tree is drawn from ``rng``
-        paths = (random_ldyck(m, rng) for _ in range(per_size))
+        sampled = (random_ldyck(m, rng) for _ in range(samples))
         yield _round_trips(
-            "sampled", m, paths,
+            "sampled", m, sampled,
             lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
         )
 
 
-def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    max_size = args.max_size if args.max_size is not None else 5
-    shapes = (a for m in range(1, max_size + 1) for a in compositions_of(m))
-    for shape in _predicted(shapes, cap, "verify classes"):
+def _suite_classes(cap: int, max_size: int) -> Iterator[Check]:
+    for shape in _charged_shapes(lambda: _compositions(max_size), cap, "verify classes"):
         name = format_composition(shape)
         try:
             classes = equivalence_classes(shape)
@@ -405,36 +396,40 @@ def _suite_classes(args: argparse.Namespace, cap: int) -> Iterator[Check]:
             yield {"shape": name, "classes": len(classes), "pass": True}, None
 
 
-def _suite_pairs(args: argparse.Namespace, cap: int) -> Iterator[Check]:
-    max_n = args.max_n if args.max_n is not None else 4
-    tests = _charge((factorial(n) ** 2 for n in range(1, max_n + 1)), cap)
-    if tests > cap:
-        raise GuardExceeded(f"verify pairs up to n={max_n} needs {tests} pair tests")
+def _suite_pairs(cap: int, max_n: int) -> Iterator[Check]:
+    _charge((factorial(n) ** 2 for n in range(1, max_n + 1)), cap, "verify pairs",
+            lambda tests: f"up to n={max_n} needs {tests} pair tests")
     for n in range(1, max_n + 1):
         row = verify_pairs(n)
         yield row, None if row["pass"] else f"n={n}: {row}"
 
 
-# each suite and the optional flags it takes
+# each suite, and the optional flags it takes with their defaults
 _SUITES = {
-    "hecke": (_suite_hecke, ("shape", "max_n")),
-    "counts": (_suite_counts, ("max_n",)),
-    "bijections": (_suite_bijections, ("n", "samples", "seed")),
-    "classes": (_suite_classes, ("max_size",)),
-    "pairs": (_suite_pairs, ("max_n",)),
+    "hecke": (_suite_hecke, {"shape": None, "max_n": 4}),
+    "counts": (_suite_counts, {"max_n": 4}),
+    "bijections": (_suite_bijections, {"n": 4, "samples": 200, "seed": 0}),
+    "classes": (_suite_classes, {"max_size": 5}),
+    "pairs": (_suite_pairs, {"max_n": 4}),
 }
 
 
 def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
-    suite, _ = _SUITES[args.suite]
+    suite, takes = _SUITES[args.suite]
     _refuse_flags(args, "verify", args.suite, {k: flags for k, (_, flags) in _SUITES.items()})
-    if args.suite == "bijections" and args.seed is None:
-        args.seed = 0  # the samples' seed, reported with them
-    checks = list(suite(args, cap))
+    values = {flag: getattr(args, flag) for flag in takes}
+    # hecke's one --shape takes no size, so no default either
+    if values.get("shape") is None:
+        values = {flag: default if values[flag] is None else values[flag]
+                  for flag, default in takes.items()}
+    elif values["max_n"] is not None:
+        raise ValueError("verify hecke takes --shape or --max-n, not both")
+    checks = list(suite(cap, **values))
     rows = [row for row, _ in checks]
     witnesses = [witness for _, witness in checks if witness is not None]
-    names = ("suite", "shape", "max_n", "n", "max_size", "seed")
-    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    # the report names the sizes and the seed; the sample count shows in the rows
+    params = {"suite": args.suite} | {
+        k: v for k, v in values.items() if v is not None and k != "samples"}
     results: dict = {"checks": rows, "passed": not witnesses}
     if witnesses:
         results["counterexample"] = witnesses[0]
@@ -450,8 +445,8 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
-    if _charge(_transfer_costs([n], cap), cap) > cap:
-        raise GuardExceeded(f"stats quadruple at n={n} needs more than {cap} transfer steps")
+    _charge(_transfer_costs([n], cap), cap, "stats quadruple",
+            lambda _: f"at n={n} needs more than {cap} transfer steps")
     tableau_side = descent_quadruple_counts(n)
     tree_side = edge_stats_counts(n)
     quadruples = sorted(set(tableau_side) | set(tree_side))

@@ -243,6 +243,8 @@ def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
     and down-step at position q gives row i the entries q then p."""
     _require_canonical(d)
     n = d.semi_length
+    if n == 0:
+        raise ValueError("need at least one row: 0")
     ups, downs = iter(up_step_labels(d)), iter(d.down_labels)
     up_at = [0] * (n + 1)
     down_at = [0] * (n + 1)

@@ -82,10 +82,14 @@ def _classify(r1: int, c1: int, r2: int, c2: int) -> DescentClass:
 
 
 def classify(t: Tableau, i: int) -> DescentClass:
-    """Is i a descent of t, and if so, are i and i+1 attacking?"""
+    """Is i a descent of t, and if so, are i and i+1 attacking?
+
+    Raises ValueError unless i is an int in 1..n-1; a bool is not.
+    """
     pos = positions(t)
-    if not 1 <= i <= t.size - 1:
-        raise ValueError(f"index out of range: {i}")
+    # exact type test: a float passes the range test, and a bool is an int
+    if type(i) is not int or not 1 <= i <= t.size - 1:
+        raise ValueError(f"index must be an integer in 1..{t.size - 1}: {i!r}")
     return _classify(*pos[i], *pos[i + 1])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,11 +13,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tabkit import cli
 from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
-from tabkit.dyck import catalan
+from tabkit.dyck import LabeledDyckPath, catalan
 from tabkit.tableaux import Tableau
+from tabkit.trees import Node, ldyck_to_ltree
 
 
 def run(capsys, *argv):
@@ -300,6 +303,28 @@ def test_verify_refuses_flags_of_other_suites(capsys, argv, flag):
     assert err == f"error: verify {argv[1]} does not take {flag}\n"
 
 
+def test_verify_parser_takes_exactly_the_flags_the_suites_declare():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["verify"]._actions if a.option_strings}
+    declared = {flag for _, takes in _SUITES.values() for flag in takes}
+    assert flags - {"help", "format", "max_objects"} == declared
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (("counts",), {"suite": "counts", "max_n": 4}),
+    (("classes",), {"suite": "classes", "max_size": 5}),
+    (("bijections",), {"suite": "bijections", "n": 4, "seed": 0}),
+    (("pairs",), {"suite": "pairs", "max_n": 4}),
+    (("hecke",), {"suite": "hecke", "max_n": 4}),
+    (("hecke", "--shape", "2,2"), {"suite": "hecke", "shape": "2,2"}),
+], ids=["counts", "classes", "bijections", "pairs", "hecke", "hecke-shape"])
+def test_verify_reports_the_sizes_a_default_run_used(capsys, argv, parameters):
+    report = run_json(capsys, "verify", *argv)
+    assert report["parameters"] == parameters
+    assert report["results"]["passed"] is True
+
+
 def test_verify_bijections_draws_200_samples_by_default(capsys):
     rows = run_json(capsys, "verify", "bijections", "--n", "5")["results"]["checks"]
     assert [row["cases"] for row in rows if row["check"] == "sampled"] == [200]
@@ -314,6 +339,19 @@ def test_enumerate_counts_without_walking(capsys, monkeypatch):
     assert report["results"]["count"] == 2_162_160
     report = run_json(capsys, "enumerate", "srt", "--shape", "4,3,1")
     assert report["results"]["count"] == 70
+
+
+def test_enumerate_srt_counts_by_the_hook_lengths(capsys, monkeypatch):
+    def transfer(*args):
+        raise AssertionError("count_spct was called")
+
+    monkeypatch.setattr("tabkit.cli.count_spct", transfer)
+    # f^(3,2) = 5!/(4*3*1*2*1) = 5
+    argv = ("enumerate", "srt", "--shape", "3,2")
+    code, out, err = run(capsys, *argv, "--max-objects", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: enumerate srt passed 4 objects")
+    assert run_json(capsys, *argv, "--max-objects", "5")["results"]["count"] == 5
 
 
 def test_enumerate_refuses_a_listing_before_writing_it(capsys, tmp_path):
@@ -540,6 +578,12 @@ def test_map_empty_path_is_usage_error(capsys, monkeypatch):
     code, out, err = map_stdin(capsys, monkeypatch, "ldyck-to-ltree", {"steps": []})
     assert code == 2 and out == ""
     assert err == "error: need at least one node: 0\n"
+
+
+def test_map_empty_path_has_no_tableau(capsys, monkeypatch):
+    code, out, err = map_stdin(capsys, monkeypatch, "ldyck-to-spct", {"steps": []})
+    assert code == 2 and out == ""
+    assert err == "error: need at least one row: 0\n"
 
 
 JSON_KEYS = ("steps", "n", "rows", "shape", "reverse", "label", "left", "right")
@@ -819,6 +863,19 @@ def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
     assert results["counterexample"] == (
         "rt_to_pct of ((1,),) under type (1,) is not a valid PCT: ((1,), (1,))"
     )
+
+
+def test_a_moved_deep_tree_is_named_without_recursion(monkeypatch):
+    # the left path of 1,500 nodes, deeper than the default recursion limit
+    comb = ldyck_to_ltree(
+        LabeledDyckPath(("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)))
+    )
+    assert cli._tree_moved(comb) is None
+    monkeypatch.setattr("tabkit.cli.ldyck_to_ltree", lambda d: Node(1))
+    witness = cli._tree_moved(comb)
+    assert witness.startswith("tree/path round trip moved the tree with (label, has a "
+                              "left child, has a right child) in preorder ((1500, True, False), ")
+    assert witness.endswith(", (2, True, False), (1, False, False))")
 
 
 def test_unknown_command_is_usage_error(capsys):

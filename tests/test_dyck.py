@@ -206,6 +206,12 @@ def test_conversion_rejects_bad_input():
         ldyck_to_spct(LabeledDyckPath(("U", "D3", "U", "D1")))  # not canonical
 
 
+def test_the_empty_path_has_no_tableau():
+    # a Tableau needs at least one row
+    with pytest.raises(ValueError, match="^need at least one row: 0$"):
+        ldyck_to_spct(ldyck_from_json({"steps": []}))
+
+
 def test_spct_to_ldyck_accepts_exactly_the_valid_standard_fillings():
     # every filling of (2)^n by 1..2n, n <= 4 (41,066 in all): the round
     # trip through ldyck_to_spct decides validity as validate_pct does

@@ -59,6 +59,22 @@ def test_classify_known():
         classify(SPCT_1324, 0)
 
 
+@pytest.mark.parametrize("rows, kind", [
+    ([[3, 2], [1]], "moved"),
+    ([[2, 1], [3]], "fixed"),
+    ([[1], [2]], "zero"),
+])
+def test_an_index_that_is_not_an_int_is_refused(rows, kind):
+    t = Tableau.from_rows(rows)
+    assert pi(t, 1).kind == kind
+    # a float passes the range test, and a bool is an int
+    message = rf"^index must be an integer in 1\.\.{t.size - 1}: "
+    for i in (1.5, True):
+        for call in (lambda: classify(t, i), lambda: pi(t, i), lambda: apply_word(t, [i])):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_swap_entries():
     t = Tableau.from_rows([[2, 1], [4, 3]])
     assert swap_entries(t, 2).rows == ((3, 1), (4, 2))
