@@ -141,13 +141,11 @@ def _compositions(max_size: int) -> Iterator[Composition]:
     return (shape for m in range(1, max_size + 1) for shape in compositions_of(m))
 
 
-def _charged_shapes(shapes: Callable[[], Iterable[Composition]], cap: int,
-                    what: str) -> Iterable[Composition]:
-    """``shapes()``, once the tableaux of every shape, counted without
-    listing, are charged.  The shapes are generated twice and never listed:
-    a size past the cap can have more shapes than memory holds."""
-    _charge((count_spct(shape, cap) for shape in shapes()), cap, what)
-    return shapes()
+def _spct_costs(max_size: int) -> Iterator[int]:
+    """Lazily, l(lam)! f^lam for each partition lam of size 1..max_size: the
+    standard PCTs, by their bijection onto the (T, sigma) of each shape lam."""
+    return (factorial(len(lam)) * count_srt(lam)
+            for m in range(1, max_size + 1) for lam in partitions_of(m))
 
 
 def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
@@ -264,10 +262,12 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
 
 def _suite_hecke(cap: int, shape: str | None, max_n: int | None) -> Iterator[Check]:
     if max_n is None:
-        shapes = lambda: [parse_composition(shape)]
+        one = parse_composition(shape)
+        shapes, costs = [one], [count_spct(one, cap)]
     else:
-        shapes = lambda: _compositions(max_n)
-    for alpha in _charged_shapes(shapes, cap, "verify hecke"):
+        shapes, costs = _compositions(max_n), _spct_costs(max_n)
+    _charge(costs, cap, "verify hecke")
+    for alpha in shapes:
         rep = verify_hecke_relations(alpha)
         name = format_composition(alpha)
         row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
@@ -321,7 +321,7 @@ def _path_moved(d: LabeledDyckPath) -> str | None:
 
 def _tree_moved(tree: Node) -> str | None:
     if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
-        # named by the preorder key of its equality: the repr recurses
+        # named by the preorder key of its equality, shorter than its repr
         return (f"tree/path round trip moved the tree with (label, has a left child, "
                 f"has a right child) in preorder {tree._key()}")
     return None
@@ -365,12 +365,9 @@ def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Che
     _charge([drawn], cap, "verify bijections",
             lambda _: f"up to n={n} draws {drawn} samples")
     k = min(n, 4)
-    # the samples, the paths of size <= k and the (T, sigma) cases of size
-    # <= n: l(lam)! f^lam for each partition lam, by the hook-length formula
+    # the samples, the paths of size <= k and the (T, sigma) cases of size <= n
     paths = sum(factorial(m) * catalan(m) for m in range(1, k + 1))
-    cases = (factorial(len(lam)) * count_srt(lam)
-             for m in range(1, n + 1) for lam in partitions_of(m))
-    _charge(chain((drawn, paths), cases), cap, "verify bijections")
+    _charge(chain((drawn, paths), _spct_costs(n)), cap, "verify bijections")
     rng = random.Random(seed)
     for m in range(1, n + 1):
         yield _pct_rt(m)
@@ -386,7 +383,8 @@ def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Che
 
 
 def _suite_classes(cap: int, max_size: int) -> Iterator[Check]:
-    for shape in _charged_shapes(lambda: _compositions(max_size), cap, "verify classes"):
+    _charge(_spct_costs(max_size), cap, "verify classes")
+    for shape in _compositions(max_size):
         name = format_composition(shape)
         try:
             classes = equivalence_classes(shape)

@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import combinations
 from operator import itemgetter
 
-from .core import Perm, check_composition
+from .core import Perm, apply_left_swap, check_composition
 from .tableaux import (
     Rows,
     Tableau,
@@ -102,12 +102,7 @@ def swap_entries(t: Tableau, i: int) -> Tableau:
     # exact type test: bool is an int subclass and must not pass
     if type(i) is not int or i < 1:
         raise ValueError(f"index must be a positive integer: {i!r}")
-    return Tableau._trusted(
-        tuple(
-            tuple(i + 1 if x == i else i if x == i + 1 else x for x in row)
-            for row in t.rows
-        )
-    )
+    return Tableau._trusted(tuple(apply_left_swap(row, i) for row in t.rows))
 
 
 def pi(t: Tableau, i: int) -> HeckeResult:

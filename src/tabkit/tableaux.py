@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import TypeVar
 
 from .core import (
@@ -725,13 +725,22 @@ def count_srt(partition: Sequence[int]) -> int:
     5
     """
     lam = _partition(partition)
-    heights = [sum(part > j for part in lam) for j in range(lam[0])]
-    hooks = 1
-    for i, part in enumerate(lam):
-        for j in range(part):
-            # the cell (i, j), the cells right of it and the cells below it
-            hooks *= part - j + heights[j] - i - 1
-    return factorial(sum(lam)) // hooks
+    # the height of each column, filled in from the shortest row up
+    heights: list[int] = []
+    for i in range(len(lam), 0, -1):
+        heights += [i] * (lam[i - 1] - len(heights))
+    # the cell (i, j), the cells right of it and the cells below it
+    hooks = [part - j + heights[j] - i - 1 for i, part in enumerate(lam) for j in range(part)]
+    return factorial(len(hooks)) // _product(hooks)
+
+
+def _product(factors: list[int]) -> int:
+    """The product of ``factors``, halves first: one running product of many
+    factors multiplies an ever longer bigint, which is quadratic."""
+    if len(factors) <= 64:
+        return prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def _partition(shape: Sequence[int]) -> Composition:

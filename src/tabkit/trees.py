@@ -69,6 +69,18 @@ class Node:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __repr__(self) -> str:
+        # the text of the generated dataclass repr, built by an explicit stack
+        out: list[str] = []
+        stack: list[Node | str | None] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Node):
+                stack += [")", item.right, ", right=", item.left, ", left="]
+                item = f"{type(item).__qualname__}(label={item.label!r}"
+            out.append(item if isinstance(item, str) else repr(item))
+        return "".join(out)
+
 
 def _preorder(t: Node) -> Iterator[Node]:
     """Every node of t in preorder (node, left, right), by an explicit stack."""

@@ -743,18 +743,22 @@ def test_negative_env_cap_is_usage_error(capsys, monkeypatch):
     assert err == "error: TK_MAX_OBJECTS must be nonnegative: -1\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "hecke", "--max-n", "3"),
-    ("verify", "classes", "--max-size", "3"),
-], ids=["hecke", "classes"])
-def test_verify_suites_cap_tableaux_not_shapes(capsys, argv):
+@pytest.mark.parametrize("argv, total, shapes", [
     # the 7 shapes of sizes 1, 2 and 3 hold 1 + 3 + 11 = 15 tableaux
-    code, out, err = run(capsys, *argv, "--max-objects", "14")
+    (("verify", "hecke", "--max-n", "3"), 15, 7),
+    (("verify", "classes", "--max-size", "3"), 15, 7),
+    # the 31 shapes of size <= 5 hold 15 + 53 + 301 = 369
+    (("verify", "hecke", "--max-n", "5"), 369, 31),
+    # and the 32 of size 6 hold 2,001 more
+    (("verify", "classes", "--max-size", "6"), 2370, 63),
+], ids=["hecke", "classes", "hecke-5", "classes-6"])
+def test_verify_suites_cap_tableaux_not_shapes(capsys, argv, total, shapes):
+    code, out, err = run(capsys, *argv, "--max-objects", str(total - 1))
     assert code == 2 and out == ""
-    assert err.startswith(f"refused: verify {argv[1]} passed 14 objects")
-    report = run_json(capsys, *argv, "--max-objects", "15")
+    assert err.startswith(f"refused: verify {argv[1]} passed {total - 1} objects")
+    report = run_json(capsys, *argv, "--max-objects", str(total))
     assert report["results"]["passed"] is True
-    assert len(report["results"]["checks"]) == 7
+    assert len(report["results"]["checks"]) == shapes
 
 
 def test_default_guard_value():
@@ -852,6 +856,20 @@ def test_verify_bijections_refuses_n_10_without_counting_shapes(capsys, monkeypa
     code, out, err = run(capsys, "verify", "bijections", "--n", "10", "--samples", "0")
     assert code == 2 and out == "" and calls == []
     assert err.startswith(f"refused: verify bijections passed {DEFAULT_MAX_OBJECTS} objects")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hecke", "--max-n", "10"),
+    ("verify", "classes", "--max-size", "10"),
+], ids=["hecke", "classes"])
+def test_verify_pct_suites_refuse_size_10_without_counting_shapes(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
+    monkeypatch.setattr("tabkit.cli.count_spct", lambda *args: calls.append(args))
+    # 13,903,448 standard PCTs of size <= 10, from the hook-length formula
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith(f"refused: {argv[0]} {argv[1]} passed {DEFAULT_MAX_OBJECTS} objects")
 
 
 def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):

@@ -430,6 +430,31 @@ def test_count_srt_is_the_hook_product_and_the_walk_count():
             assert count_srt(lam) == hook_count(lam) == count_spct(lam, sigma=decreasing)
 
 
+@pytest.mark.parametrize("lam", [
+    (40, 30, 20, 10), (10,) * 10, (50,) + (1,) * 50, (9, 9, 8, 8, 7, 5, 3, 3, 1),
+])
+def test_count_srt_multiplies_many_hooks_in_halves(lam):
+    # over 64 cells, so the hooks are multiplied as a balanced product
+    assert count_srt(lam) == hook_count(lam)
+
+
+def test_count_srt_counts_a_long_row_and_a_long_column():
+    # a running product of 10^5 hooks took about 5 s
+    assert count_srt((10**5,)) == count_srt((1,) * 10**5) == 1
+
+
+def test_pct_count_by_partitions_is_the_count_by_compositions():
+    # the shape-rearranging bijection: each standard PCT of shape alpha is a
+    # pair (T, sigma), T a reverse tableau of the sorted shape lam and sigma
+    # one of its l(lam)! types
+    total = 0
+    for m in range(1, 9):
+        by_partitions = sum(factorial(len(lam)) * count_srt(lam) for lam in partitions_of(m))
+        assert by_partitions == sum(count_spct(alpha) for alpha in compositions_of(m)), m
+        total += by_partitions
+    assert total == 145_864
+
+
 def test_srt_rejects_non_partition():
     with pytest.raises(ValueError):
         list(enumerate_srt((1, 2)))

@@ -218,6 +218,23 @@ def test_a_tree_of_a_hundred_thousand_nodes_compares_as_a_tree():
     assert back == tree and hash(back) == hash(tree)
 
 
+def test_repr_is_the_dataclass_repr_without_recursion():
+    assert repr(GOLDEN_TREE) == (
+        "Node(label=5, left=Node(label=2, left=Node(label=9, left=None, right=None), "
+        "right=None), right=Node(label=8, left=Node(label=6, left=None, "
+        "right=Node(label=10, left=Node(label=1, left=None, right=Node(label=4, "
+        "left=None, right=None)), right=Node(label=3, left=Node(label=7, left=None, "
+        "right=None), right=None))), right=None))"
+    )
+    # the 1,500-deep left comb and a tree of height 1,107
+    comb = ldyck_to_ltree(LabeledDyckPath(("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501))))
+    text = repr(comb)
+    assert text.startswith("Node(label=1500, left=Node(label=1499, left=")
+    assert text.endswith("Node(label=1, left=None, right=None)" + ", right=None)" * 1499)
+    text = repr(random_ltree(10**5, random.Random(1)))
+    assert text.count("Node(label=") == 10**5 and text.count("None") == 10**5 + 1
+
+
 def _mirror(t):
     return t and Node(t.label, _mirror(t.right), _mirror(t.left))
 
