@@ -22,6 +22,7 @@ rectangle shape (k, ..., k) whose j-th column standardizes to s_j.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -97,14 +98,14 @@ def is_allowable_sequence(seq: tuple[Perm, ...]) -> bool:
     return all(is_allowable_pair(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
-def allowable_pairs(n: int):
+def allowable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """All allowable pairs in the symmetric group on n letters, in
-    lexicographic order; there are (n+1)^(n-1) of them."""
+    lexicographic order; there are (n+1)^(n-1) of them.  A negative n is
+    refused at the call."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative: {n}")
     perms = list(permutations(range(1, n + 1)))
-    for a in perms:
-        for b in perms:
-            if is_allowable_pair(a, b):
-                yield (a, b)
+    return ((a, b) for a in perms for b in perms if is_allowable_pair(a, b))
 
 
 def verify_pairs(n: int) -> dict:

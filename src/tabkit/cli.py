@@ -1,27 +1,23 @@
 """The ``tk`` command line: enumeration, verification, statistics, mappings.
 
-Grammar: ``tk <command> <subcommand> [flags]``.
+Grammar: ``tk <command> <choice> [flags]``.  ``tk enumerate`` counts a
+family without listing it, and lists it only to write a file; ``tk verify``
+runs an invariant suite and exits 1 with a counterexample on failure; ``tk
+stats quadruple`` compares the joint distribution of the four descent
+statistics on two-column standard tableaux with that of the four edge
+statistics on labeled binary trees; ``tk map`` applies one bijection.
 
-- ``tk enumerate {spct|srt|ldyck|ltree}`` counts a family without listing
-  it, and lists it only to write the listing to a file.
-- ``tk verify {hecke|counts|bijections|classes|pairs}`` runs an invariant
-  suite and exits nonzero with a counterexample on failure.
-- ``tk stats quadruple --n N`` compares the joint distribution of the
-  four descent statistics on two-column standard tableaux with the four
-  edge statistics on labeled binary trees.
-- ``tk map <transform>`` applies one bijection to a JSON object.
+Each flag is declared once, in ``_FLAGS``, and each command's choices, with
+the flags each takes and their defaults, once, in ``_COMMANDS``; the parser,
+its help and every flag check are built from the two.  Every command is
+charged, before it starts, with an exact count of its objects or a bound on
+its steps, and refuses when that passes the object cap.  Exit codes: 0 pass,
+1 invariant failure, 2 usage error or refusal.
 
-Every command accepts ``--format {json,csv,text}`` (JSON is canonical); only
-``tk verify bijections``, the one command that samples, takes ``--seed``
-(default 0).  Every command is charged, before it starts, with an exact
-count of its objects or a bound on its steps, and refuses when that passes
-``--max-objects`` (default 10**7, overridable also via the TK_MAX_OBJECTS
-environment variable).  Exit codes: 0 pass, 1 invariant failure, 2 usage
-error or refusal.
-
-Each ``cmd_*`` returns its parameters, results, rows and exit code, and
-``main`` times it and renders the report.  Each verification suite yields
-one ``(row, witness)`` pair per check; the witness is None on a pass.
+Each ``cmd_*`` takes the cap, the choice and the flags' values, and returns
+its parameters, results, rows and exit code; ``main`` times it and renders
+the report.  Each verification suite yields one ``(row, witness)`` pair per
+check; the witness is None on a pass.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, permutations
 from math import factorial
+from typing import NamedTuple
 
 from .allowable import realize_sct, verify_pairs
 from .core import (
@@ -100,9 +97,9 @@ class GuardExceeded(Exception):
     """Raised when a command would enumerate past the configured cap."""
 
 
-def _object_cap(args: argparse.Namespace) -> int:
-    if args.max_objects is not None:
-        return args.max_objects
+def _object_cap(max_objects: int | None) -> int:
+    if max_objects is not None:
+        return max_objects
     env = os.environ.get("TK_MAX_OBJECTS")
     if env:
         try:
@@ -113,14 +110,6 @@ def _object_cap(args: argparse.Namespace) -> int:
             raise ValueError(f"TK_MAX_OBJECTS must be nonnegative: {cap}")
         return cap
     return DEFAULT_MAX_OBJECTS
-
-
-def _check_sizes(args: argparse.Namespace) -> None:
-    """Refuse a negative size, sample count or cap; zero is valid."""
-    for name in ("max_n", "n", "max_size", "samples", "max_objects"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative: {value}")
 
 
 def _charge(costs: Iterable[int], cap: int, what: str,
@@ -153,16 +142,14 @@ def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
     return (cap + 1 if n >= cap.bit_length() else _two_column_work(n) for n in sizes)
 
 
-def _refuse_flags(args: argparse.Namespace, command: str, choice: str, takes: dict) -> None:
-    """Refuse ``--seed``, or a flag that ``takes`` declares, unless ``choice`` takes it."""
-    for flag in dict.fromkeys((*chain.from_iterable(takes.values()), "seed")):
-        if getattr(args, flag) is not None and flag not in takes[choice]:
-            typed = "in" if flag == "infile" else flag.replace("_", "-")
-            raise ValueError(f"{command} {choice} does not take --{typed}")
-
-
 # ---------------------------------------------------------------------------
 # report rendering
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _cell(value) -> str:
@@ -210,48 +197,36 @@ def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
 # tk enumerate
 
 
-# the optional flags each kind takes
-_KINDS = {"spct": ("shape", "sigma"), "srt": ("shape",), "ldyck": ("n",), "ltree": ("n",)}
-
-
-def cmd_enumerate(args: argparse.Namespace, cap: int) -> Outcome:
-    kind = args.kind
-    _refuse_flags(args, "enumerate", kind, _KINDS)
+def cmd_enumerate(cap: int, kind: str, shape: str | None = None, sigma: str | None = None,
+                  n: int | None = None, listing: str | None = None) -> Outcome:
     params: dict = {}
     if kind in ("spct", "srt"):
-        if args.shape is None:
-            raise ValueError(f"enumerate {kind} requires --shape")
-        shape = parse_composition(args.shape)
+        shape = parse_composition(shape)
         params["shape"] = list(shape)
         if kind == "srt":
             count = count_srt(shape)
             objects = lambda: enumerate_srt(shape)
-        elif args.sigma is not None:
-            sigma = parse_permutation(args.sigma)
-            params["sigma"] = list(sigma)
-            count = count_spct(shape, cap, sigma)
-            objects = lambda: enumerate_spct_sigma(shape, sigma)
         else:
-            count = count_spct(shape, cap)
-            objects = lambda: enumerate_spct(shape)
+            if sigma is not None:
+                sigma = parse_permutation(sigma)
+                params["sigma"] = list(sigma)
+            count = count_spct(shape, cap, sigma)
+            objects = lambda: (enumerate_spct(shape) if sigma is None
+                               else enumerate_spct_sigma(shape, sigma))
     else:
-        if args.n is None:
-            raise ValueError(f"enumerate {kind} requires --n")
-        n = params["n"] = args.n
+        params["n"] = n
         if kind == "ltree" and n < 1:
             raise ValueError(f"need at least one node: {n}")
-        count = factorial(n) * catalan(n)
+        # n! Cat(n) >= 2^(n-1), so a large n passes the cap uncomputed
+        count = cap + 1 if n > cap.bit_length() else factorial(n) * catalan(n)
         objects = lambda: enumerate_ldyck(n) if kind == "ldyck" else enumerate_ltrees(n)
     _charge([count], cap, f"enumerate {kind}")
 
     results: dict = {"kind": kind, "count": count}
-    if args.list is not None:
+    if listing is not None:
         as_json = tree_to_json if kind == "ltree" else lambda obj: obj.to_json()
-        listing = [as_json(obj) for obj in objects()]
-        with open(args.list, "w", encoding="utf-8") as fh:
-            json.dump(listing, fh, indent=2)
-            fh.write("\n")
-        results["listing_file"] = args.list
+        _write_json(listing, [as_json(obj) for obj in objects()])
+        results["listing_file"] = listing
     rows = [{"kind": kind, **params, "count": count}]
     return params | {"kind": kind}, results, rows, 0
 
@@ -412,21 +387,12 @@ _SUITES = {
 }
 
 
-def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
-    suite, takes = _SUITES[args.suite]
-    _refuse_flags(args, "verify", args.suite, {k: flags for k, (_, flags) in _SUITES.items()})
-    values = {flag: getattr(args, flag) for flag in takes}
-    # hecke's one --shape takes no size, so no default either
-    if values.get("shape") is None:
-        values = {flag: default if values[flag] is None else values[flag]
-                  for flag, default in takes.items()}
-    elif values["max_n"] is not None:
-        raise ValueError("verify hecke takes --shape or --max-n, not both")
-    checks = list(suite(cap, **values))
+def cmd_verify(cap: int, suite: str, **values) -> Outcome:
+    checks = list(_SUITES[suite][0](cap, **values))
     rows = [row for row, _ in checks]
     witnesses = [witness for _, witness in checks if witness is not None]
     # the report names the sizes and the seed; the sample count shows in the rows
-    params = {"suite": args.suite} | {
+    params = {"suite": suite} | {
         k: v for k, v in values.items() if v is not None and k != "samples"}
     results: dict = {"checks": rows, "passed": not witnesses}
     if witnesses:
@@ -438,9 +404,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> Outcome:
 # tk stats
 
 
-def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
-    _refuse_flags(args, "stats", args.kind, {"quadruple": ()})
-    n = args.n
+def cmd_stats(cap: int, kind: str, n: int) -> Outcome:
     if n < 1:
         raise ValueError(f"--n must be at least 1: {n}")
     _charge(_transfer_costs([n], cap), cap, "stats quadruple",
@@ -448,14 +412,8 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
     tableau_side = descent_quadruple_counts(n)
     tree_side = edge_stats_counts(n)
     quadruples = sorted(set(tableau_side) | set(tree_side))
-    rows = [
-        {
-            "quadruple": ",".join(map(str, q)),
-            "tableaux": tableau_side.get(q, 0),
-            "trees": tree_side.get(q, 0),
-        }
-        for q in quadruples
-    ]
+    rows = [{"quadruple": ",".join(map(str, q)), "tableaux": tableau_side.get(q, 0),
+             "trees": tree_side.get(q, 0)} for q in quadruples]
     equal = tableau_side == tree_side
     results = {
         "distribution": rows,
@@ -463,7 +421,7 @@ def cmd_stats(args: argparse.Namespace, cap: int) -> Outcome:
         "distinct_quadruples": len(quadruples),
         "equal": equal,
     }
-    return {"kind": "quadruple", "n": n}, results, rows, 0 if equal else 1
+    return {"kind": kind, "n": n}, results, rows, 0 if equal else 1
 
 
 # ---------------------------------------------------------------------------
@@ -490,127 +448,176 @@ def _load_tableau(data: dict, kind: type) -> Tableau | ReverseTableau:
     return obj
 
 
-def _rt_to_pct(data: dict, args: argparse.Namespace, params: dict) -> dict:
-    if args.sigma is None:
-        raise ValueError(f"map {args.transform} requires --sigma")
-    sigma = parse_permutation(args.sigma)
-    params["sigma"] = format_permutation(sigma)
-    return rt_to_pct(_load_tableau(data, ReverseTableau), sigma).to_json()
-
-
-# (input JSON, arguments, parameters to report) -> output JSON
-_TRANSFORMS: dict[str, Callable[[dict, argparse.Namespace, dict], dict]] = {
-    "pct-to-rt": lambda js, *_: pct_to_rt(_load_tableau(js, Tableau)).to_json(),
-    "rt-to-pct": _rt_to_pct,
-    "spct-to-ldyck": lambda js, *_: spct_to_ldyck(_load_tableau(js, Tableau)).to_json(),
-    "ldyck-to-spct": lambda js, *_: ldyck_to_spct(ldyck_from_json(js)).to_json(),
-    "ldyck-to-ltree": lambda js, *_: tree_to_json(ldyck_to_ltree(ldyck_from_json(js))),
-    "ltree-to-ldyck": lambda js, *_: ltree_to_ldyck(tree_from_json(js)).to_json(),
-}
-# the optional flags each transform takes
-_MAP_FLAGS = dict.fromkeys(_TRANSFORMS, ("infile",)) | {
-    "rt-to-pct": ("infile", "sigma"), "realize-pair": ("a", "b"),
+# (input JSON, the permutations the transform takes) -> output JSON
+_TRANSFORMS: dict[str, Callable[..., dict]] = {
+    "pct-to-rt": lambda js: pct_to_rt(_load_tableau(js, Tableau)).to_json(),
+    "rt-to-pct": lambda js, sigma: rt_to_pct(_load_tableau(js, ReverseTableau),
+                                             sigma).to_json(),
+    "spct-to-ldyck": lambda js: spct_to_ldyck(_load_tableau(js, Tableau)).to_json(),
+    "ldyck-to-spct": lambda js: ldyck_to_spct(ldyck_from_json(js)).to_json(),
+    "ldyck-to-ltree": lambda js: tree_to_json(ldyck_to_ltree(ldyck_from_json(js))),
+    "ltree-to-ldyck": lambda js: ltree_to_ldyck(tree_from_json(js)).to_json(),
 }
 
 
-def cmd_map(args: argparse.Namespace, cap: int) -> Outcome:
-    transform = args.transform
-    _refuse_flags(args, "map", transform, _MAP_FLAGS)
+def cmd_map(cap: int, transform: str, out: str | None = None, infile: str | None = None,
+            **perms: str) -> Outcome:
     params: dict = {"transform": transform}
-    if transform in _TRANSFORMS:
-        if args.infile is None:
-            raise ValueError(f"map {transform} requires --in FILE (or --in -)")
-        params["in"] = args.infile
-        produced = _TRANSFORMS[transform](_load_json(args.infile), args, params)
-    else:
-        if args.a is None or args.b is None:
-            raise ValueError(f"map {transform} requires --a and --b")
-        a = parse_permutation(args.a)
-        b = parse_permutation(args.b)
-        params["a"] = format_permutation(a)
-        params["b"] = format_permutation(b)
-        produced = realize_sct(a, b).to_json()
+    inputs: list = []
+    if infile is not None:  # every transform but realize-pair
+        params["in"] = infile
+        inputs.append(_load_json(infile))
+    for flag, text in perms.items():
+        perm = parse_permutation(text)
+        params[flag] = format_permutation(perm)
+        inputs.append(perm)
+    produced = (_TRANSFORMS[transform](*inputs) if transform in _TRANSFORMS
+                else realize_sct(*inputs).to_json())
 
     results: dict = {"result": produced}
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(produced, fh, indent=2)
-            fh.write("\n")
-        results["output_file"] = args.out
+    if out is not None:
+        _write_json(out, produced)
+        results["output_file"] = out
     rows = [{"key": k, "value": v} for k, v in produced.items()]
     return params, results, rows, 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags and parser
+
+
+class Flag(NamedTuple):
+    """One flag: its option string, help and value type, whether it is a
+    count, and the metavar and the choices of its value."""
+    option: str
+    help: str
+    type: Callable[[str], object] | None = None
+    count: bool = False  # refused below zero
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# every flag of every command, keyed by the name its value is passed under
+_FLAGS = {
+    "format": Flag("--format", "report format (default json)",
+                   choices=("json", "csv", "text")),
+    "max_objects": Flag("--max-objects", f"object cap (default {DEFAULT_MAX_OBJECTS}; "
+                        "env TK_MAX_OBJECTS also applies)", int, True, "N"),
+    "seed": Flag("--seed", "seed of the samples", int),
+    "shape": Flag("--shape", "composition such as 2,2,2"),
+    "sigma": Flag("--sigma", "type of the rows, such as '3 1 2'"),
+    "n": Flag("--n", "size, or the largest size a suite checks", int, True),
+    "max_n": Flag("--max-n", "largest size", int, True),
+    "max_size": Flag("--max-size", "largest shape size", int, True),
+    "samples": Flag("--samples", "samples per size past the exhaustive range", int, True),
+    "listing": Flag("--list", "write the full listing as JSON", metavar="FILE"),
+    "infile": Flag("--in", "input JSON file, or - for stdin", metavar="FILE"),
+    "out": Flag("--out", "write the result JSON here", metavar="FILE"),
+    "a": Flag("--a", "first permutation"),
+    "b": Flag("--b", "second permutation"),
+}
+
+# the flags every choice takes, with their defaults
+_COMMON = {"format": "json", "max_objects": None}
+
+# each command: its function, its help, the name of the positional argument
+# that picks a choice, and each choice's flags with their defaults; the
+# default ... marks a flag that the choice cannot run without
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, "count a family", "kind", {
+        "spct": {"shape": ..., "sigma": None, "listing": None},
+        "srt": {"shape": ..., "listing": None},
+        "ldyck": {"n": ..., "listing": None},
+        "ltree": {"n": ..., "listing": None},
+    }),
+    "verify": (cmd_verify, "run an invariant suite", "suite",
+               {suite: takes for suite, (_, takes) in _SUITES.items()}),
+    "stats": (cmd_stats, "joint distribution tables with equality verdict", "kind",
+              {"quadruple": {"n": ...}}),
+    "map": (cmd_map, "apply one bijection", "transform",
+            dict.fromkeys(_TRANSFORMS, {"infile": ..., "out": None}) | {
+                "rt-to-pct": {"infile": ..., "out": None, "sigma": ...},
+                "realize-pair": {"a": ..., "b": ..., "out": None},
+            }),
+}
+
+
+def _helps(flags: Iterable[str], choices: dict[str, dict]) -> dict[str, str]:
+    """The help of each of ``flags``, naming the ``choices`` that take it."""
+    takers = {dest: ", ".join(c for c, takes in choices.items() if dest in takes)
+              for dest in flags}
+    return {dest: f"{_FLAGS[dest].help} ({names})" for dest, names in takers.items()}
+
+
+# Every parser shares the flags every choice takes, and --seed, accepted
+# everywhere so that a choice that does not take it refuses it by name.  The
+# help is built once, so that build_parser, run by every main, formats none.
+_SHARED = {dest: _FLAGS[dest].help for dest in _COMMON} | _helps(["seed"], {
+    f"{name} {choice}": takes
+    for name, (*_, choices) in _COMMANDS.items() for choice, takes in choices.items()})
+_HELP = {name: _helps([dest for dest in dict.fromkeys(chain(*choices.values()))
+                       if dest not in _SHARED], choices)
+         for name, (*_, choices) in _COMMANDS.items()}
+
+
+def _add_flags(parser: argparse.ArgumentParser, helps: dict[str, str]) -> None:
+    for dest, help in helps.items():
+        flag = _FLAGS[dest]
+        parser.add_argument(flag.option, dest=dest, type=flag.type, metavar=flag.metavar,
+                            choices=flag.choices, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-        help="output format (default json)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for the samples of verify bijections (default 0)",
-    )
-    common.add_argument(
-        "--max-objects", type=int, default=None, metavar="N",
-        help=f"object cap per command (default {DEFAULT_MAX_OBJECTS}; "
-        "env TK_MAX_OBJECTS also applies)",
-    )
-
+    _add_flags(common, _SHARED)
     parser = argparse.ArgumentParser(
         prog="tk",
         description="Composition tableaux, labeled Dyck paths, labeled "
         "binary trees, and the bijections connecting them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", parents=[common], help="count a family")
-    p.add_argument("kind", choices=tuple(_KINDS))
-    p.add_argument("--shape", help="composition such as 2,2,2 (spct/srt)")
-    p.add_argument("--sigma", help="restrict spct to one type, e.g. '3 1 2'")
-    p.add_argument("--n", type=int, help="semi-length or node count (ldyck/ltree)")
-    p.add_argument("--list", metavar="FILE", help="write the full listing as JSON")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("verify", parents=[common], help="run an invariant suite")
-    p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--shape", help="single shape for the hecke suite")
-    p.add_argument("--max-n", type=int, help="largest size (hecke/counts/pairs)")
-    p.add_argument("--n", type=int, help="largest size (bijections)")
-    p.add_argument("--max-size", type=int, help="largest shape size (classes)")
-    p.add_argument("--samples", type=int,
-                   help="sample count beyond the exhaustive range (default 200)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("stats", parents=[common],
-                       help="joint distribution tables with equality verdict")
-    p.add_argument("kind", choices=("quadruple",))
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("map", parents=[common], help="apply one bijection")
-    p.add_argument("transform", choices=tuple(_MAP_FLAGS))
-    p.add_argument("--in", dest="infile", metavar="FILE",
-                   help="input JSON file, or - for stdin")
-    p.add_argument("--out", metavar="FILE", help="write the result JSON here")
-    p.add_argument("--sigma", help="row type for rt-to-pct, e.g. '3 1 4 2'")
-    p.add_argument("--a", help="first permutation for realize-pair")
-    p.add_argument("--b", help="second permutation for realize-pair")
-    p.set_defaults(func=cmd_map)
-
+    for name, (_, help, positional, choices) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.add_argument(positional, choices=tuple(choices))
+        _add_flags(p, _HELP[name])
     return parser
+
+
+def _values(args: argparse.Namespace, name: str, choice: str, takes: dict) -> dict:
+    """The value of each flag of ``takes``, the flags ``choice`` takes, given
+    or defaulted.  Refuse any other flag of the command ``name``, a count
+    below zero and a missing required flag."""
+    values = _COMMON | takes
+    for dest in chain(_SHARED, _HELP[name]):
+        value = getattr(args, dest)
+        if value is not None:
+            flag = _FLAGS[dest]
+            if dest not in values:
+                raise ValueError(f"{name} {choice} does not take {flag.option}")
+            if flag.count and value < 0:
+                raise ValueError(f"{flag.option} must be nonnegative: {value}")
+            values[dest] = value
+    if choice == "hecke" and args.shape is not None:
+        # one shape takes no size, so no default either
+        if args.max_n is not None:
+            raise ValueError("verify hecke takes --shape or --max-n, not both")
+        values["max_n"] = None
+    missing = [dest for dest, value in values.items() if value is ...]
+    if missing:
+        raise ValueError(f"{name} {choice} requires {_FLAGS[missing[0]].option}")
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, positional, choices = _COMMANDS[args.command]
+    choice = getattr(args, positional)
     try:
-        _check_sizes(args)
+        values = _values(args, args.command, choice, choices[choice])
+        fmt = values.pop("format")
+        cap = _object_cap(values.pop("max_objects"))
         started = time.perf_counter()
-        parameters, results, rows, code = args.func(args, _object_cap(args))
+        parameters, results, rows, code = run(cap, choice, **values)
         report = {
             "command": args.command,
             "parameters": parameters,
@@ -618,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
             "elapsed_seconds": round(time.perf_counter() - started, 6),
         }
         try:
-            _emit(args.format, report, rows)
+            _emit(fmt, report, rows)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader closed stdout early: leave with the command's code,

@@ -190,7 +190,10 @@ def validate_pct(t: Tableau) -> ValidationResult:
     On success the result carries the type: the standardization of the first
     column read top to bottom.  Validity is decided by ``_is_pct`` in one
     sweep over the rows, O(cells log n); the violations are listed only for
-    input it rejects.
+    input it rejects, by a loop over every pair of rows, O(l^2) for l rows
+    however few the violations.  So a long tableau takes far longer to
+    reject than to accept: with two columns and one row reversed, the time
+    grows fourfold each time the rows double.
     """
     if _is_pct(t.rows, t.size):
         return ValidationResult(standardize([row[0] for row in t.rows]), ())

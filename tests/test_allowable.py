@@ -91,6 +91,13 @@ def test_allowable_pairs_counts():
     ]
 
 
+def test_allowable_pairs_refuses_a_negative_size_at_the_call():
+    with pytest.raises(ValueError, match="n must be nonnegative: -1"):
+        allowable_pairs(-1)
+    # the empty permutation pairs with itself
+    assert list(allowable_pairs(0)) == [((), ())]
+
+
 def test_allowable_pairs_sound_and_complete():
     for n in range(1, 5):
         listed = set(allowable_pairs(n))

@@ -1,8 +1,8 @@
-import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -208,6 +208,22 @@ def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
     assert report["results"]["passed"] is True
 
 
+@pytest.mark.parametrize("kind", ["ldyck", "ltree"])
+def test_enumerate_refuses_a_large_n_at_once(capsys, monkeypatch, kind):
+    monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
+    sizes = []
+    monkeypatch.setattr("tabkit.cli.factorial", lambda n: sizes.append(n) or factorial(n))
+    code, out, err = run(capsys, "enumerate", kind, "--n", "300000")
+    assert code == 2 and out == ""
+    assert err.startswith(f"refused: enumerate {kind} passed {DEFAULT_MAX_OBJECTS} objects")
+    assert sizes == []
+    # 8! Cat(8) = 57,657,600 is still counted, and fits a cap of exactly that
+    argv = ("enumerate", kind, "--n", "8", "--max-objects")
+    code, out, err = run(capsys, *argv, "57657599")
+    assert code == 2 and out == "" and sizes == [8]
+    assert run_json(capsys, *argv, "57657600")["results"]["count"] == 57_657_600
+
+
 def test_verify_pairs_refuses_a_large_n_at_once(capsys, monkeypatch):
     sizes = []
     monkeypatch.setattr("tabkit.cli.factorial", lambda n: sizes.append(n) or factorial(n))
@@ -303,12 +319,54 @@ def test_verify_refuses_flags_of_other_suites(capsys, argv, flag):
     assert err == f"error: verify {argv[1]} does not take {flag}\n"
 
 
-def test_verify_parser_takes_exactly_the_flags_the_suites_declare():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest for a in sub.choices["verify"]._actions if a.option_strings}
-    declared = {flag for _, takes in _SUITES.values() for flag in takes}
-    assert flags - {"help", "format", "max_objects"} == declared
+# a valid value for each flag that some choice requires
+REQUIRED_VALUES = {"shape": "2,2", "n": "2", "infile": "-", "sigma": "1 2", "a": "1 2",
+                   "b": "2 1"}
+
+
+def required_argv(takes, but):
+    """The flags ``takes`` requires, but ``but``, each with a valid value."""
+    return [arg for dest, default in takes.items() if default is ... and dest != but
+            for arg in (cli._FLAGS[dest].option, REQUIRED_VALUES[dest])]
+
+
+def test_every_flag_is_taken_refused_or_required_as_the_table_declares(capsys):
+    """Each flag of each command's parser, on each choice: refused by name if
+    the choice does not take it, reported missing (exit 2 from ``main``, not
+    a ``SystemExit``) if the choice requires it, and refused below zero if
+    it is a count.  Every refusal comes before any input is read."""
+    for name, (*_, choices) in cli._COMMANDS.items():
+        for choice, takes in choices.items():
+            takes = cli._COMMON | takes
+            for dest in (*cli._SHARED, *cli._HELP[name]):
+                option = cli._FLAGS[dest].option
+                argv = (name, choice, *required_argv(takes, dest))
+                if dest not in takes:
+                    expected = f"error: {name} {choice} does not take {option}\n"
+                    assert run(capsys, *argv, option, "1") == (2, "", expected)
+                    continue
+                if takes[dest] is ...:
+                    expected = f"error: {name} {choice} requires {option}\n"
+                    assert run(capsys, *argv) == (2, "", expected)
+                if cli._FLAGS[dest].count:
+                    expected = f"error: {option} must be nonnegative: -1\n"
+                    assert run(capsys, *argv, option, "-1") == (2, "", expected)
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_help_names_the_choices_that_take_each_flag(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "500")  # no help line wraps
+    with pytest.raises(SystemExit) as leave:
+        main([name, "--help"])
+    assert leave.value.code == 0
+    # each option's entry: its first line and, for a long option, the next
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out.split("options:\n", 1)[1])
+    helps = {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+    *_, choices = cli._COMMANDS[name]
+    for dest in cli._HELP[name]:
+        takers = [choice for choice, takes in choices.items() if dest in takes]
+        assert helps[cli._FLAGS[dest].option].endswith(f"({', '.join(takers)})")
+    assert helps["--seed"].endswith("(verify bijections)")
 
 
 @pytest.mark.parametrize("argv, parameters", [
