@@ -30,6 +30,7 @@ import random
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
+from functools import cache
 from itertools import chain, permutations
 from math import factorial
 from typing import NamedTuple
@@ -44,6 +45,7 @@ from .core import (
     parse_composition,
     parse_permutation,
     partitions_of,
+    standardize,
 )
 from .dyck import (
     LabeledDyckPath,
@@ -59,6 +61,9 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
+    _is_pct,
+    _pct_rows,
+    _sorted_columns,
     _two_column_work,
     count_spct,
     count_srt,
@@ -69,7 +74,6 @@ from .tableaux import (
     from_json,
     pct_to_rt,
     rt_to_pct,
-    st_column,
     two_column_census,
 )
 from .trees import (
@@ -274,14 +278,18 @@ def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
         yield row, None if passed else f"n={n}: {row}"
 
 
-def _type_moved(case: tuple[ReverseTableau, Perm]) -> str | None:
-    T, sigma = case
-    t = rt_to_pct(T, sigma)
-    try:
-        back = pct_to_rt(t)  # validates t
-    except ValueError:
-        return f"rt_to_pct of {T.rows} under type {sigma} is not a valid PCT: {t.rows}"
-    if back != T or st_column(t, 1) != sigma:
+def _type_moved(case: tuple[ReverseTableau, list[list[int]], Perm]) -> str | None:
+    # rt_to_pct(T, sigma), pct_to_rt and st_column fused on plain rows: the
+    # image must be a valid PCT whose sorted columns, which pct_to_rt makes
+    # the rows of, are T's, and whose first column standardizes to sigma.
+    # permutations() made sigma, so it is not checked again
+    T, columns, sigma = case
+    rows = _pct_rows(T.rows, sigma)
+    if not _is_pct(rows, sum(map(len, rows))):
+        return (f"rt_to_pct of {T.rows} under type {sigma} is not a valid PCT: "
+                f"{tuple(map(tuple, rows))}")
+    if (_sorted_columns(rows) != columns
+            or standardize([row[0] for row in rows]) != sigma):
         return f"reverse-tableau/tableau round trip moved {T.rows} under type {sigma}"
     return None
 
@@ -315,18 +323,22 @@ def _round_trips(check: str, size: int, cases: Iterable,
     return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad
 
 
+def _pct_rt_cases(m: int) -> Iterator[tuple[ReverseTableau, list[list[int]], Perm]]:
+    # every reverse tableau T of size m with its columns, under every type
+    # sigma of its rows
+    for lam in partitions_of(m):
+        types = list(permutations(range(1, len(lam) + 1)))
+        for T in enumerate_srt(lam):
+            columns = _sorted_columns(T.rows)  # as they stand: they decrease
+            for sigma in types:
+                yield T, columns, sigma
+
+
 def _pct_rt(m: int) -> Check:
-    # every reverse tableau T of size m under every type sigma of its rows:
-    # each image must be a valid PCT that pct_to_rt and its first column
-    # take back to (T, sigma), so the images are distinct standard PCTs of
-    # size m; as many as there are, they are all of them
-    cases = (
-        (T, sigma)
-        for lam in partitions_of(m)
-        for T in enumerate_srt(lam)
-        for sigma in permutations(range(1, len(lam) + 1))
-    )
-    row, bad = _round_trips("pct-rt", m, cases, _type_moved)
+    # each image must be a valid PCT that pct_to_rt and its first column take
+    # back to (T, sigma), so the images are distinct standard PCTs of size m;
+    # as many as there are, they are all of them
+    row, bad = _round_trips("pct-rt", m, _pct_rt_cases(m), _type_moved)
     if bad is None:
         spct = sum(count_spct(alpha) for alpha in compositions_of(m))
         if row["cases"] != spct:
@@ -550,8 +562,7 @@ def _helps(flags: Iterable[str], choices: dict[str, dict]) -> dict[str, str]:
 
 
 # Every parser shares the flags every choice takes, and --seed, accepted
-# everywhere so that a choice that does not take it refuses it by name.  The
-# help is built once, so that build_parser, run by every main, formats none.
+# everywhere so that a choice that does not take it refuses it by name.
 _SHARED = {dest: _FLAGS[dest].help for dest in _COMMON} | _helps(["seed"], {
     f"{name} {choice}": takes
     for name, (*_, choices) in _COMMANDS.items() for choice, takes in choices.items()})
@@ -608,8 +619,15 @@ def _values(args: argparse.Namespace, name: str, choice: str, takes: dict) -> di
     return values
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built by the first main, not at import, and kept: parsing leaves no
+    # state on it, since every parse fills in a new namespace
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     run, _, positional, choices = _COMMANDS[args.command]
     choice = getattr(args, positional)
     try:

@@ -219,20 +219,38 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
     labeled by the row containing i.  On the two-column rectangles the map
     is a bijection with inverse ``ldyck_to_spct``, so the input is valid
     exactly when the steps form a path that ``ldyck_to_spct`` takes back to
-    it; that is checked in O(n log n), without ``validate_pct``.  Each row
-    has one cell in column 1, so the down labels are 1..n, each once.
+    it; that is checked in O(n log n), without ``validate_pct``.  The steps
+    come from one list of integers, the row of each entry; each row has one
+    cell in column 1, so the down labels are 1..n, each once.
     """
     if any(len(row) != 2 for row in t.rows):
         raise ValueError(f"shape must be a two-column rectangle: {t.shape}")
-    try:
-        pos = positions(t)  # raises unless standard
-        cells = [pos[i] for i in range(1, t.size + 1)]
-        steps = tuple("U" if c == 2 else f"D{r}" for r, c in cells)
-        _check_balance(steps, "path")
-        d = LabeledDyckPath._trusted(steps, tuple(r for r, c in cells if c == 1))
+    size = t.size
+    # the row of each entry, negated in column 2, and 0 for an entry that no
+    # cell holds: with 2n cells, the entries are 1..2n when none is 0
+    where = [0] * (size + 1)
+    steps: list[str] = []
+    downs: list[int] = []
+    valid = max(map(max, t.rows)) <= size
+    if valid:
+        for r, (x, y) in enumerate(t.rows, start=1):
+            where[x] = r
+            where[y] = -r
+        height = 0
+        for r in where[1:]:
+            if r < 0:
+                steps.append("U")
+                height += 1
+            elif r and height:
+                steps.append(f"D{r}")
+                downs.append(r)
+                height -= 1
+            else:  # an entry missing, or a step below the ground
+                valid = False
+                break
+    if valid:
+        d = LabeledDyckPath._trusted(tuple(steps), tuple(downs))
         valid = ldyck_to_spct(d).rows == t.rows
-    except ValueError:
-        valid = False
     if not valid:
         raise ValueError("input is not a valid standard tableau")
     return d
@@ -240,19 +258,26 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
 
 def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
     """Rebuild the two-column tableau: label i with its up-step at position p
-    and down-step at position q gives row i the entries q then p."""
+    and down-step at position q gives row i the entries q then p.
+
+    One right-to-left pass gives the up-steps their labels, by the rule of
+    ``up_step_labels``, and records every step's position.
+    """
     _require_canonical(d)
     n = d.semi_length
     if n == 0:
         raise ValueError("need at least one row: 0")
-    ups, downs = iter(up_step_labels(d)), iter(d.down_labels)
     up_at = [0] * (n + 1)
     down_at = [0] * (n + 1)
-    for position, s in enumerate(d.steps, start=1):
+    available: list[int] = []  # heap of the later down labels not yet taken
+    labels = reversed(d.down_labels)
+    for position, s in zip(range(2 * n, 0, -1), reversed(d.steps)):
         if s == "U":
-            up_at[next(ups)] = position
+            up_at[heapq.heappop(available)] = position
         else:
-            down_at[next(downs)] = position
+            label = next(labels)
+            down_at[label] = position
+            heapq.heappush(available, label)
     return Tableau._trusted(tuple(zip(down_at[1:], up_at[1:])))
 
 

@@ -206,37 +206,52 @@ def _is_pct(rows: Rows, n: int) -> bool:
     # later row k.  So each column pair keeps the union of the earlier rows'
     # intervals [b, a], as sorted disjoint intervals with their starts and
     # ends in two lists, and a row's c is looked up before its own interval
-    # joins.  A row's c in the pair j, j+1 is its own b there.
+    # joins.  A row's c in the pair j, j+1 is its own b there.  A pair's
+    # lists are made when the first row reaches column j.  Each merge or
+    # insert is one slice assignment, which shifts the later intervals by
+    # one memmove; ``list.insert`` shifts them one at a time, and at 10^5
+    # rows that is slower.
     firsts: set[int] = set()
-    starts: list[list[int]] = [[] for _ in range(max(map(len, rows)))]
-    ends: list[list[int]] = [[] for _ in starts]
+    pairs: list[tuple[list[int], list[int]]] = []  # the starts and ends of pair j
     for row in rows:
         # rows weakly decrease (checked below), so row[0] is their largest
-        if row[0] > n or row[0] in firsts:
+        a = row[0]
+        if a > n or a in firsts:
             return False
-        firsts.add(row[0])
-        last = len(row) - 1
-        for j, a in enumerate(row):
-            lows, highs = starts[j], ends[j]
-            if j < last:
-                b = row[j + 1]
-                if b > a:
-                    return False
-                # only the last interval starting at or below b can cover
-                # it; past that check, the intervals from lo on end above b
-                lo = bisect_right(lows, b)
-                if lo and highs[lo - 1] >= b:
-                    return False
-            else:
-                b = lo = 0
+        firsts.add(a)
+        j = 0
+        for b in row[1:]:
+            if b > a:
+                return False
+            if j == len(pairs):
+                pairs.append(([], []))
+            lows, highs = pairs[j]
+            # only the last interval starting at or below b can cover it;
+            # past that check, the intervals from lo on end above b
+            lo = bisect_right(lows, b)
+            if lo and highs[lo - 1] >= b:
+                return False
             # merge [b, a] with the intervals it meets: from lo, those
             # starting at or below a
             hi = bisect_right(lows, a, lo)
             if lo < hi:
-                b = min(b, lows[lo])
-                a = max(a, highs[hi - 1])
-            lows[lo:hi] = (b,)
-            highs[lo:hi] = (a,)
+                lows[lo:hi] = (min(b, lows[lo]),)
+                highs[lo:hi] = (max(a, highs[hi - 1]),)
+            else:
+                lows[lo:lo] = (b,)
+                highs[lo:lo] = (a,)
+            a = b
+            j += 1
+        # the last cell a has no b: its interval [0, a] merges with every
+        # interval starting at or below a, the first hi
+        if j == len(pairs):
+            pairs.append(([], []))
+        lows, highs = pairs[j]
+        hi = bisect_right(lows, a)
+        if hi:
+            a = max(a, highs[hi - 1])
+        lows[:hi] = (0,)
+        highs[:hi] = (a,)
     return True
 
 
@@ -499,18 +514,24 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
         raise ValueError(
             "not a valid PCT: " + "; ".join(v.message for v in _violations(t))
         )
-    cols: list[list[int]] = [[] for _ in range(max(map(len, t.rows)))]
-    for row in t.rows:
-        for col, x in zip(cols, row):
-            col.append(x)
     # the columns shorten to the right, so the i-th entry of each column
     # long enough makes up row i
     rows: list[list[int]] = [[] for _ in t.rows]
-    for col in cols:
-        col.sort(reverse=True)
+    for col in _sorted_columns(t.rows):
         for row, x in zip(rows, col):
             row.append(x)
     return ReverseTableau._trusted(tuple(map(tuple, rows)))
+
+
+def _sorted_columns(rows: Rows) -> list[list[int]]:
+    # each column of a filling, largest entry first
+    cols: list[list[int]] = [[] for _ in range(max(map(len, rows)))]
+    for row in rows:
+        for col, x in zip(cols, row):
+            col.append(x)
+    for col in cols:
+        col.sort(reverse=True)
+    return cols
 
 
 def _check_type(sigma: Sequence[int], ell: int) -> Perm:
@@ -530,18 +551,23 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     rows only gain members as the entries fall, so they wait in a heap of
     row indices: O(n log n) in all.
     """
-    sigma = _check_type(sigma, len(T.rows))
-    # the columns of T strictly decrease downward: read upward, the first
+    rows = _pct_rows(T.rows, _check_type(sigma, len(T.rows)))
+    return Tableau._trusted(tuple(map(tuple, rows)))
+
+
+def _pct_rows(rows: Rows, sigma: Perm) -> list[list[int]]:
+    # the rows of ``rt_to_pct(T, sigma)``, from T's rows and a checked sigma.
+    # The columns of T strictly decrease downward: read upward, the first
     # lists its entries sorted, and each later one lists them largest first
-    first = [row[0] for row in reversed(T.rows)]
+    first = [row[0] for row in reversed(rows)]
     built: list[list[int]] = [[first[s - 1]] for s in sigma]
     # the rows that took an entry of the column last placed, largest first
     filled = sorted(range(len(built)), key=sigma.__getitem__, reverse=True)
-    for k in range(1, len(T.rows[0])):
+    for k in range(1, len(rows[0])):
         waiting, filled = filled, []
         heap: list[int] = []  # the rows open to the next entry
         i = 0
-        for row in T.rows:
+        for row in rows:
             if len(row) <= k:
                 break
             v = row[k]
@@ -555,7 +581,7 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
             r = heappop(heap)
             built[r].append(v)
             filled.append(r)
-    return Tableau._trusted(tuple(map(tuple, built)))
+    return built
 
 
 def _nonempty(shape: Sequence[int]) -> Composition:

@@ -18,7 +18,7 @@ from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.dyck import LabeledDyckPath, catalan
-from tabkit.tableaux import Tableau
+from tabkit.tableaux import _pct_rows
 from tabkit.trees import Node, ldyck_to_ltree
 
 
@@ -888,7 +888,7 @@ def test_stats_quadruple_needs_a_positive_n(capsys):
 
 def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypatch):
     calls = []
-    for name in ("enumerate_srt", "rt_to_pct"):
+    for name in ("enumerate_srt", "_pct_rows"):
         monkeypatch.setattr(f"tabkit.cli.{name}", lambda *args: calls.append(args))
     # sizes 5 and 6 draw 400 samples each
     argv = ("verify", "bijections", "--n", "6", "--samples", "400")
@@ -931,13 +931,47 @@ def test_verify_pct_suites_refuse_size_10_without_counting_shapes(capsys, monkey
 
 
 def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
-    monkeypatch.setattr("tabkit.cli.rt_to_pct", lambda T, sigma: Tableau(((1,), (1,))))
+    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma: ((1,), (1,)))
     code, out, err = run(capsys, "verify", "bijections", "--n", "1")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
     assert results["checks"][0] == {"check": "pct-rt", "size": 1, "cases": 1, "pass": False}
     assert results["counterexample"] == (
         "rt_to_pct of ((1,),) under type (1,) is not a valid PCT: ((1,), (1,))"
+    )
+
+
+def test_verify_bijections_fails_a_row_on_an_image_of_other_columns(capsys, monkeypatch):
+    # a valid PCT of type (1,) for every case: right at size 1, and at size 2
+    # its column does not sort back to T = ((2, 1),)
+    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma: ((1,),))
+    code, out, err = run(capsys, "verify", "bijections", "--n", "2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["checks"][:2] == [
+        {"check": "pct-rt", "size": 1, "cases": 1, "pass": True},
+        {"check": "pct-rt", "size": 2, "cases": 1, "pass": False},
+    ]
+    assert results["counterexample"] == (
+        "reverse-tableau/tableau round trip moved ((2, 1),) under type (1,)"
+    )
+
+
+def test_verify_bijections_fails_a_row_on_an_image_of_another_type(capsys, monkeypatch):
+    # the image of the reversed type: a valid PCT whose columns sort back to
+    # T, of the wrong type once T has two rows
+    monkeypatch.setattr("tabkit.cli._pct_rows",
+                        lambda rows, sigma: _pct_rows(rows, sigma[::-1]))
+    code, out, err = run(capsys, "verify", "bijections", "--n", "2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    # size 2: T = ((2, 1),) under (1,) passes, T = ((2,), (1,)) under (1, 2) fails
+    assert results["checks"][:2] == [
+        {"check": "pct-rt", "size": 1, "cases": 1, "pass": True},
+        {"check": "pct-rt", "size": 2, "cases": 2, "pass": False},
+    ]
+    assert results["counterexample"] == (
+        "reverse-tableau/tableau round trip moved ((2,), (1,)) under type (1, 2)"
     )
 
 
@@ -952,6 +986,43 @@ def test_a_moved_deep_tree_is_named_without_recursion(monkeypatch):
     assert witness.startswith("tree/path round trip moved the tree with (label, has a "
                               "left child, has a right child) in preorder ((1500, True, False), ")
     assert witness.endswith(", (2, True, False), (1, False, False))")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr("tabkit.cli.build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["enumerate", "spct", "--shape", "2,2"]) == 0
+        assert main(["verify", "counts", "--max-n", "2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def test_one_parser_answers_as_separate_processes(capsys, tmp_path):
+    # each flag given once, then left out: the later call must see its default,
+    # or miss it
+    reverse = tmp_path / "rt.json"
+    reverse.write_text(json.dumps({"rows": [[3, 1], [2]], "reverse": True}))
+    argvs = [
+        ["verify", "hecke", "--shape", "2,2"],
+        ["verify", "hecke"],
+        ["map", "rt-to-pct", "--in", str(reverse), "--sigma", "2 1"],
+        ["map", "rt-to-pct", "--in", str(reverse)],
+    ]
+
+    def report(out):
+        return {k: v for k, v in json.loads(out).items() if k != "elapsed_seconds"} if out else out
+
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "tabkit.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, report(out), err) == (alone.returncode, report(alone.stdout),
+                                            alone.stderr)
+    assert (code, err) == (2, "error: map rt-to-pct requires --sigma\n")
 
 
 def test_unknown_command_is_usage_error(capsys):

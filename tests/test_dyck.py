@@ -1,7 +1,7 @@
 import random
 from dataclasses import fields
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -225,6 +225,29 @@ def test_spct_to_ldyck_accepts_exactly_the_valid_standard_fillings():
                 assert not validate_pct(t).valid, t.rows
             else:
                 assert validate_pct(t).valid and ldyck_to_spct(d) == t
+
+
+def test_spct_to_ldyck_accepts_exactly_the_listed_tableaux():
+    # every filling of (2)^n by 1..2n for n <= 4, and by 1..2n+1 with
+    # repeats for n <= 2: the accepted ones are those enumerate_spct lists,
+    # and each path goes back to its tableau
+    for n in range(1, 5):
+        listed = {t.rows for t in enumerate_spct((2,) * n)}
+        fillings = chain(permutations(range(1, 2 * n + 1)),
+                         product(range(1, 2 * n + 2), repeat=2 * n) if n <= 2 else ())
+        accepted = set()
+        for entries in fillings:
+            t = Tableau(tuple(zip(entries[::2], entries[1::2])))
+            try:
+                d = spct_to_ldyck(t)
+            except ValueError as exc:
+                assert str(exc) == "input is not a valid standard tableau"
+                assert t.rows not in listed
+            else:
+                assert d.canonical and ldyck_to_spct(d) == t
+                accepted.add(t.rows)
+        assert accepted == listed
+        assert len(listed) == factorial(n) * catalan(n)
 
 
 def test_srt_to_dyck_folklore():

@@ -255,6 +255,21 @@ def test_validate_pct_matches_the_triple_loop_on_every_small_filling():
     assert fillings == sum(2 ** (n - 1) * (n + 1) ** n for n in range(1, 5))
 
 
+def test_validate_pct_matches_the_triple_loop_on_every_standard_filling():
+    # every permutation of 1..n over every composition of n, n <= 6: the
+    # sizes that ``tk verify bijections`` sweeps by default and in the
+    # benchmark
+    fillings = 0
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            for entries in permutations(range(1, n + 1)):
+                cells = iter(entries)
+                t = Tableau(tuple(tuple(next(cells) for _ in range(w)) for w in shape))
+                assert validate_pct(t) == reference_validate_pct(t), t.rows
+                fillings += 1
+    assert fillings == sum(2 ** (n - 1) * factorial(n) for n in range(1, 7)) == 25181
+
+
 @given(t=filling_strategy() | filling_strategy(max_n=10))
 def test_validate_pct_matches_the_triple_loop(t):
     assert validate_pct(t) == reference_validate_pct(t)
