@@ -17,6 +17,16 @@ grid of nodes (i, j) with 1 <= i <= n rows and 1 <= j <= k columns:
 The graph is acyclic, and labeling its nodes 1..kn so that every edge points
 from a larger label to a smaller one produces a standard tableau of
 rectangle shape (k, ..., k) whose j-th column standardizes to s_j.
+
+``topological_spct`` labels a graph canonically: each label goes to the
+smallest (column, row) whose out-neighbors are all labeled.  ``realize_sct``
+computes that same labeling from the permutations alone, with no graph.
+The vertical edges make column j take its labels in increasing s_j order,
+so each column has one candidate node, and two counts of its neighbor
+columns decide when the candidate is ready.  That takes O(k n^2) time and
+O(k n) memory, where the graph holds O(k n^2) edges.  ``build_graph``,
+``PermGraph``, ``is_acyclic`` and ``topological_spct`` stay as the graph
+API, and the tests check the direct labeling against them.
 """
 
 from __future__ import annotations
@@ -250,10 +260,80 @@ def topological_spct(g: PermGraph) -> Tableau:
     return Tableau.from_rows(rows)
 
 
+def _label_sequence(seq: tuple[Perm, ...]) -> Tableau:
+    """``topological_spct(build_graph(seq))``, read off the permutations
+    without building the graph.
+
+    The vertical edges make column j take its labels in increasing s_j
+    order, so its one candidate is the row p with s_j(p) = t_j + 1, where
+    t_j counts the labels column j has.  The candidate is ready when its
+    horizontal edge is done, s_{j+1}(p) <= t_{j+1}, and its diagonal edges
+    are, D_j(p) <= t_{j-1} with D_j(p) the largest s_{j-1}(i) over the rows
+    i < p with s_j(i) < s_j(p), or 0.  Each label goes to the smallest ready
+    column, kept in a heap; a label in column j can change readiness only
+    in columns j-1, j and j+1.  Finding D takes O(k n^2) time, and the
+    labels O(k n log k); the tables take O(k n) memory.
+    """
+    n, k = len(seq[0]), len(seq)
+    if not n:
+        raise ValueError("tableau must have at least one row")
+    # per column j = 1..k, indexed by t: the row of the t-th label (0-based)
+    # and the counts its right and left neighbor columns must have reached;
+    # the first column's left and the last's right needs are 0
+    rows_of: list[list[int]] = [[]]
+    right: list[list[int]] = [[]]
+    left: list[list[int]] = [[]]
+    for j, sigma in enumerate(seq):
+        order = sorted(range(n), key=sigma.__getitem__)
+        rows_of.append(order)
+        right.append(list(map(seq[j + 1].__getitem__, order)) if j + 1 < k else [0] * n)
+        if j == 0:
+            left.append([0] * n)
+            continue
+        prev = seq[j - 1]
+        seen = [0] * (n + 1)  # seen[i + 1]: s_{j-1}(i) once row i is passed
+        need = []
+        for p in order:
+            need.append(max(seen[: p + 1]))
+            seen[p + 1] = prev[p]
+        left.append(need)
+    done = [n] + [0] * k + [n]  # labels per column; both ends count as full
+    # the ready columns; at the start only the last, whose candidate has no
+    # right neighbor to wait for
+    heap = [k]
+    queued = [False] * (k + 2)
+    queued[k] = True
+    grid = [[0] * k for _ in range(n)]
+    label = 0
+    while heap:
+        j = heapq.heappop(heap)
+        queued[j] = False
+        label += 1
+        grid[rows_of[j][done[j]]][j - 1] = label
+        done[j] += 1
+        for c in (j - 1, j, j + 1):
+            t = done[c]
+            if (t < n and not queued[c] and right[c][t] <= done[c + 1]
+                    and left[c][t] <= done[c - 1]):
+                queued[c] = True
+                heapq.heappush(heap, c)
+    if label < n * k:
+        raise ValueError("graph has a cycle; no labeling exists")
+    return Tableau._trusted(tuple(map(tuple, grid)))
+
+
 def realize_sct(a: Perm, b: Perm) -> Tableau:
     """A standard tableau of rectangle shape whose last two columns
-    standardize to a and b, built by extending a maximal left-weak-order
-    chain from the identity to a by the single extra column b.
+    standardize to a and b: the canonical labeling (``topological_spct``)
+    of the grid graph of the maximal left-weak-order chain from the
+    identity to a, extended by the single extra column b.
+
+    The labeling is read straight off the k = l(a) + 2 permutations, with
+    no graph built: column j takes its labels in increasing s_j order, and
+    its next candidate is ready once its row is labeled in column j+1 and
+    the rows its diagonal edges reach are labeled in column j-1.  It takes
+    O(k n^2) time and O(k n) memory; the graph would hold O(k n^2) edges.
+    ``build_graph`` and ``topological_spct`` stay as the graph reference.
 
     >>> realize_sct((1, 2), (1, 2)).rows
     ((2, 1), (4, 3))
@@ -263,7 +343,7 @@ def realize_sct(a: Perm, b: Perm) -> Tableau:
     if not is_allowable_pair(a, b):
         raise ValueError(f"pair is not allowable: {a}, {b}")
     # each step of the chain is a weak-order cover, which is allowable
-    return topological_spct(_grid_graph(maximal_chain_to(a) + (b,)))
+    return _label_sequence(maximal_chain_to(a) + (b,))
 
 
 _EDGE_COLORS = {"horizontal": "black", "vertical": "blue", "diagonal": "red"}

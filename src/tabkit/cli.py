@@ -32,7 +32,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import chain, permutations
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .allowable import realize_sct, verify_pairs
@@ -42,6 +42,7 @@ from .core import (
     compositions_of,
     format_composition,
     format_permutation,
+    inversions,
     parse_composition,
     parse_permutation,
     partitions_of,
@@ -472,6 +473,14 @@ _TRANSFORMS: dict[str, Callable[..., dict]] = {
 }
 
 
+def _realize_costs(a: Perm) -> Iterator[int]:
+    # the C(n, 3) triples of the 312 scan, then n^2 for each of the l(a) + 2
+    # columns labeled; l(a) is counted only when the scan fits the cap
+    n = len(a)
+    yield comb(n, 3)
+    yield (len(inversions(a)) + 2) * n * n
+
+
 def cmd_map(cap: int, transform: str, out: str | None = None, infile: str | None = None,
             **perms: str) -> Outcome:
     params: dict = {"transform": transform}
@@ -483,8 +492,11 @@ def cmd_map(cap: int, transform: str, out: str | None = None, infile: str | None
         perm = parse_permutation(text)
         params[flag] = format_permutation(perm)
         inputs.append(perm)
-    produced = (_TRANSFORMS[transform](*inputs) if transform in _TRANSFORMS
-                else realize_sct(*inputs).to_json())
+    if transform in _TRANSFORMS:
+        produced = _TRANSFORMS[transform](*inputs)
+    else:
+        _charge(_realize_costs(inputs[0]), cap, "map realize-pair")
+        produced = realize_sct(*inputs).to_json()
 
     results: dict = {"result": produced}
     if out is not None:

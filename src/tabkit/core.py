@@ -137,19 +137,26 @@ def maximal_chain_to(target: Sequence[int]) -> tuple[Perm, ...]:
     ((1, 2, 3), (2, 1, 3))
     """
     t = check_permutation(target)
-    chain = [identity(len(t))]
-    current = chain[0]
-    while current != t:
-        pos = {x: i for i, x in enumerate(current)}
-        for v in left_cover_swaps(current):
-            # the swap adds the one inversion at positions pos[v] < pos[v + 1],
-            # so it stays below t exactly when t inverts those positions too
-            if t[pos[v]] > t[pos[v + 1]]:
-                current = apply_left_swap(current, v)
-                chain.append(current)
-                break
-        else:  # unreachable: the weak order interval [current, t] is graded
-            raise AssertionError(f"no cover step from {current} toward {t}")
+    n = len(t)
+    current = list(range(1, n + 1))
+    pos = [-1, *range(n)]  # pos[x]: the position of value x in current
+    chain = [tuple(current)]
+    v = 1
+    while v < n:
+        i, j = pos[v], pos[v + 1]
+        # the swap adds the one inversion at positions i < j, so it stays
+        # below t exactly when t inverts those positions too
+        if i < j and t[i] > t[j]:
+            current[i], current[j] = v + 1, v
+            pos[v], pos[v + 1] = j, i
+            chain.append(tuple(current))
+            # the swap moved only v and v + 1, so every value below v - 1
+            # still gives no step
+            v = max(v - 1, 1)
+        else:
+            v += 1
+    # no value gives a step, so current is t: the interval [current, t] of
+    # the weak order is graded
     return tuple(chain)
 
 

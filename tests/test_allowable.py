@@ -1,10 +1,12 @@
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tabkit.allowable import (
     PermGraph,
+    _label_sequence,
     allowable_pairs,
     build_graph,
     graph_dot,
@@ -267,6 +269,65 @@ def test_realize_all_small_pairs():
             t = realize_sct(a, b)
             assert validate_pct(t).valid
             assert st_word(t) == maximal_chain_to(a) + (b,)
+
+
+def labels_as_the_graph(seq):
+    return _label_sequence(seq).rows == topological_spct(build_graph(seq)).rows
+
+
+def test_label_sequence_matches_the_graph_on_every_chain_pair():
+    for n in range(1, 6):
+        for a, b in allowable_pairs(n):
+            assert labels_as_the_graph(maximal_chain_to(a) + (b,)), (a, b)
+
+
+def test_label_sequence_matches_the_graph_on_every_three_column_sequence():
+    checked = 0
+    for n in range(1, 4):
+        perms = list(permutations(range(1, n + 1)))
+        for seq in product(perms, repeat=3):
+            if is_allowable_sequence(seq):
+                assert labels_as_the_graph(seq), seq
+                checked += 1
+    # 1 + 4 + 33 allowable sequences of three columns
+    assert checked == 38
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_label_sequence_matches_the_graph_on_walks_in_the_pair_graph(n):
+    rng = random.Random(2017 + n)
+    perms = list(permutations(range(1, n + 1)))
+    for k in (4, 5, 6):
+        for _ in range(4):
+            seq = [rng.choice(perms)]
+            while len(seq) < k:
+                seq.append(rng.choice([b for b in perms if is_allowable_pair(seq[-1], b)]))
+            assert labels_as_the_graph(tuple(seq)), seq
+
+
+def test_label_sequence_refuses_a_cycle():
+    # the sequence of test_known_cycle: its grid graph holds a cycle
+    with pytest.raises(ValueError, match="graph has a cycle"):
+        _label_sequence(((1, 2, 3), (3, 1, 2)))
+
+
+def test_realize_builds_no_graph(monkeypatch):
+    def no_graph(seq):
+        raise AssertionError("the grid graph was built")
+
+    monkeypatch.setattr("tabkit.allowable._grid_graph", no_graph)
+    assert realize_sct((2, 1, 3), (3, 2, 1)).rows == ((6, 5, 4), (7, 3, 2), (9, 8, 1))
+    with pytest.raises(AssertionError):
+        build_graph(((1, 2), (1, 2)))
+
+
+def test_realize_the_reversed_pair_at_n_40():
+    top = tuple(range(40, 0, -1))
+    t = realize_sct(top, top)
+    # l(top) = 780, so the chain and the extra column make 782 columns
+    assert t.shape == (782,) * 40
+    assert validate_pct(t).valid
+    assert st_word(t) == maximal_chain_to(top) + (top,)
 
 
 def test_realize_rejects_non_allowable():

@@ -17,6 +17,7 @@ from tabkit import cli
 from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
+from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
 from tabkit.tableaux import _pct_rows
 from tabkit.trees import Node, ldyck_to_ltree
@@ -530,6 +531,27 @@ def test_map_realize_pair(capsys):
         capsys, "map", "realize-pair", "--a", "1 2", "--b", "1 2"
     )
     assert report["results"]["result"]["rows"] == [[2, 1], [4, 3]]
+
+
+def test_map_realize_pair_refuses_before_any_work(capsys, monkeypatch):
+    realized, counted = [], []
+    monkeypatch.setattr("tabkit.cli.realize_sct", lambda a, b: realized.append(a))
+    monkeypatch.setattr("tabkit.cli.inversions",
+                        lambda p: counted.append(p) or inversions(p))
+    # C(4, 3) = 4 triples, then (l(a) + 2) * 4^2 = 64 for the 4 columns
+    argv = ("map", "realize-pair", "--a", "2 1 4 3", "--b", "4 3 2 1", "--max-objects")
+    code, out, err = run(capsys, *argv, "67")
+    assert (code, out, realized, counted) == (2, "", [], [(2, 1, 4, 3)])
+    assert err == ("refused: map realize-pair passed 67 objects; "
+                   "raise --max-objects or TK_MAX_OBJECTS\n")
+    # below the scan's 4 triples l(a) is not counted
+    counted.clear()
+    code, out, _ = run(capsys, *argv, "3")
+    assert (code, out, realized, counted) == (2, "", [], [])
+    monkeypatch.undo()
+    report = run_json(capsys, *argv, "68")
+    assert report["results"]["result"]["rows"] == [
+        [9, 8, 7, 6], [10, 5, 4, 3], [14, 13, 12, 2], [16, 15, 11, 1]]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -142,6 +142,30 @@ def test_maximal_chain_deterministic():
     assert maximal_chain_to((3, 1, 2)) == ((1, 2, 3), (2, 1, 3), (3, 1, 2))
 
 
+def reference_chain_to(t):
+    """The chain with its state rebuilt at every step: a position dict and the
+    left covers of the current permutation, the smallest swap value that
+    stays below t taken."""
+    chain = [identity(len(t))]
+    current = chain[0]
+    while current != t:
+        pos = {x: i for i, x in enumerate(current)}
+        for v in left_cover_swaps(current):
+            if t[pos[v]] > t[pos[v + 1]]:
+                current = apply_left_swap(current, v)
+                chain.append(current)
+                break
+        else:
+            raise AssertionError(f"no cover step from {current} toward {t}")
+    return tuple(chain)
+
+
+def test_maximal_chain_matches_the_rebuilt_chain_on_all_of_s_n():
+    for n in range(7):
+        for p in permutations(range(1, n + 1)):
+            assert maximal_chain_to(p) == reference_chain_to(p)
+
+
 def test_compositions_of_known():
     assert list(compositions_of(1)) == [(1,)]
     assert list(compositions_of(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
