@@ -12,9 +12,15 @@ every class contains exactly one source (each non-descent i < n has i+1
 immediately to its left) and exactly one sink (every descent attacking).
 
 The relation and class checks read one table of operator images per shape,
-built on the row words of the enumeration walk: a move swaps two letters.
-The public functions on a ``Tableau`` apply the same cell rules through
-``positions``.
+built on the row words of the enumeration walk.  One pass over each word
+decides every pi_i from integer tests on the columns and rows of i and i+1,
+with no call per cell: a fixed cell is the word's own index, a zero is -1,
+and only a move builds a word, the two letters swapped, which is looked up
+among the shape's words.  The relations are then checked column by column:
+column i lists the image of every word under pi_i, and each side of a
+relation is a composition of whole columns, one list comprehension per
+operator, compared as lists.  The public functions on a ``Tableau`` apply
+the same cell rules through ``positions``.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ __all__ = [
     "is_source",
     "is_sink",
     "equivalence_classes",
-    "class_report_json",
-    "orbit_dot",
 ]
 
 
@@ -141,16 +145,9 @@ class RelationReport:
     counterexample: str | None
 
 
-def _image(word: Word, cols: list[int], i: int) -> Word | None:
-    # pi_i on a row word and its columns: the word when pi_i fixes it, None
-    # when zero, else the word with the rows of i and i+1 swapped, which is
-    # the filling with the two entries swapped (they sit in different rows)
-    p = len(word) - i  # the letter of i; that of i+1 comes just before
-    kind = _classify(word[p], cols[p], word[p - 1], cols[p - 1])
-    if kind is DescentClass.NOT_DESCENT:
-        return word
-    if kind is DescentClass.ATTACKING:
-        return None
+def _swap(word: Word, p: int) -> Word:
+    # the word with its letters at p - 1 and p interchanged: the filling with
+    # the entries n - p and n - p + 1 swapped, which sit in different rows
     return word[: p - 1] + (word[p], word[p - 1]) + word[p + 1 :]
 
 
@@ -159,12 +156,23 @@ def _action(
 ) -> Iterator[tuple[list[int], list[int | None]]]:
     # per word, its columns and its row of the table: entry i-1 is the index
     # of pi_i(words[k]) in the list, so k when pi_i fixes it; -1 when zero,
-    # None when the image is not listed.  Columns are not kept, so a caller
-    # reads what else it needs from them as they pass.
-    index = {None: -1} | {w: k for k, w in enumerate(words)}
-    for w in words:
+    # None when the image is not listed.  Entry i sits at p = len(w) - i and
+    # i+1 just before it; the cells follow the rules of ``_classify``.
+    # Columns are not kept, so a caller reads what else it needs from them
+    # as they pass.
+    index = {w: k for k, w in enumerate(words)}
+    for k, w in enumerate(words):
         cols = _columns(w, ell)
-        yield cols, [index.get(_image(w, cols, i)) for i in range(1, len(w))]
+        row = []
+        for p in range(len(w) - 1, 0, -1):
+            c1, c2 = cols[p], cols[p - 1]
+            if c2 < c1:  # i+1 strictly left of i: not a descent
+                row.append(k)
+            elif c2 == c1 or (c2 == c1 + 1 and w[p - 1] > w[p]):  # attacking
+                row.append(-1)
+            else:
+                row.append(index.get(_swap(w, p)))
+        yield cols, row
 
 
 def _by_rows(shape: Sequence[int]) -> tuple[list[Word], list[Rows]]:
@@ -177,10 +185,16 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """Check idempotence, distant commutation, and the braid relation
     pointwise on every standard tableau of the given shape.
 
-    Each pi_i is applied once per tableau, and the relations are checked as
-    identities on that table.  First every moved image must be a member of
-    the shape's enumeration (its valid standard tableaux) of the same type,
-    or it is the counterexample; this check does not count in ``checks``.
+    Each pi_i is applied once per tableau, into one table.  First every
+    moved image must be a member of the shape's enumeration (its valid
+    standard tableaux) of the same type, or it is the counterexample; this
+    check does not count in ``checks``.  Then column i of the table, the
+    image of every tableau under pi_i with the zero last, is an index map,
+    and each side of a relation is composed from whole columns, one list
+    comprehension per operator.  That costs a few list passes per relation
+    instead of a Python loop per (tableau, relation), and reports what that
+    loop would: the earliest tableau, then the earliest relation, that
+    fails, with ``checks`` counting the pairs up to it.
     """
     shape = check_composition(shape)
     n = sum(shape)
@@ -189,18 +203,19 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     table = [row for _, row in _action(words, ell)]
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]
-    checks = 0
 
-    def fail(witness: str) -> RelationReport:
+    def fail(checks: int, witness: str) -> RelationReport:
         return RelationReport(False, shape, len(words), checks, witness)
 
     for k, w in enumerate(words):
         for i, m in enumerate(table[k], start=1):
             if m is None or (m >= 0 and types[m] != types[k]):
-                image = _rows(_image(w, _columns(w, ell), i))
-                return fail(f"pi_{i} image {image} of {_rows(w)} "
-                            "is not a valid standard tableau of the same type")
-    table.append([-1] * (n - 1))  # the zero, at index -1, fixed by every pi_i
+                image = _rows(_swap(w, len(w) - i) if m is None else words[m])
+                return fail(0, f"pi_{i} image {image} of {_rows(w)} "
+                               "is not a valid standard tableau of the same type")
+    # columns[i - 1][k] is the index of pi_i(words[k]); the zero, at index
+    # -1, is fixed by every pi_i
+    columns = [[*column, -1] for column in zip(*table)]
     relations = (
         [(f"pi_{i}^2 != pi_{i}", (i, i), (i,)) for i in range(1, n)]
         + [(f"pi_{i} pi_{j} != pi_{j} pi_{i}", (i, j), (j, i))
@@ -209,17 +224,27 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
            for i in range(1, n - 1)]
     )
 
-    def image(k: int, word: tuple[int, ...]) -> int:
-        for i in reversed(word):  # right to left
-            k = table[k][i - 1]
-        return k
+    def images(word: tuple[int, ...]) -> list[int]:
+        # the image of every tableau, and of the zero, under the operators
+        # of word, applied right to left
+        *rest, last = word
+        result = columns[last - 1]
+        for i in reversed(rest):
+            column = columns[i - 1]
+            result = [column[m] for m in result]
+        return result
 
-    for k in range(len(words)):
-        for name, left, right in relations:
-            checks += 1
-            if image(k, left) != image(k, right):
-                return fail(f"{name} on {_rows(words[k])}")
-    return RelationReport(True, shape, len(words), checks, None)
+    # (k, r) for the first tableau k on which relation r fails
+    failures = []
+    for r, (_, left, right) in enumerate(relations):
+        lhs, rhs = images(left), images(right)
+        if lhs != rhs:
+            failures.append((next(k for k, (a, b) in enumerate(zip(lhs, rhs))
+                                  if a != b), r))
+    if failures:
+        k, r = min(failures)
+        return fail(k * len(relations) + r + 1, f"{relations[r][0]} on {_rows(words[k])}")
+    return RelationReport(True, shape, len(words), len(words) * len(relations), None)
 
 
 def is_source(t: Tableau) -> bool:
@@ -325,29 +350,3 @@ def _moves(
                 raise AssertionError(f"pi_{i} moves {_rows(words[k])} out of its class")
             if m != k and m >= 0:
                 yield k, i, m
-
-
-def class_report_json(classes: Sequence[EquivalenceClass]) -> list[dict]:
-    return [
-        {
-            "signature": [list(p) for p in c.signature],
-            "size": len(c.members),
-            "source": c.source.to_json(),
-            "sink": c.sink.to_json(),
-        }
-        for c in classes
-    ]
-
-
-def orbit_dot(shape: Sequence[int]) -> str:
-    """DOT digraph of all moved transitions on the tableaux of one shape."""
-    words, rows = _by_rows(shape)
-    lines = ["digraph orbits {"]
-    for k, t in enumerate(rows):
-        label = "/".join(",".join(map(str, row)) for row in t)
-        lines.append(f'  t{k} [label="{label}"];')
-    table = [row for _, row in _action(words, len(shape))]
-    for k, i, m in _moves(words, table):
-        lines.append(f'  t{k} -> t{m} [label="{i}"];')
-    lines.append("}")
-    return "\n".join(lines)

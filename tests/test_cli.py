@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tabkit import cli
-from tabkit import hecke
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.core import inversions
@@ -156,12 +155,7 @@ def test_empty_flag_values_are_usage_errors(capsys, argv, message):
 def test_verify_hecke_reports_a_broken_image(capsys, monkeypatch):
     # every move lands on the row word of (4, 1)/(3, 2), which breaks the
     # triple condition (a row word cannot describe increasing rows)
-    image = hecke._image
-    monkeypatch.setattr(
-        "tabkit.hecke._image",
-        lambda w, cols, i: image(w, cols, i) if image(w, cols, i) in (w, None)
-        else (0, 1, 1, 0),
-    )
+    monkeypatch.setattr("tabkit.hecke._swap", lambda w, p: (0, 1, 1, 0))
     code, out, err = run(capsys, "verify", "hecke", "--shape", "2,2")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]

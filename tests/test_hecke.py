@@ -1,25 +1,24 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tabkit import hecke
-from tabkit.core import compositions_of
+from tabkit.core import check_composition, compositions_of
 from tabkit.hecke import (
     DescentClass,
     apply_word,
-    class_report_json,
     classify,
     equivalence_classes,
     is_sink,
     is_source,
-    orbit_dot,
     pi,
     swap_entries,
     verify_hecke_relations,
 )
 from tabkit.tableaux import (
     Tableau,
+    _nonempty,
     _rows,
     _spct_walk,
     enumerate_spct,
@@ -146,15 +145,14 @@ def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
     # the table moves row words; the filling of each moved word is the
     # public swap of the tableau it moved, and a valid Tableau
     moves = []
-    image = hecke._image
+    swap = hecke._swap
 
-    def recording_image(word, cols, i):
-        result = image(word, cols, i)
-        if result not in (word, None):
-            moves.append((word, i, result))
+    def recording_swap(word, p):
+        result = swap(word, p)
+        moves.append((word, len(word) - p, result))
         return result
 
-    monkeypatch.setattr(hecke, "_image", recording_image)
+    monkeypatch.setattr(hecke, "_swap", recording_swap)
     for n in range(2, 7):
         for shape in compositions_of(n):
             words = [w for w, _ in _spct_walk(shape, kind=None)]
@@ -167,13 +165,7 @@ def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
 
 def moved_to(monkeypatch, target):
     # every move of the table lands on the row word ``target``
-    image = hecke._image
-
-    def broken_image(w, cols, i):
-        result = image(w, cols, i)
-        return result if result in (w, None) else target
-
-    monkeypatch.setattr(hecke, "_image", broken_image)
+    monkeypatch.setattr(hecke, "_swap", lambda w, p: target)
 
 
 # each move lands on (4, 1)/(3, 2), a filling of the shape that breaks the
@@ -197,11 +189,13 @@ def test_verify_hecke_relations_reports_a_broken_image(monkeypatch, broken):
 def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
     # both standard tableaux of shape (1, 1) are valid, of types 12 and 21:
     # ((1,), (2,)) has the row word (1, 0), ((2,), (1,)) has (0, 1)
-    image = hecke._image
-    monkeypatch.setattr(
-        hecke, "_image",
-        lambda w, cols, i: (0, 1) if w == (1, 0) else image(w, cols, i),
-    )
+    action = hecke._action
+
+    def broken_action(words, ell):
+        for w, (cols, row) in zip(words, action(words, ell)):
+            yield cols, [words.index((0, 1))] if w == (1, 0) else row
+
+    monkeypatch.setattr(hecke, "_action", broken_action)
     report = verify_hecke_relations((1, 1))
     assert not report.passed
     assert report.counterexample == (
@@ -213,13 +207,13 @@ def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
 def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
     # pi_1 now kills the tableaux it fixes, so pi_1 pi_1 kills a moved
     # tableau that pi_1 alone sends to a nonzero image
-    image = hecke._image
+    action = hecke._action
 
-    def broken_image(w, cols, i):
-        result = image(w, cols, i)
-        return None if i == 1 and result is w else result
+    def broken_action(words, ell):
+        for k, (cols, row) in enumerate(action(words, ell)):
+            yield cols, [-1 if i == 1 and m == k else m for i, m in enumerate(row, start=1)]
 
-    monkeypatch.setattr(hecke, "_image", broken_image)
+    monkeypatch.setattr(hecke, "_action", broken_action)
     report = verify_hecke_relations((2, 1))
     assert not report.passed
     assert report.counterexample == "pi_1^2 != pi_1 on ((3, 2), (1,))"
@@ -376,18 +370,88 @@ def test_classes_match_the_tableau_reference():
             assert equivalence_classes(shape) == reference_classes(shape), shape
 
 
-def test_class_report_json_fields():
-    classes = equivalence_classes((2, 2))
-    report = class_report_json(classes)
-    assert len(report) == 3
-    for entry in report:
-        assert entry.keys() == {"signature", "size", "source", "sink"}
+def reference_relations(shape):
+    # the relation check one (tableau, relation) pair at a time, on the same
+    # table: the reference for the column-wise check, which must report the
+    # same earliest failure and the same count of checks
+    shape = check_composition(shape)
+    n = sum(shape)
+    words = [w for w, _ in _spct_walk(_nonempty(shape), kind=None)]
+    table = [row for _, row in hecke._action(words, len(shape))]
+    types = [tuple(dict.fromkeys(w)) for w in words]
+    checks = 0
+
+    def fail(witness):
+        return hecke.RelationReport(False, shape, len(words), checks, witness)
+
+    for k, w in enumerate(words):
+        for i, m in enumerate(table[k], start=1):
+            if m is None or (m >= 0 and types[m] != types[k]):
+                image = _rows(hecke._swap(w, len(w) - i) if m is None else words[m])
+                return fail(f"pi_{i} image {image} of {_rows(w)} "
+                            "is not a valid standard tableau of the same type")
+    table.append([-1] * (n - 1))  # the zero, at index -1, fixed by every pi_i
+    relations = (
+        [(f"pi_{i}^2 != pi_{i}", (i, i), (i,)) for i in range(1, n)]
+        + [(f"pi_{i} pi_{j} != pi_{j} pi_{i}", (i, j), (j, i))
+           for i, j in combinations(range(1, n), 2) if j - i >= 2]
+        + [(f"braid relation fails at i={i}", (i, i + 1, i), (i + 1, i, i + 1))
+           for i in range(1, n - 1)]
+    )
+
+    def image(k, word):
+        for i in reversed(word):  # right to left
+            k = table[k][i - 1]
+        return k
+
+    for k in range(len(words)):
+        for name, left, right in relations:
+            checks += 1
+            if image(k, left) != image(k, right):
+                return fail(f"{name} on {_rows(words[k])}")
+    return hecke.RelationReport(True, shape, len(words), checks, None)
 
 
-def test_orbit_dot_smoke():
-    dot = orbit_dot((2, 2))
-    assert dot.startswith("digraph")
-    assert "->" in dot
+def test_relations_match_the_per_tableau_reference():
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            assert verify_hecke_relations(shape) == reference_relations(shape), shape
+
+
+def killed(monkeypatch, cells):
+    # pi_i now kills each tableau (given by its rows) of the (rows, i) cells
+    action = hecke._action
+
+    def broken_action(words, ell):
+        for w, (cols, row) in zip(words, action(words, ell)):
+            yield cols, [-1 if (_rows(w), i) in cells else m
+                         for i, m in enumerate(row, start=1)]
+
+    monkeypatch.setattr(hecke, "_action", broken_action)
+
+
+# On (3, 2), pi_1 fixes both tableaux.  Killing the first breaks the braid
+# relation, the last relation, on the first tableau the walk lists; killing
+# the second breaks pi_1^2 = pi_1, the first relation, on the second tableau
+# listed, which pi_1 moves onto it.  Together, the earlier tableau wins.
+FIRST = (((5, 4, 3), (2, 1)), 1)
+SECOND = (((5, 4, 1), (3, 2)), 1)
+EARLIEST = "braid relation fails at i=1 on ((5, 4, 3), (2, 1))"
+
+
+@pytest.mark.parametrize("cells, checks, counterexample", [
+    ({FIRST}, 8, EARLIEST),
+    ({SECOND}, 11, "pi_1^2 != pi_1 on ((5, 4, 2), (3, 1))"),
+    ({FIRST, SECOND}, 8, EARLIEST),
+], ids=["first", "second", "both"])
+def test_broken_relations_match_the_per_tableau_reference(
+    monkeypatch, cells, checks, counterexample
+):
+    killed(monkeypatch, cells)
+    report = verify_hecke_relations((3, 2))
+    assert report == reference_relations((3, 2))
+    assert not report.passed
+    assert (report.checks, report.counterexample) == (checks, counterexample)
 
 
 def test_permutation_count_equals_sources_on_columns():
