@@ -46,7 +46,6 @@ from .core import (
     parse_composition,
     parse_permutation,
     partitions_of,
-    standardize,
 )
 from .dyck import (
     LabeledDyckPath,
@@ -62,9 +61,10 @@ from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
+    _first_column,
     _is_pct,
     _pct_rows,
-    _sorted_columns,
+    _row_order,
     _two_column_work,
     count_spct,
     count_srt,
@@ -279,20 +279,45 @@ def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
         yield row, None if passed else f"n={n}: {row}"
 
 
-def _type_moved(case: tuple[ReverseTableau, list[list[int]], Perm]) -> str | None:
-    # rt_to_pct(T, sigma), pct_to_rt and st_column fused on plain rows: the
-    # image must be a valid PCT whose sorted columns, which pct_to_rt makes
-    # the rows of, are T's, and whose first column standardizes to sigma.
-    # permutations() made sigma, so it is not checked again
-    T, columns, sigma = case
-    rows = _pct_rows(T.rows, sigma)
-    if not _is_pct(rows, sum(map(len, rows))):
-        return (f"rt_to_pct of {T.rows} under type {sigma} is not a valid PCT: "
-                f"{tuple(map(tuple, rows))}")
-    if (_sorted_columns(rows) != columns
-            or standardize([row[0] for row in rows]) != sigma):
-        return f"reverse-tableau/tableau round trip moved {T.rows} under type {sigma}"
-    return None
+def _types_moved(T: ReverseTableau, types: list[tuple[Perm, list[int]]]
+                 ) -> tuple[int, str | None]:
+    # rt_to_pct(T, sigma), pct_to_rt and st_column fused on plain rows, for
+    # each type sigma of T's rows with its ``_row_order``: the image must be
+    # a valid PCT of T's size whose columns hold T's entries, which
+    # pct_to_rt sorts back into T, and whose first column standardizes to
+    # sigma.  permutations() made sigma, so it is not checked again.
+    # Returns the cases run, up to the first failure, and its message.
+    m = T.size
+    first = _first_column(T.rows)
+    # T's entries past the first column, each with its column
+    later = {x: j for row in T.rows for j, x in enumerate(row) if j}
+    for case, (sigma, order) in enumerate(types, start=1):
+        rows = _pct_rows(T.rows, sigma, first, order)
+        if not _is_pct(rows, m):
+            return case, (f"rt_to_pct of {T.rows} under type {sigma} is not a valid "
+                          f"PCT: {tuple(map(tuple, rows))}")
+        if _columns_moved(rows, sigma, first, later):
+            return case, (f"reverse-tableau/tableau round trip moved {T.rows} "
+                          f"under type {sigma}")
+    return len(types), None
+
+
+def _columns_moved(rows: list[list[int]], sigma: Perm, first: list[int],
+                   later: dict[int, int]) -> bool:
+    # True unless the image's columns are T's as multisets and its first
+    # column standardizes to sigma, decided in one pass: row i starts with
+    # the sigma_i-th smallest entry of T's first column, each later entry is
+    # one of ``later`` in its own column, taken once, and none is left over
+    if len(rows) != len(sigma):
+        return True
+    left = later.copy()
+    for row, s in zip(rows, sigma):
+        if row[0] != first[s - 1]:
+            return True
+        for j in range(1, len(row)):
+            if left.pop(row[j], 0) != j:
+                return True
+    return bool(left)
 
 
 def _path_moved(d: LabeledDyckPath) -> str | None:
@@ -324,28 +349,25 @@ def _round_trips(check: str, size: int, cases: Iterable,
     return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad
 
 
-def _pct_rt_cases(m: int) -> Iterator[tuple[ReverseTableau, list[list[int]], Perm]]:
-    # every reverse tableau T of size m with its columns, under every type
-    # sigma of its rows
-    for lam in partitions_of(m):
-        types = list(permutations(range(1, len(lam) + 1)))
-        for T in enumerate_srt(lam):
-            columns = _sorted_columns(T.rows)  # as they stand: they decrease
-            for sigma in types:
-                yield T, columns, sigma
-
-
 def _pct_rt(m: int) -> Check:
-    # each image must be a valid PCT that pct_to_rt and its first column take
-    # back to (T, sigma), so the images are distinct standard PCTs of size m;
-    # as many as there are, they are all of them
-    row, bad = _round_trips("pct-rt", m, _pct_rt_cases(m), _type_moved)
-    if bad is None:
-        spct = sum(count_spct(alpha) for alpha in compositions_of(m))
-        if row["cases"] != spct:
-            row["pass"] = False
-            bad = f"size {m}: {row['cases']} (T, sigma) cases but {spct} standard PCTs"
-    return row, bad
+    # every reverse tableau T of size m under every type sigma of its rows:
+    # each image must be a valid PCT that pct_to_rt and its first column
+    # take back to (T, sigma), so the images are distinct standard PCTs of
+    # size m; as many as there are, they are all of them
+    cases = 0
+    bad = None
+    for lam in partitions_of(m):
+        types = [(sigma, _row_order(sigma))
+                 for sigma in permutations(range(1, len(lam) + 1))]
+        for T in enumerate_srt(lam):
+            checked, bad = _types_moved(T, types)
+            cases += checked
+            if bad is not None:
+                return {"check": "pct-rt", "size": m, "cases": cases, "pass": False}, bad
+    spct = sum(count_spct(alpha) for alpha in compositions_of(m))
+    if cases != spct:
+        bad = f"size {m}: {cases} (T, sigma) cases but {spct} standard PCTs"
+    return {"check": "pct-rt", "size": m, "cases": cases, "pass": bad is None}, bad
 
 
 def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Check]:

@@ -6,10 +6,12 @@ positive labels on its down-steps; a path of semi-length n is canonical when
 those labels are exactly 1..n (factors of a longer path keep their original
 labels, so they are valid paths without being canonical).
 
-Up-step labels are never stored.  They are recomputed by the labeling rule:
-scanning up-steps right to left, each receives the smallest down-step label
-occurring later in the path that no later up-step has already taken.  The
-fully labeled word lists tokens like ``U7`` and ``D3`` left to right.
+Up-step labels are not part of the steps.  They follow from the labeling
+rule: scanning up-steps right to left, each receives the smallest down-step
+label occurring later in the path that no later up-step has already taken.
+``up_step_labels`` applies it once per path object and keeps the result on
+the path.  The fully labeled word lists tokens like ``U7`` and ``D3`` left
+to right.
 
 A canonical labeled path corresponds to a standard tableau with n rows of
 length two: step i is an up-step when i sits in the second column, and
@@ -30,7 +32,6 @@ __all__ = [
     "DyckPath",
     "LabeledDyckPath",
     "prime_factors",
-    "runs",
     "up_step_labels",
     "labeled_dyck_word",
     "format_word",
@@ -160,29 +161,15 @@ def prime_factors(
     return tuple(factors)
 
 
-def runs(d: LabeledDyckPath) -> tuple[tuple[int, ...], ...]:
-    """Maximal down-step blocks, rightmost block first, labels left to right."""
-    blocks: list[tuple[int, ...]] = []
-    current: list[int] = []
-    labels = iter(d.down_labels)
-    for s in d.steps:
-        if s == "U":
-            if current:
-                blocks.append(tuple(current))
-                current = []
-        else:
-            current.append(next(labels))
-    if current:
-        blocks.append(tuple(current))
-    return tuple(reversed(blocks))
-
-
 def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
     """Labels acquired by the up-steps, reported left to right.
 
     Scanning right to left, an up-step takes the smallest label among
-    down-steps after it that no up-step after it has taken.  The result is
-    stored on the path, so each path is scanned once.
+    down-steps after it that no up-step after it has taken.  This is the one
+    copy of the rule: ``ldyck_to_spct``, ``spct_to_ldyck`` and
+    ``trees.ldyck_to_ltree`` all read the labels from here.  The result is
+    stored on the path, so each path object is scanned once, however many
+    of those maps it passes through.
     """
     ups = getattr(d, "_ups", None)
     if ups is not None:
@@ -221,7 +208,11 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
     exactly when the steps form a path that ``ldyck_to_spct`` takes back to
     it; that is checked in O(n log n), without ``validate_pct``.  The steps
     come from one list of integers, the row of each entry; each row has one
-    cell in column 1, so the down labels are 1..n, each once.
+    cell in column 1, so the down labels are 1..n, each once, and every
+    down-step maps back to its own cell.  So the path maps back to the
+    tableau exactly when ``up_step_labels`` gives each up-step the row of
+    its entry: one comparison, with no tableau rebuilt, and the labels stay
+    stored on the path.
     """
     if any(len(row) != 2 for row in t.rows):
         raise ValueError(f"shape must be a two-column rectangle: {t.shape}")
@@ -250,7 +241,7 @@ def spct_to_ldyck(t: Tableau) -> LabeledDyckPath:
                 break
     if valid:
         d = LabeledDyckPath._trusted(tuple(steps), tuple(downs))
-        valid = ldyck_to_spct(d).rows == t.rows
+        valid = up_step_labels(d) == tuple(-r for r in where if r < 0)
     if not valid:
         raise ValueError("input is not a valid standard tableau")
     return d
@@ -260,25 +251,26 @@ def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
     """Rebuild the two-column tableau: label i with its up-step at position p
     and down-step at position q gives row i the entries q then p.
 
-    One right-to-left pass gives the up-steps their labels, by the rule of
-    ``up_step_labels``, and records every step's position.
+    The up-steps' labels come from ``up_step_labels``, stored on the path.
+    An up-step takes its label from a later down-step, so one left-to-right
+    pass meets each label's up-step first and completes its row at its
+    down-step.
     """
     _require_canonical(d)
     n = d.semi_length
     if n == 0:
         raise ValueError("need at least one row: 0")
     up_at = [0] * (n + 1)
-    down_at = [0] * (n + 1)
-    available: list[int] = []  # heap of the later down labels not yet taken
-    labels = reversed(d.down_labels)
-    for position, s in zip(range(2 * n, 0, -1), reversed(d.steps)):
+    rows: list[tuple[int, int] | None] = [None] * (n + 1)
+    ups = iter(up_step_labels(d))
+    downs = iter(d.down_labels)
+    for position, s in enumerate(d.steps, start=1):
         if s == "U":
-            up_at[heapq.heappop(available)] = position
+            up_at[next(ups)] = position
         else:
-            label = next(labels)
-            down_at[label] = position
-            heapq.heappush(available, label)
-    return Tableau._trusted(tuple(zip(down_at[1:], up_at[1:])))
+            label = next(downs)
+            rows[label] = (position, up_at[label])
+    return Tableau._trusted(tuple(rows[1:]))
 
 
 def srt_to_dyck(T: ReverseTableau) -> DyckPath:

@@ -551,18 +551,32 @@ def rt_to_pct(T: ReverseTableau, sigma: Sequence[int]) -> Tableau:
     rows only gain members as the entries fall, so they wait in a heap of
     row indices: O(n log n) in all.
     """
-    rows = _pct_rows(T.rows, _check_type(sigma, len(T.rows)))
+    sigma = _check_type(sigma, len(T.rows))
+    rows = _pct_rows(T.rows, sigma, _first_column(T.rows), _row_order(sigma))
     return Tableau._trusted(tuple(map(tuple, rows)))
 
 
-def _pct_rows(rows: Rows, sigma: Perm) -> list[list[int]]:
-    # the rows of ``rt_to_pct(T, sigma)``, from T's rows and a checked sigma.
-    # The columns of T strictly decrease downward: read upward, the first
-    # lists its entries sorted, and each later one lists them largest first
-    first = [row[0] for row in reversed(rows)]
+def _first_column(rows: Rows) -> list[int]:
+    # the first column of a reverse tableau read upward: its entries sorted
+    return [row[0] for row in reversed(rows)]
+
+
+def _row_order(sigma: Perm) -> list[int]:
+    # the row indices (from 0), largest sigma first
+    return sorted(range(len(sigma)), key=sigma.__getitem__, reverse=True)
+
+
+def _pct_rows(rows: Rows, sigma: Perm, first: list[int], order: list[int]
+              ) -> list[list[int]]:
+    # the rows of ``rt_to_pct(T, sigma)``, from T's rows, a checked sigma,
+    # ``_first_column`` of T and ``_row_order`` of sigma: the last two depend
+    # on T alone and on sigma alone, so a caller running many cases computes
+    # each once.  The columns of T strictly decrease downward: read upward,
+    # the first lists its entries sorted, and each later one lists them
+    # largest first
     built: list[list[int]] = [[first[s - 1]] for s in sigma]
     # the rows that took an entry of the column last placed, largest first
-    filled = sorted(range(len(built)), key=sigma.__getitem__, reverse=True)
+    filled = order
     for k in range(1, len(rows[0])):
         waiting, filled = filled, []
         heap: list[int] = []  # the rows open to the next entry

@@ -265,42 +265,59 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
     return nodes[left[0]]
 
 
+def _replay(t: Node) -> list[int]:
+    # The push/pop replay of t, a push of label x recorded as x and a pop as
+    # -x, by an explicit stack that also checks the labels: distinct as they
+    # are pushed, and 1..n once all are.  On a bad tree ``check_ltree``
+    # raises, naming the first bad label in preorder.
+    ops: list[int] = []
+    heap: list[int] = []  # the pushed labels not yet popped
+    nodes: dict[int, Node] = {}  # every pushed node, by label
+    node: Node | None = t  # the next node of the left path being pushed
+    while True:
+        while node:
+            label = node.label
+            if label in nodes:
+                check_ltree(t)
+            nodes[label] = node
+            ops.append(label)
+            heapq.heappush(heap, label)
+            node = node.left
+        if not heap:
+            break
+        label = heapq.heappop(heap)
+        ops.append(-label)
+        node = nodes[label].right
+    if min(nodes) < 1 or max(nodes) > len(nodes):
+        check_ltree(t)
+    return ops
+
+
 def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
     """The push/pop operation sequence replaying the tree.
 
     Push the root's left path root to leaf; repeatedly pop the smallest
     pushed-but-unpopped label, and after popping a node with a right child,
-    push that child's left path before popping again.
+    push that child's left path before popping again.  The labels are
+    checked in the same pass (exactly 1..n, else ``ValueError``).
     """
-    n = check_ltree(t)
-    trace: list[tuple[str, int]] = []
-    # (label, node) pairs: the labels are distinct, so nodes are never compared
-    heap: list[tuple[int, Node]] = []
-    node: Node | None = t  # the next node of the left path being pushed
-    while node or heap:
-        if node:
-            trace.append(("push", node.label))
-            heapq.heappush(heap, (node.label, node))
-            node = node.left
-        else:
-            label, popped = heapq.heappop(heap)
-            trace.append(("pop", label))
-            node = popped.right
-    if len(trace) != 2 * n:  # impossible: every node pushed and popped once
-        raise AssertionError(f"trace has {len(trace)} operations, wanted {2 * n}")
-    return tuple(trace)
+    return tuple(("push", x) if x > 0 else ("pop", -x) for x in _replay(t))
 
 
 def ltree_to_ldyck(t: Node) -> LabeledDyckPath:
     """Run the push/pop replay and read it backwards: a push becomes a
     labeled down-step, a pop an up-step.
 
+    The replay is the one pass of ``push_pop_trace``, which also checks the
+    labels; its integers become the steps directly, with no trace built.
+
     >>> ltree_to_ldyck(Node(2, Node(1), Node(3))).steps
     ('U', 'D3', 'U', 'U', 'D1', 'D2')
     """
-    trace = push_pop_trace(t)[::-1]
-    steps = tuple(f"D{label}" if op == "push" else "U" for op, label in trace)
-    downs = tuple(label for op, label in trace if op == "push")
+    ops = _replay(t)
+    ops.reverse()
+    steps = tuple(f"D{x}" if x > 0 else "U" for x in ops)
+    downs = tuple(x for x in ops if x > 0)
     return LabeledDyckPath._trusted(steps, downs)
 
 

@@ -18,8 +18,13 @@ from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
-from tabkit.tableaux import _pct_rows
+from tabkit.tableaux import _first_column, _pct_rows, _row_order
 from tabkit.trees import Node, ldyck_to_ltree
+
+
+def image_rows(rows, sigma):
+    """The rows of ``rt_to_pct(T, sigma)``, from T's rows."""
+    return _pct_rows(rows, sigma, _first_column(rows), _row_order(sigma))
 
 
 def run(capsys, *argv):
@@ -947,7 +952,7 @@ def test_verify_pct_suites_refuse_size_10_without_counting_shapes(capsys, monkey
 
 
 def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
-    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma: ((1,), (1,)))
+    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma, *_: ((1,), (1,)))
     code, out, err = run(capsys, "verify", "bijections", "--n", "1")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -960,7 +965,7 @@ def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
 def test_verify_bijections_fails_a_row_on_an_image_of_other_columns(capsys, monkeypatch):
     # a valid PCT of type (1,) for every case: right at size 1, and at size 2
     # its column does not sort back to T = ((2, 1),)
-    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma: ((1,),))
+    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma, *_: ((1,),))
     code, out, err = run(capsys, "verify", "bijections", "--n", "2")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -977,7 +982,7 @@ def test_verify_bijections_fails_a_row_on_an_image_of_another_type(capsys, monke
     # the image of the reversed type: a valid PCT whose columns sort back to
     # T, of the wrong type once T has two rows
     monkeypatch.setattr("tabkit.cli._pct_rows",
-                        lambda rows, sigma: _pct_rows(rows, sigma[::-1]))
+                        lambda rows, sigma, *_: image_rows(rows, sigma[::-1]))
     code, out, err = run(capsys, "verify", "bijections", "--n", "2")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -988,6 +993,45 @@ def test_verify_bijections_fails_a_row_on_an_image_of_another_type(capsys, monke
     ]
     assert results["counterexample"] == (
         "reverse-tableau/tableau round trip moved ((2,), (1,)) under type (1, 2)"
+    )
+
+
+def _lowest_long_row(image, lose):
+    # the image with ``lose`` applied to its lowest row of two or more cells
+    long = [i for i, row in enumerate(image) if len(row) > 1]
+    if long:
+        image[long[-1]] = lose(image[long[-1]])
+    return image
+
+
+@pytest.mark.parametrize("lossy, cases, witness", [
+    # the last entry of that row dropped
+    (lambda image: _lowest_long_row(image, lambda row: row[:-1]),
+     1, "((2, 1),) under type (1,)"),
+    # that entry replaced by the one to its left (a repeat within one later
+    # column breaks the triple condition, so a repeat the validity test lets
+    # through sits outside its own column)
+    (lambda image: _lowest_long_row(image, lambda row: row[:-1] + row[-2:-1]),
+     1, "((2, 1),) under type (1,)"),
+    # the last row dropped, once there are two
+    (lambda image: image[:-1] if len(image) > 1 else image,
+     2, "((2,), (1,)) under type (1, 2)"),
+], ids=["drop", "repeat", "drop-row"])
+def test_verify_bijections_fails_a_row_on_an_image_that_loses_an_entry(
+        capsys, monkeypatch, lossy, cases, witness):
+    # each image is still a valid PCT of T's size, but one of T's entries is
+    # gone from its column
+    monkeypatch.setattr("tabkit.cli._pct_rows",
+                        lambda rows, sigma, *_: lossy(image_rows(rows, sigma)))
+    code, out, err = run(capsys, "verify", "bijections", "--n", "2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["checks"][:2] == [
+        {"check": "pct-rt", "size": 1, "cases": 1, "pass": True},
+        {"check": "pct-rt", "size": 2, "cases": cases, "pass": False},
+    ]
+    assert results["counterexample"] == (
+        f"reverse-tableau/tableau round trip moved {witness}"
     )
 
 

@@ -19,7 +19,6 @@ from tabkit.dyck import (
     ldyck_to_spct,
     prime_factors,
     random_ldyck,
-    runs,
     spct_to_ldyck,
     srt_to_dyck,
     up_step_labels,
@@ -161,6 +160,25 @@ def test_prime_factors_concatenate(d):
     whole = labeled_dyck_word(d)
     parts = tuple(w for f in factors for w in labeled_dyck_word(f))
     assert whole == parts
+
+
+def runs(d):
+    """Maximal down-step blocks, rightmost block first, labels left to right:
+    the blocks of the tree reading that ``test_trees`` checks the replay
+    against."""
+    blocks = []
+    current = []
+    labels = iter(d.down_labels)
+    for s in d.steps:
+        if s == "U":
+            if current:
+                blocks.append(tuple(current))
+                current = []
+        else:
+            current.append(next(labels))
+    if current:
+        blocks.append(tuple(current))
+    return tuple(reversed(blocks))
 
 
 def test_runs_golden():

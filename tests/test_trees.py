@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from math import factorial
 
@@ -15,7 +16,7 @@ from tabkit.tableaux import (
     st_column,
     validate_pct,
 )
-from tabkit.dyck import ldyck_to_spct, runs, spct_to_ldyck, up_step_labels
+from tabkit.dyck import ldyck_to_spct, spct_to_ldyck, up_step_labels
 from tabkit.trees import (
     LeftPath,
     Node,
@@ -34,7 +35,7 @@ from tabkit.trees import (
     tree_labels,
     tree_to_json,
 )
-from test_dyck import cycle_lemma_draws
+from test_dyck import cycle_lemma_draws, runs
 
 # the ten-node companion of the semi-length 10 golden path
 GOLDEN_PATH = LabeledDyckPath(
@@ -91,6 +92,19 @@ def test_check_ltree():
         check_ltree(Node(2))  # labels must be exactly 1..n
     with pytest.raises(ValueError):
         check_ltree(Node(1, Node(1)))  # repeated label
+
+
+@pytest.mark.parametrize("tree, message", [
+    (Node(2), "labels must be exactly 1..1: 2 is repeated or out of range"),
+    (Node(1, Node(3)), "labels must be exactly 1..2: 3 is repeated or out of range"),
+    (Node(2, Node(0)), "labels must be exactly 1..2: 0 is repeated or out of range"),
+    (Node(2, Node(1), Node(1)), "labels must be exactly 1..3: 1 is repeated or out of range"),
+], ids=["too-large", "too-large-below", "zero", "repeated"])
+def test_replay_refuses_labels_other_than_1_to_n(tree, message):
+    # the replay checks the labels as it goes, with check_ltree's message
+    for replay in (push_pop_trace, ltree_to_ldyck):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replay(tree)
 
 
 def test_mlpd_golden():
