@@ -267,9 +267,9 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
 
 def _replay(t: Node) -> list[int]:
     # The push/pop replay of t, a push of label x recorded as x and a pop as
-    # -x, by an explicit stack that also checks the labels: distinct as they
-    # are pushed, and 1..n once all are.  On a bad tree ``check_ltree``
-    # raises, naming the first bad label in preorder.
+    # -x, in one pass without recursion that also checks the labels:
+    # distinct as they are pushed, and 1..n once all are.  On a bad tree
+    # ``check_ltree`` raises, naming the first bad label in preorder.
     ops: list[int] = []
     heap: list[int] = []  # the pushed labels not yet popped
     nodes: dict[int, Node] = {}  # every pushed node, by label
