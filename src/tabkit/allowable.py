@@ -59,7 +59,6 @@ __all__ = [
     "is_acyclic",
     "topological_spct",
     "realize_sct",
-    "graph_dot",
 ]
 
 Node = tuple[int, int]  # (row, column), both 1-indexed
@@ -344,19 +343,3 @@ def realize_sct(a: Perm, b: Perm) -> Tableau:
         raise ValueError(f"pair is not allowable: {a}, {b}")
     # each step of the chain is a weak-order cover, which is allowable
     return _label_sequence(maximal_chain_to(a) + (b,))
-
-
-_EDGE_COLORS = {"horizontal": "black", "vertical": "blue", "diagonal": "red"}
-
-
-def graph_dot(g: PermGraph) -> str:
-    """DOT digraph with one color per edge class."""
-    lines = ["digraph grid {"]
-    for i, j in g.nodes:
-        lines.append(f'  n{i}_{j} [label="({i},{j})"];')
-    for (si, sj), (di, dj), kind in sorted(g.edges):
-        lines.append(
-            f'  n{si}_{sj} -> n{di}_{dj} [color={_EDGE_COLORS[kind]}];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

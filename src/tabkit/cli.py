@@ -17,7 +17,10 @@ its steps, and refuses when that passes the object cap.  Exit codes: 0 pass,
 Each ``cmd_*`` takes the cap, the choice and the flags' values, and returns
 its parameters, results, rows and exit code; ``main`` times it and renders
 the report.  Each verification suite yields one ``(row, witness)`` pair per
-check; the witness is None on a pass.
+check; the witness is None on a pass.  The bijection and pair checks run in
+the modules they check (``tableaux.verify_pct_rt``, the ``verify_*`` of
+``trees`` and ``allowable.verify_pairs``), which return the pairs; a suite
+here charges its sizes, loops over them and holds the seed's ``rng``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
-from itertools import chain, permutations
+from itertools import chain
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -48,24 +51,17 @@ from .core import (
     partitions_of,
 )
 from .dyck import (
-    LabeledDyckPath,
     catalan,
     enumerate_dyck,
     enumerate_ldyck,
     ldyck_from_json,
     ldyck_to_spct,
-    random_ldyck,
     spct_to_ldyck,
 )
 from .hecke import equivalence_classes, verify_hecke_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
-    _first_column,
-    _is_pct,
-    _pct_rows,
-    _row_order,
-    _two_column_work,
     count_spct,
     count_srt,
     descent_quadruple_counts,
@@ -76,16 +72,18 @@ from .tableaux import (
     pct_to_rt,
     rt_to_pct,
     two_column_census,
+    two_column_work,
+    verify_pct_rt,
 )
 from .trees import (
-    Node,
     edge_stats_counts,
     enumerate_ltrees,
     ldyck_to_ltree,
     ltree_to_ldyck,
-    random_ltree,
     tree_from_json,
     tree_to_json,
+    verify_path_round_trips,
+    verify_sampled_round_trips,
 )
 
 __all__ = ["main", "entry", "build_parser"]
@@ -143,8 +141,13 @@ def _spct_costs(max_size: int) -> Iterator[int]:
 
 
 def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
-    # ``_two_column_work(n)`` passes 2^n, so a large n passes the cap uncomputed
-    return (cap + 1 if n >= cap.bit_length() else _two_column_work(n) for n in sizes)
+    # ``two_column_work(n)`` passes 2^n, so a large n passes the cap uncomputed
+    return (cap + 1 if n >= cap.bit_length() else two_column_work(n) for n in sizes)
+
+
+def _labeled(n: int) -> int:
+    """n! Cat(n): the labeled paths, labeled trees or two-column SPCTs of size n."""
+    return factorial(n) * catalan(n)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,7 @@ def cmd_enumerate(cap: int, kind: str, shape: str | None = None, sigma: str | No
         if kind == "ltree" and n < 1:
             raise ValueError(f"need at least one node: {n}")
         # n! Cat(n) >= 2^(n-1), so a large n passes the cap uncomputed
-        count = cap + 1 if n > cap.bit_length() else factorial(n) * catalan(n)
+        count = cap + 1 if n > cap.bit_length() else _labeled(n)
         objects = lambda: enumerate_ldyck(n) if kind == "ldyck" else enumerate_ltrees(n)
     _charge([count], cap, f"enumerate {kind}")
 
@@ -268,7 +271,7 @@ def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
             # the labeled paths: every Dyck path under each of n! labelings
             "ldyck": factorial(n) * sum(1 for _ in enumerate_dyck(n)),
             "ltree": sum(edge_stats_counts(n).values()),
-            "expected_objects": factorial(n) * catalan(n),
+            "expected_objects": _labeled(n),
             "classes": class_count,
             "expected_classes": (n + 1) ** (n - 1),
         }
@@ -279,117 +282,21 @@ def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
         yield row, None if passed else f"n={n}: {row}"
 
 
-def _types_moved(T: ReverseTableau, types: list[tuple[Perm, list[int]]]
-                 ) -> tuple[int, str | None]:
-    # rt_to_pct(T, sigma), pct_to_rt and st_column fused on plain rows, for
-    # each type sigma of T's rows with its ``_row_order``: the image must be
-    # a valid PCT of T's size whose columns hold T's entries, which
-    # pct_to_rt sorts back into T, and whose first column standardizes to
-    # sigma.  permutations() made sigma, so it is not checked again.
-    # Returns the cases run, up to the first failure, and its message.
-    m = T.size
-    first = _first_column(T.rows)
-    # T's entries past the first column, each with its column
-    later = {x: j for row in T.rows for j, x in enumerate(row) if j}
-    for case, (sigma, order) in enumerate(types, start=1):
-        rows = _pct_rows(T.rows, sigma, first, order)
-        if not _is_pct(rows, m):
-            return case, (f"rt_to_pct of {T.rows} under type {sigma} is not a valid "
-                          f"PCT: {tuple(map(tuple, rows))}")
-        if _columns_moved(rows, sigma, first, later):
-            return case, (f"reverse-tableau/tableau round trip moved {T.rows} "
-                          f"under type {sigma}")
-    return len(types), None
-
-
-def _columns_moved(rows: list[list[int]], sigma: Perm, first: list[int],
-                   later: dict[int, int]) -> bool:
-    # True unless the image's columns are T's as multisets and its first
-    # column standardizes to sigma, decided in one pass: row i starts with
-    # the sigma_i-th smallest entry of T's first column, each later entry is
-    # one of ``later`` in its own column, taken once, and none is left over
-    if len(rows) != len(sigma):
-        return True
-    left = later.copy()
-    for row, s in zip(rows, sigma):
-        if row[0] != first[s - 1]:
-            return True
-        for j in range(1, len(row)):
-            if left.pop(row[j], 0) != j:
-                return True
-    return bool(left)
-
-
-def _path_moved(d: LabeledDyckPath) -> str | None:
-    if spct_to_ldyck(ldyck_to_spct(d)) != d:
-        return f"path/tableau round trip moved {d.steps}"
-    if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
-        return f"path/tree round trip moved {d.steps}"
-    return None
-
-
-def _tree_moved(tree: Node) -> str | None:
-    if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
-        # named by the preorder key of its equality, shorter than its repr
-        return (f"tree/path round trip moved the tree with (label, has a left child, "
-                f"has a right child) in preorder {tree._key()}")
-    return None
-
-
-def _round_trips(check: str, size: int, cases: Iterable,
-                 moved: Callable[[object], str | None]) -> Check:
-    """Run ``moved`` on each case up to the first failure message it returns."""
-    count = 0
-    bad = None
-    for case in cases:
-        count += 1
-        bad = moved(case)
-        if bad is not None:
-            break
-    return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad
-
-
-def _pct_rt(m: int) -> Check:
-    # every reverse tableau T of size m under every type sigma of its rows:
-    # each image must be a valid PCT that pct_to_rt and its first column
-    # take back to (T, sigma), so the images are distinct standard PCTs of
-    # size m; as many as there are, they are all of them
-    cases = 0
-    bad = None
-    for lam in partitions_of(m):
-        types = [(sigma, _row_order(sigma))
-                 for sigma in permutations(range(1, len(lam) + 1))]
-        for T in enumerate_srt(lam):
-            checked, bad = _types_moved(T, types)
-            cases += checked
-            if bad is not None:
-                return {"check": "pct-rt", "size": m, "cases": cases, "pass": False}, bad
-    spct = sum(count_spct(alpha) for alpha in compositions_of(m))
-    if cases != spct:
-        bad = f"size {m}: {cases} (T, sigma) cases but {spct} standard PCTs"
-    return {"check": "pct-rt", "size": m, "cases": cases, "pass": bad is None}, bad
-
-
 def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Check]:
     drawn = samples * max(0, n - 4)
     _charge([drawn], cap, "verify bijections",
             lambda _: f"up to n={n} draws {drawn} samples")
     k = min(n, 4)
     # the samples, the paths of size <= k and the (T, sigma) cases of size <= n
-    paths = sum(factorial(m) * catalan(m) for m in range(1, k + 1))
+    paths = sum(_labeled(m) for m in range(1, k + 1))
     _charge(chain((drawn, paths), _spct_costs(n)), cap, "verify bijections")
     rng = random.Random(seed)
     for m in range(1, n + 1):
-        yield _pct_rt(m)
+        yield verify_pct_rt(m)
     for m in range(1, k + 1):
-        yield _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
+        yield verify_path_round_trips(m)
     for m in range(5, n + 1):
-        # each sampled path is checked before its tree is drawn from ``rng``
-        sampled = (random_ldyck(m, rng) for _ in range(samples))
-        yield _round_trips(
-            "sampled", m, sampled,
-            lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
-        )
+        yield verify_sampled_round_trips(m, samples, rng)
 
 
 def _suite_classes(cap: int, max_size: int) -> Iterator[Check]:
@@ -452,7 +359,7 @@ def cmd_stats(cap: int, kind: str, n: int) -> Outcome:
     equal = tableau_side == tree_side
     results = {
         "distribution": rows,
-        "objects_per_side": factorial(n) * catalan(n),
+        "objects_per_side": _labeled(n),
         "distinct_quadruples": len(quadruples),
         "equal": equal,
     }

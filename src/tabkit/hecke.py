@@ -53,10 +53,8 @@ __all__ = [
     "classify",
     "swap_entries",
     "pi",
-    "apply_word",
     "verify_hecke_relations",
     "is_source",
-    "is_sink",
     "equivalence_classes",
 ]
 
@@ -123,17 +121,6 @@ def pi(t: Tableau, i: int) -> HeckeResult:
     if kind is DescentClass.ATTACKING:
         return HeckeResult("zero", None)
     return HeckeResult("moved", swap_entries(t, i))
-
-
-def apply_word(t: Tableau, word: Sequence[int]) -> Tableau | None:
-    """Apply operators right to left, None standing for the absorbing zero."""
-    state: Tableau | None = t
-    for i in reversed(word):
-        if state is None:
-            return None
-        result = pi(state, i)
-        state = result.tableau
-    return state
 
 
 @dataclass(frozen=True)
@@ -250,15 +237,6 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
 def is_source(t: Tableau) -> bool:
     """Every non-descent i < n has i+1 in the cell immediately to its left."""
     return _is_source(*_cells(t))
-
-
-def is_sink(t: Tableau) -> bool:
-    """Every descent is attacking."""
-    pos = positions(t)
-    return all(
-        _classify(*pos[i], *pos[i + 1]) is not DescentClass.NONATTACKING
-        for i in range(1, t.size)
-    )
 
 
 @dataclass(frozen=True)

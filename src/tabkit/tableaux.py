@@ -18,6 +18,8 @@ The two constructions ``pct_to_rt`` (sort each column) and ``rt_to_pct``
 (place each column back, steered by a type permutation) are mutually inverse
 bijections between valid PCTs of type sigma, over all shapes with a given
 sorted shape, and reverse tableaux of that partition shape.
+``verify_pct_rt(m)`` checks that on every size-m case, on plain rows, for
+``tk verify bijections``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import permutations
 from math import comb, factorial, prod
 from typing import TypeVar
 
@@ -39,6 +42,8 @@ from .core import (
     check_composition,
     check_permutation,
     composition_size,
+    compositions_of,
+    partitions_of,
     standardize,
     to_partition,
 )
@@ -49,7 +54,6 @@ __all__ = [
     "Violation",
     "ValidationResult",
     "validate_pct",
-    "is_standard",
     "positions",
     "column_word",
     "st_column",
@@ -58,15 +62,16 @@ __all__ = [
     "descent_quadruple",
     "descent_quadruple_counts",
     "two_column_census",
+    "two_column_work",
     "pct_to_rt",
     "rt_to_pct",
+    "verify_pct_rt",
     "enumerate_spct",
     "enumerate_spct_sigma",
     "enumerate_srt",
     "count_spct",
     "count_srt",
     "from_json",
-    "render",
 ]
 
 
@@ -323,12 +328,6 @@ def _violations(t: Tableau) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
-def is_standard(t: Tableau | ReverseTableau) -> bool:
-    """True iff the entries are exactly 1 through the number of cells."""
-    entries = sorted(x for row in t.rows for x in row)
-    return entries == list(range(1, t.size + 1))
-
-
 def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
     """Map each entry of a standard tableau to its 1-indexed (row, column).
 
@@ -407,7 +406,7 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     when its column 1 is filled, in row order, and the cell of the last
     entry placed.  The quadruple and the source rule read only the cells of
     i+1 and i, which is one step of the transfer.  Its states and the
-    quadruples they carry are bounded by ``_two_column_work(n)``.
+    quadruples they carry are bounded by ``two_column_work(n)``.
     """
     if n < 1:
         raise ValueError(f"need at least one row: {n}")
@@ -449,13 +448,16 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     return _unpacked(level[end], n), sources.get(end, 0)
 
 
-def _two_column_work(n: int) -> int:
-    # a bound on the work of ``two_column_census(n)``, for a cap to charge
-    # before any of it: with k rows not yet full, the transfer has 2^k
-    # markings and 2k + 1 cells of the last entry (a row, or a gap between
-    # rows), summed over k <= n.  The entries placed fix the sum of every
-    # quadruple a state carries, at most n - 1, so it carries at most
-    # C(n+2, 3) of them
+def two_column_work(n: int) -> int:
+    """A bound on the work of ``two_column_census(n)``, for a cap to charge
+    before any of it: its states times the quadruples each carries.
+
+    With k rows not yet full, the transfer has 2^k markings and 2k + 1
+    cells of the last entry (a row, or a gap between rows), summed over k
+    <= n.  The entries placed fix the sum of every quadruple a state
+    carries, at most n - 1, so it carries at most C(n+2, 3) of them.  The
+    bound passes 2^n.
+    """
     return ((2 * n - 1) * 2 ** (n + 1) + 3) * comb(n + 2, 3)
 
 
@@ -596,6 +598,70 @@ def _pct_rows(rows: Rows, sigma: Perm, first: list[int], order: list[int]
             built[r].append(v)
             filled.append(r)
     return built
+
+
+def verify_pct_rt(m: int) -> tuple[dict, str | None]:
+    """The ``pct-rt`` row of ``tk verify bijections``, and the first failure's
+    message or None: ``rt_to_pct`` on every reverse tableau T of size m under
+    every type sigma of its rows.  Each image must be a valid PCT that
+    ``pct_to_rt`` and its first column take back to (T, sigma), so the images
+    are distinct standard PCTs of size m; as many as there are, they are all
+    of them."""
+    cases = 0
+    bad = None
+    for lam in partitions_of(m):
+        types = [(sigma, _row_order(sigma))
+                 for sigma in permutations(range(1, len(lam) + 1))]
+        for T in enumerate_srt(lam):
+            checked, bad = _types_moved(T, types)
+            cases += checked
+            if bad is not None:
+                return {"check": "pct-rt", "size": m, "cases": cases, "pass": False}, bad
+    spct = sum(count_spct(alpha) for alpha in compositions_of(m))
+    if cases != spct:
+        bad = f"size {m}: {cases} (T, sigma) cases but {spct} standard PCTs"
+    return {"check": "pct-rt", "size": m, "cases": cases, "pass": bad is None}, bad
+
+
+def _types_moved(T: ReverseTableau, types: list[tuple[Perm, list[int]]]
+                 ) -> tuple[int, str | None]:
+    # rt_to_pct(T, sigma), pct_to_rt and st_column fused on plain rows, for
+    # each type sigma of T's rows with its ``_row_order``: the image must be
+    # a valid PCT of T's size whose columns hold T's entries, which
+    # pct_to_rt sorts back into T, and whose first column standardizes to
+    # sigma.  permutations() made sigma, so it is not checked again.
+    # Returns the cases run, up to the first failure, and its message.
+    m = T.size
+    first = _first_column(T.rows)
+    # T's entries past the first column, each with its column
+    later = {x: j for row in T.rows for j, x in enumerate(row) if j}
+    for case, (sigma, order) in enumerate(types, start=1):
+        rows = _pct_rows(T.rows, sigma, first, order)
+        if not _is_pct(rows, m):
+            return case, (f"rt_to_pct of {T.rows} under type {sigma} is not a valid "
+                          f"PCT: {tuple(map(tuple, rows))}")
+        if _columns_moved(rows, sigma, first, later):
+            return case, (f"reverse-tableau/tableau round trip moved {T.rows} "
+                          f"under type {sigma}")
+    return len(types), None
+
+
+def _columns_moved(rows: list[list[int]], sigma: Perm, first: list[int],
+                   later: dict[int, int]) -> bool:
+    # True unless the image's columns are T's as multisets and its first
+    # column standardizes to sigma, decided in one pass: row i starts with
+    # the sigma_i-th smallest entry of T's first column, each later entry is
+    # one of ``later`` in its own column, taken once, and none is left over
+    if len(rows) != len(sigma):
+        return True
+    left = later.copy()
+    for row, s in zip(rows, sigma):
+        if row[0] != first[s - 1]:
+            return True
+        for j in range(1, len(row)):
+            if left.pop(row[j], 0) != j:
+                return True
+    return bool(left)
 
 
 def _nonempty(shape: Sequence[int]) -> Composition:
@@ -808,11 +874,3 @@ def from_json(data: dict) -> Tableau | ReverseTableau:
             f"declared shape {shape} does not match rows {list(t.shape)}"
         )
     return t
-
-
-def render(t: Tableau | ReverseTableau) -> str:
-    """Left-justified text diagram, one line per row."""
-    width = max(len(str(x)) for row in t.rows for x in row)
-    return "\n".join(
-        " ".join(str(x).rjust(width) for x in row) for row in t.rows
-    )

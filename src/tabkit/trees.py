@@ -16,6 +16,8 @@ the up-step right after it.
 
 Edges are classified by comparing labels: a right child larger than its
 parent is a right ascent, smaller a right descent, and likewise on the left.
+The ``verify_*`` functions run the path, tableau and tree round trips of
+``tk verify bijections``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,24 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
 from .core import _places, _unpacked
-from .dyck import LabeledDyckPath, _require_canonical, random_ldyck, up_step_labels
+from .dyck import (
+    LabeledDyckPath,
+    _require_canonical,
+    enumerate_ldyck,
+    ldyck_to_spct,
+    random_ldyck,
+    spct_to_ldyck,
+    up_step_labels,
+)
 
 __all__ = [
     "Node",
     "LeftPath",
-    "node_count",
     "tree_labels",
     "check_ltree",
     "mlpd",
@@ -46,7 +55,8 @@ __all__ = [
     "random_ltree",
     "tree_to_json",
     "tree_from_json",
-    "tree_dot",
+    "verify_path_round_trips",
+    "verify_sampled_round_trips",
 ]
 
 
@@ -97,10 +107,6 @@ def _preorder(t: Node) -> Iterator[Node]:
 def tree_labels(t: Node) -> tuple[int, ...]:
     """All labels in preorder (node, left, right)."""
     return tuple(node.label for node in _preorder(t))
-
-
-def node_count(t: Node) -> int:
-    return len(tree_labels(t))
 
 
 def check_ltree(t: Node) -> int:
@@ -382,16 +388,51 @@ def tree_from_json(data: dict) -> Node:
     return Node(label, left, right)
 
 
-def tree_dot(t: Node) -> str:
-    """DOT digraph; edges tagged L/R, descent edges drawn bold."""
-    lines = ["digraph tree {"]
-    for node in _preorder(t):
-        lines.append(f"  n{node.label} [label=\"{node.label}\"];")
-        for side, child in (("L", node.left), ("R", node.right)):
-            if child:
-                bold = ", penwidth=2" if child.label < node.label else ""
-                lines.append(
-                    f'  n{node.label} -> n{child.label} [label="{side}"{bold}];'
-                )
-    lines.append("}")
-    return "\n".join(lines)
+
+def verify_path_round_trips(m: int) -> tuple[dict, str | None]:
+    """The ``ldyck-spct-ltree`` row of ``tk verify bijections``, and the first
+    failure's message or None: every labeled path of semi-length m taken to
+    its tableau and its tree and back."""
+    return _round_trips("ldyck-spct-ltree", m, enumerate_ldyck(m), _path_moved)
+
+
+def verify_sampled_round_trips(m: int, samples: int, rng: random.Random
+                               ) -> tuple[dict, str | None]:
+    """As ``verify_path_round_trips`` on ``samples`` labeled paths of
+    semi-length m drawn from ``rng``, each followed by a labeled tree drawn
+    from ``rng`` and taken to its path and back; the ``sampled`` row."""
+    # each sampled path is checked before its tree is drawn from ``rng``
+    sampled = (random_ldyck(m, rng) for _ in range(samples))
+    return _round_trips(
+        "sampled", m, sampled,
+        lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
+    )
+
+
+def _path_moved(d: LabeledDyckPath) -> str | None:
+    if spct_to_ldyck(ldyck_to_spct(d)) != d:
+        return f"path/tableau round trip moved {d.steps}"
+    if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
+        return f"path/tree round trip moved {d.steps}"
+    return None
+
+
+def _tree_moved(tree: Node) -> str | None:
+    if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
+        # named by the preorder key of its equality, shorter than its repr
+        return (f"tree/path round trip moved the tree with (label, has a left child, "
+                f"has a right child) in preorder {tree._key()}")
+    return None
+
+
+def _round_trips(check: str, size: int, cases: Iterable,
+                 moved: Callable[[object], str | None]) -> tuple[dict, str | None]:
+    """Run ``moved`` on each case up to the first failure message it returns."""
+    count = 0
+    bad = None
+    for case in cases:
+        count += 1
+        bad = moved(case)
+        if bad is not None:
+            break
+    return {"check": check, "size": size, "cases": count, "pass": bad is None}, bad

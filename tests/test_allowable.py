@@ -9,7 +9,6 @@ from tabkit.allowable import (
     _label_sequence,
     allowable_pairs,
     build_graph,
-    graph_dot,
     is_123312_avoiding,
     is_2112_avoiding,
     is_acyclic,
@@ -333,13 +332,3 @@ def test_realize_the_reversed_pair_at_n_40():
 def test_realize_rejects_non_allowable():
     with pytest.raises(ValueError):
         realize_sct((1, 2, 3), (3, 1, 2))
-
-
-def test_graph_dot_smoke():
-    # the identity pair keeps a non-inverted pair in column 2, so all three
-    # edge kinds appear
-    dot = graph_dot(build_graph(((1, 2), (1, 2))))
-    assert dot.startswith("digraph")
-    assert "->" in dot
-    for color in ("black", "blue", "red"):
-        assert color in dot

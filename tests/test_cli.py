@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tabkit import cli
+from tabkit import cli, trees
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
 from tabkit.core import inversions
@@ -267,8 +268,11 @@ def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
     monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
     monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
     for name in ("enumerate_ldyck", "enumerate_ltrees", "enumerate_dyck",
-                 "two_column_census", "edge_stats_counts", "random_ldyck"):
+                 "two_column_census", "edge_stats_counts"):
         monkeypatch.setattr(f"tabkit.cli.{name}", walk)
+    # the path round trips of ``verify bijections`` walk and draw in trees
+    for name in ("enumerate_ldyck", "random_ldyck"):
+        monkeypatch.setattr(f"tabkit.trees.{name}", walk)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"refused: {argv[0]} {argv[1]} passed {argv[-1]} objects")
@@ -910,7 +914,7 @@ def test_stats_quadruple_needs_a_positive_n(capsys):
 def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypatch):
     calls = []
     for name in ("enumerate_srt", "_pct_rows"):
-        monkeypatch.setattr(f"tabkit.cli.{name}", lambda *args: calls.append(args))
+        monkeypatch.setattr(f"tabkit.tableaux.{name}", lambda *args: calls.append(args))
     # sizes 5 and 6 draw 400 samples each
     argv = ("verify", "bijections", "--n", "6", "--samples", "400")
     code, out, err = run(capsys, *argv, "--max-objects", "799")
@@ -929,7 +933,7 @@ def test_verify_bijections_refuses_its_samples_before_starting(capsys, monkeypat
 def test_verify_bijections_refuses_n_10_without_counting_shapes(capsys, monkeypatch):
     calls = []
     monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
-    monkeypatch.setattr("tabkit.cli.count_spct", lambda *args: calls.append(args))
+    monkeypatch.setattr("tabkit.tableaux.count_spct", lambda *args: calls.append(args))
     # 371 paths and 13,903,448 (T, sigma) cases of size <= 10, from the
     # hook-length formula
     code, out, err = run(capsys, "verify", "bijections", "--n", "10", "--samples", "0")
@@ -952,7 +956,7 @@ def test_verify_pct_suites_refuse_size_10_without_counting_shapes(capsys, monkey
 
 
 def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
-    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma, *_: ((1,), (1,)))
+    monkeypatch.setattr("tabkit.tableaux._pct_rows", lambda rows, sigma, *_: ((1,), (1,)))
     code, out, err = run(capsys, "verify", "bijections", "--n", "1")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -965,7 +969,7 @@ def test_verify_bijections_fails_a_row_on_an_invalid_image(capsys, monkeypatch):
 def test_verify_bijections_fails_a_row_on_an_image_of_other_columns(capsys, monkeypatch):
     # a valid PCT of type (1,) for every case: right at size 1, and at size 2
     # its column does not sort back to T = ((2, 1),)
-    monkeypatch.setattr("tabkit.cli._pct_rows", lambda rows, sigma, *_: ((1,),))
+    monkeypatch.setattr("tabkit.tableaux._pct_rows", lambda rows, sigma, *_: ((1,),))
     code, out, err = run(capsys, "verify", "bijections", "--n", "2")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -981,7 +985,7 @@ def test_verify_bijections_fails_a_row_on_an_image_of_other_columns(capsys, monk
 def test_verify_bijections_fails_a_row_on_an_image_of_another_type(capsys, monkeypatch):
     # the image of the reversed type: a valid PCT whose columns sort back to
     # T, of the wrong type once T has two rows
-    monkeypatch.setattr("tabkit.cli._pct_rows",
+    monkeypatch.setattr("tabkit.tableaux._pct_rows",
                         lambda rows, sigma, *_: image_rows(rows, sigma[::-1]))
     code, out, err = run(capsys, "verify", "bijections", "--n", "2")
     assert code == 1 and err == ""
@@ -1021,7 +1025,7 @@ def test_verify_bijections_fails_a_row_on_an_image_that_loses_an_entry(
         capsys, monkeypatch, lossy, cases, witness):
     # each image is still a valid PCT of T's size, but one of T's entries is
     # gone from its column
-    monkeypatch.setattr("tabkit.cli._pct_rows",
+    monkeypatch.setattr("tabkit.tableaux._pct_rows",
                         lambda rows, sigma, *_: lossy(image_rows(rows, sigma)))
     code, out, err = run(capsys, "verify", "bijections", "--n", "2")
     assert code == 1 and err == ""
@@ -1040,9 +1044,9 @@ def test_a_moved_deep_tree_is_named_without_recursion(monkeypatch):
     comb = ldyck_to_ltree(
         LabeledDyckPath(("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)))
     )
-    assert cli._tree_moved(comb) is None
-    monkeypatch.setattr("tabkit.cli.ldyck_to_ltree", lambda d: Node(1))
-    witness = cli._tree_moved(comb)
+    assert trees._tree_moved(comb) is None
+    monkeypatch.setattr("tabkit.trees.ldyck_to_ltree", lambda d: Node(1))
+    witness = trees._tree_moved(comb)
     assert witness.startswith("tree/path round trip moved the tree with (label, has a "
                               "left child, has a right child) in preorder ((1500, True, False), ")
     assert witness.endswith(", (2, True, False), (1, False, False))")
@@ -1144,3 +1148,17 @@ def test_installed_script_smoke():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["count"] == 4
+
+
+def test_cli_imports_no_private_name_from_another_module():
+    # the CLI parses, charges and renders: a check that needs a module's
+    # private names runs in that module
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("tabkit"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

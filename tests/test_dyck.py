@@ -28,9 +28,10 @@ from tabkit.tableaux import (
     Tableau,
     enumerate_spct,
     enumerate_srt,
-    is_standard,
     validate_pct,
 )
+
+from references import is_standard
 
 # a semi-length 10 path whose fully labeled word appears below
 GOLDEN = LabeledDyckPath(

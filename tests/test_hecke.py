@@ -7,10 +7,8 @@ from tabkit import hecke
 from tabkit.core import check_composition, compositions_of
 from tabkit.hecke import (
     DescentClass,
-    apply_word,
     classify,
     equivalence_classes,
-    is_sink,
     is_source,
     pi,
     swap_entries,
@@ -22,12 +20,13 @@ from tabkit.tableaux import (
     _rows,
     _spct_walk,
     enumerate_spct,
-    is_standard,
     st_column,
     st_word,
     two_column_census,
     validate_pct,
 )
+
+from references import apply_word, is_sink, is_standard
 
 SPCT_1324 = Tableau.from_rows([[1], [7, 5, 2], [6, 4], [10, 9, 8, 3]])
 

@@ -27,10 +27,8 @@ from tabkit.trees import (
     ldyck_to_ltree,
     ltree_to_ldyck,
     mlpd,
-    node_count,
     push_pop_trace,
     random_ltree,
-    tree_dot,
     tree_from_json,
     tree_labels,
     tree_to_json,
@@ -81,8 +79,8 @@ def test_node_structure():
 
 def test_tree_labels_and_count():
     assert tree_labels(GOLDEN_TREE) == (5, 2, 9, 8, 6, 10, 1, 4, 3, 7)  # preorder
-    assert node_count(GOLDEN_TREE) == 10
-    assert node_count(Node(1)) == 1
+    assert len(tree_labels(GOLDEN_TREE)) == 10
+    assert len(tree_labels(Node(1))) == 1
 
 
 def test_check_ltree():
@@ -148,7 +146,7 @@ def test_edge_stats_known():
 def test_edge_stats_count_all_edges(t):
     stats = edge_stats(t)
     assert all(x >= 0 for x in stats)
-    assert sum(stats) == node_count(t) - 1
+    assert sum(stats) == len(tree_labels(t)) - 1
 
 
 def test_push_pop_trace_golden():
@@ -161,7 +159,7 @@ def test_push_pop_trace_golden():
 @given(t=ltree_strategy(max_n=5))
 def test_push_pop_trace_is_balanced(t):
     trace = push_pop_trace(t)
-    n = node_count(t)
+    n = len(tree_labels(t))
     assert len(trace) == 2 * n
     pushed = [x for op, x in trace if op == "push"]
     popped = [x for op, x in trace if op == "pop"]
@@ -190,7 +188,7 @@ def test_round_trip_exhaustive_small():
 def test_tree_path_round_trip(t):
     d = ltree_to_ldyck(t)
     assert d.canonical
-    assert d.semi_length == node_count(t)
+    assert d.semi_length == len(tree_labels(t))
     assert ldyck_to_ltree(d) == t
 
 
@@ -359,14 +357,6 @@ def test_json_shape():
     assert data == {"label": 2, "left": {"label": 1}, "right": {"label": 3}}
     with pytest.raises(ValueError):
         tree_from_json({"left": {"label": 1}})
-
-
-def test_tree_dot_smoke():
-    dot = tree_dot(GOLDEN_TREE)
-    assert dot.startswith("digraph")
-    for label in range(1, 11):
-        assert f"{label}" in dot
-    assert "penwidth" in dot  # descent edges are drawn heavier
 
 
 def test_statistic_transport_small():
