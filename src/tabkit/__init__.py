@@ -10,7 +10,7 @@ The submodules split the subject along its natural seams:
   the source/sink structure of equivalence classes;
 - ``dyck``: labeled Dyck paths and their correspondence with two-column
   standard tableaux;
-- ``trees``: labeled binary trees, left path decompositions, and the
+- ``trees``: labeled binary trees, their edge statistics, and the
   conversions to and from labeled Dyck paths;
 - ``allowable``: pattern-avoiding permutation pairs and the grid graphs that
   realize them as standard tableaux;

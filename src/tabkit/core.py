@@ -32,7 +32,6 @@ __all__ = [
     "maximal_chain_to",
     "check_composition",
     "composition_size",
-    "hat",
     "to_partition",
     "compositions_of",
     "partitions_of",
@@ -171,19 +170,6 @@ def check_composition(parts: Sequence[int]) -> Composition:
 def composition_size(c: Composition) -> int:
     """Sum of the parts."""
     return sum(c)
-
-
-def hat(c: Sequence[int]) -> Composition:
-    """Increment every part, then pad with ones to length |c|.
-
-    The result is a composition of 2|c| with exactly |c| parts.
-
-    >>> hat((2, 1, 3))
-    (3, 2, 4, 1, 1, 1)
-    """
-    c = check_composition(c)
-    n = composition_size(c)
-    return tuple(x + 1 for x in c) + (1,) * (n - len(c))
 
 
 def to_partition(c: Sequence[int]) -> Composition:

@@ -26,18 +26,16 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .tableaux import ReverseTableau, Tableau, positions
+from .tableaux import Tableau
 
 __all__ = [
     "DyckPath",
     "LabeledDyckPath",
-    "prime_factors",
     "up_step_labels",
     "labeled_dyck_word",
     "format_word",
     "spct_to_ldyck",
     "ldyck_to_spct",
-    "srt_to_dyck",
     "enumerate_dyck",
     "enumerate_ldyck",
     "random_ldyck",
@@ -144,21 +142,6 @@ class LabeledDyckPath:
 def _require_canonical(d: LabeledDyckPath) -> None:
     if not d.canonical:
         raise ValueError(f"labels must be exactly 1..{d.semi_length}")
-
-
-def prime_factors(
-    d: DyckPath | LabeledDyckPath,
-) -> tuple[DyckPath | LabeledDyckPath, ...]:
-    """Split at every return to the ground; concatenation restores the input."""
-    factors = []
-    height = 0
-    start = 0
-    for k, s in enumerate(d.steps):
-        height += 1 if s == "U" else -1
-        if height == 0:
-            factors.append(type(d)(d.steps[start : k + 1]))
-            start = k + 1
-    return tuple(factors)
 
 
 def up_step_labels(d: LabeledDyckPath) -> tuple[int, ...]:
@@ -271,17 +254,6 @@ def ldyck_to_spct(d: LabeledDyckPath) -> Tableau:
             label = next(downs)
             rows[label] = (position, up_at[label])
     return Tableau._trusted(tuple(rows[1:]))
-
-
-def srt_to_dyck(T: ReverseTableau) -> DyckPath:
-    """Two-column standard reverse tableaux to unlabeled paths: step i is an
-    up-step exactly when i sits in the second column."""
-    if any(len(row) != 2 for row in T.rows):
-        raise ValueError(f"shape must be a two-column rectangle: {T.shape}")
-    pos = positions(T)  # raises unless standard
-    return DyckPath(
-        tuple("U" if pos[i][1] == 2 else "D" for i in range(1, T.size + 1))
-    )
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:

@@ -186,7 +186,7 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     shape = check_composition(shape)
     n = sum(shape)
     ell = len(shape)
-    words = [w for w, _ in _spct_walk(_nonempty(shape), kind=None)]
+    words = list(_spct_walk(_nonempty(shape), kind=tuple))
     table = [row for _, row in _action(words, ell)]
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]
@@ -194,20 +194,24 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     def fail(checks: int, witness: str) -> RelationReport:
         return RelationReport(False, shape, len(words), checks, witness)
 
-    for k, w in enumerate(words):
-        for i, m in enumerate(table[k], start=1):
-            if m is None or (m >= 0 and types[m] != types[k]):
+    # a fixed cell's image is its own word, so only the other cells are
+    # compared
+    for k, row in enumerate(table):
+        for i, m in enumerate(row, start=1):
+            if m is None or (m != k and m >= 0 and types[m] != types[k]):
+                w = words[k]
                 image = _rows(_swap(w, len(w) - i) if m is None else words[m])
                 return fail(0, f"pi_{i} image {image} of {_rows(w)} "
                                "is not a valid standard tableau of the same type")
     # columns[i - 1][k] is the index of pi_i(words[k]); the zero, at index
     # -1, is fixed by every pi_i
     columns = [[*column, -1] for column in zip(*table)]
+    # each relation's name is formatted from its left side only when it fails
     relations = (
-        [(f"pi_{i}^2 != pi_{i}", (i, i), (i,)) for i in range(1, n)]
-        + [(f"pi_{i} pi_{j} != pi_{j} pi_{i}", (i, j), (j, i))
+        [("pi_{0}^2 != pi_{0}", (i, i), (i,)) for i in range(1, n)]
+        + [("pi_{0} pi_{1} != pi_{1} pi_{0}", (i, j), (j, i))
            for i, j in combinations(range(1, n), 2) if j - i >= 2]
-        + [(f"braid relation fails at i={i}", (i, i + 1, i), (i + 1, i, i + 1))
+        + [("braid relation fails at i={0}", (i, i + 1, i), (i + 1, i, i + 1))
            for i in range(1, n - 1)]
     )
 
@@ -230,7 +234,9 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
                                   if a != b), r))
     if failures:
         k, r = min(failures)
-        return fail(k * len(relations) + r + 1, f"{relations[r][0]} on {_rows(words[k])}")
+        name, left, _ = relations[r]
+        return fail(k * len(relations) + r + 1,
+                    f"{name.format(*left)} on {_rows(words[k])}")
     return RelationReport(True, shape, len(words), len(words) * len(relations), None)
 
 

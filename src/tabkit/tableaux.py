@@ -405,8 +405,26 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     never matters again.  A state is the rows not yet full, each marked 1
     when its column 1 is filled, in row order, and the cell of the last
     entry placed.  The quadruple and the source rule read only the cells of
-    i+1 and i, which is one step of the transfer.  Its states and the
+    i+1 and i, which is one step of the transfer.  There are at most 4n^2
+    such pairs of cells, so each step is worked out once, into a table kept
+    for the call, as is each marking's list of moves.  Its states and the
     quadruples they carry are bounded by ``two_column_work(n)``.
+
+    >>> counts, sources = two_column_census(3)
+    >>> sources
+    16
+    >>> for quadruple, ways in sorted(counts.items()):
+    ...     print(quadruple, ways)
+    (0, 0, 0, 2) 1
+    (0, 0, 1, 1) 4
+    (0, 0, 2, 0) 1
+    (0, 1, 0, 1) 4
+    (0, 1, 1, 0) 5
+    (0, 2, 0, 0) 1
+    (1, 0, 0, 1) 5
+    (1, 0, 1, 0) 4
+    (1, 1, 0, 0) 4
+    (2, 0, 0, 0) 1
     """
     if n < 1:
         raise ValueError(f"need at least one row: {n}")
@@ -415,29 +433,49 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     # stands as row 2q + 1, and a full row that sat just before it as row
     # 2q, so rows compare as they do in the tableau
     start = ((0,) * n, None)
-    level: dict = {start: Counter({0: 1})}
+    level: dict = {start: {0: 1}}
     sources: dict = {start: 1}
+    # moves[marks]: each move as (marks and cell after it, the new cell's
+    # row in the numbering before it, its column); steps[last, row, col]:
+    # the packed quadruple step and whether a source may take it
+    moves: dict = {}
+    steps: dict = {}
     for _ in range(2 * n):
         reached: dict = {}
         reached_sources: dict = {}
         for (marks, last), counts in level.items():
             walks_to_sources = sources.get((marks, last), 0)
-            moves = [(q, 1) for q, mark in enumerate(marks) if not mark]
-            if 1 in marks:
-                moves.append((marks.index(1), 2))
-            for q, col in moves:
-                if col == 1:
-                    state = (marks[:q] + (1,) + marks[q + 1 :], (2 * q + 1, 1))
+            marks_moves = moves.get(marks)
+            if marks_moves is None:
+                marks_moves = moves[marks] = [
+                    ((marks[:q] + (1,) + marks[q + 1 :], (2 * q + 1, 1)), 2 * q + 1, 1)
+                    for q, mark in enumerate(marks)
+                    if not mark
+                ]
+                if 1 in marks:
+                    q = marks.index(1)
+                    marks_moves.append(
+                        ((marks[:q] + marks[q + 1 :], (2 * q, 2)), 2 * q + 1, 2)
+                    )
+            for state, row, col in marks_moves:
+                move = (last, row, col)
+                hit = steps.get(move)
+                if hit is None:
+                    if last is None:
+                        hit = (0, True)
+                    else:
+                        rows, cols = (last[0], row), (last[1], col)
+                        hit = (_packed(_quadruple(rows, cols), places),
+                               _is_source(rows, cols))
+                    steps[move] = hit
+                step, source = hit
+                target = reached.get(state)
+                if target is None:
+                    reached[state] = {key + step: ways for key, ways in counts.items()}
                 else:
-                    state = (marks[:q] + marks[q + 1 :], (2 * q, 2))
-                step, source = 0, True
-                if last is not None:
-                    rows, cols = (last[0], 2 * q + 1), (last[1], col)
-                    step = _packed(_quadruple(rows, cols), places)
-                    source = _is_source(rows, cols)
-                target = reached.setdefault(state, Counter())
-                for key, ways in counts.items():
-                    target[key + step] += ways
+                    for key, ways in counts.items():
+                        key += step
+                        target[key] = target.get(key, 0) + ways
                 if source and walks_to_sources:
                     reached_sources[state] = (
                         reached_sources.get(state, 0) + walks_to_sources
@@ -689,10 +727,11 @@ def _spct_walk(
 ) -> Iterator:
     # one backtracking loop: ``chosen`` holds the rows (from 0) of n, n-1,
     # ..., v+1, and ``r`` is the first row still to try for the entry v.
-    # It yields each standard PCT as a ``kind``, or with kind None as its
-    # row word, tuple(chosen), and its rows.  Under a type sigma, row r
-    # starts only after row after[r], of type value sigma[r] + 1 (a fixed 1
-    # at lengths[ell] stands for it when there is none).
+    # It yields each standard PCT as a ``kind``, with kind None as its row
+    # word, tuple(chosen), and its rows, or with kind tuple as its row word
+    # alone.  Under a type sigma, row r starts only after row after[r], of
+    # type value sigma[r] + 1 (a fixed 1 at lengths[ell] stands for it when
+    # there is none).
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
     lengths = [0] * ell + [1]
@@ -704,6 +743,8 @@ def _spct_walk(
         if v == 0:
             if kind is None:
                 yield tuple(chosen), tuple(map(tuple, rows))
+            elif kind is tuple:
+                yield tuple(chosen)
             else:
                 yield kind._trusted(tuple(map(tuple, rows)))
             r = ell

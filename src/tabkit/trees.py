@@ -42,10 +42,8 @@ from .dyck import (
 
 __all__ = [
     "Node",
-    "LeftPath",
     "tree_labels",
     "check_ltree",
-    "mlpd",
     "edge_stats",
     "edge_stats_counts",
     "ldyck_to_ltree",
@@ -121,38 +119,6 @@ def check_ltree(t: Node) -> int:
             )
         seen.add(label)
     return n
-
-
-@dataclass(frozen=True)
-class LeftPath:
-    """One maximal left path: labels root to leaf, and the label of the node
-    whose right child starts the path (None for the path holding the root)."""
-
-    labels: tuple[int, ...]
-    parent: int | None
-
-
-def mlpd(t: Node) -> tuple[LeftPath, ...]:
-    """Maximal left path decomposition; the root path comes first, then the
-    paths hanging off it in root-to-leaf order, recursively.
-
-    >>> mlpd(Node(2, Node(1), Node(3)))
-    (LeftPath(labels=(2, 1), parent=None), LeftPath(labels=(3,), parent=2))
-    """
-    out: list[LeftPath] = []
-    # the tops of the paths still to read, with their parents; the path
-    # hanging highest on the chain just read is read next
-    stack: list[tuple[Node, int | None]] = [(t, None)]
-    while stack:
-        top, parent = stack.pop()
-        chain: list[Node] = []
-        node: Node | None = top
-        while node:
-            chain.append(node)
-            node = node.left
-        out.append(LeftPath(tuple(v.label for v in chain), parent))
-        stack.extend((v.right, v.label) for v in reversed(chain) if v.right)
-    return tuple(out)
 
 
 def edge_stats(t: Node) -> tuple[int, int, int, int]:

@@ -12,7 +12,6 @@ from tabkit.core import (
     compositions_of,
     format_composition,
     format_permutation,
-    hat,
     identity,
     inversions,
     is_permutation,
@@ -188,18 +187,6 @@ def test_compositions_count_and_sums(n):
     assert len(comps) == 2 ** (n - 1)
     assert len(set(comps)) == len(comps)
     assert all(composition_size(c) == n for c in comps)
-
-
-def test_hat_known():
-    assert hat((2, 1, 3)) == (3, 2, 4, 1, 1, 1)
-    assert hat((1,)) == (2,)
-
-
-@given(c=composition_strategy())
-def test_hat_doubles_size(c):
-    h = hat(c)
-    assert composition_size(h) == 2 * composition_size(c)
-    assert len(h) == composition_size(c)
 
 
 @given(c=composition_strategy())

@@ -17,10 +17,8 @@ from tabkit.dyck import (
     labeled_dyck_word,
     ldyck_from_json,
     ldyck_to_spct,
-    prime_factors,
     random_ldyck,
     spct_to_ldyck,
-    srt_to_dyck,
     up_step_labels,
 )
 from tabkit.tableaux import (
@@ -31,7 +29,7 @@ from tabkit.tableaux import (
     validate_pct,
 )
 
-from references import is_standard
+from references import is_standard, srt_to_dyck
 
 # a semi-length 10 path whose fully labeled word appears below
 GOLDEN = LabeledDyckPath(
@@ -141,26 +139,6 @@ def test_word_interleaves_both_step_kinds(d):
     # every up precedes its matching down
     for label in ups:
         assert word.index(f"U{label}") < word.index(f"D{label}")
-
-
-def test_prime_factors_golden():
-    factors = prime_factors(GOLDEN)
-    assert len(factors) == 2
-    assert factors[0].steps == ("U", "U", "D7", "D3")
-    assert sum(f.semi_length for f in factors) == GOLDEN.semi_length
-    # factors keep original labels, so they need not be canonical
-    assert not factors[0].canonical
-
-
-@given(d=ldyck_strategy())
-def test_prime_factors_concatenate(d):
-    factors = prime_factors(d)
-    rebuilt = tuple(s for f in factors for s in f.steps)
-    assert rebuilt == d.steps
-    # the word of the whole is the concatenation of the factor words
-    whole = labeled_dyck_word(d)
-    parts = tuple(w for f in factors for w in labeled_dyck_word(f))
-    assert whole == parts
 
 
 def runs(d):

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tabkit import tableaux
 from tabkit.core import compositions_of, partitions_of, standardize, to_partition
 from tabkit.dyck import catalan
 from tabkit.tableaux import (
@@ -36,7 +37,7 @@ from tabkit.tableaux import (
     validate_pct,
 )
 
-from references import is_standard
+from references import is_standard, reference_census
 
 # a non-standard tableau with repeated entries and its standard companion,
 # both of shape (1, 3, 2, 4) and type 1324
@@ -657,6 +658,13 @@ def test_descent_quadruple_matches_the_per_entry_rule():
             assert descent_quadruple(t) == reference_quadruple(t), t.rows
 
 
+def test_the_walk_lists_its_row_words_alone_in_the_same_order():
+    for n in range(1, 7):
+        for shape in compositions_of(n):
+            words = [word for word, _ in _spct_walk(shape, kind=None)]
+            assert list(_spct_walk(shape, kind=tuple)) == words, shape
+
+
 def walk_census(n):
     # the reference: the quadruple of every row word the walk lists
     return Counter(
@@ -678,7 +686,7 @@ def test_descent_quadruple_counts_match_the_tableaux():
 def test_two_column_census_closed_forms():
     # past enumeration: n! Cat(n) tableaux, and (n+1)^(n-1) of them with
     # any one coordinate zero, and as many sources
-    for n in range(1, 9):
+    for n in range(1, 11):
         counts, sources = two_column_census(n)
         assert sum(counts.values()) == factorial(n) * catalan(n), n
         for k in range(4):
@@ -688,10 +696,43 @@ def test_two_column_census_closed_forms():
         assert all(sum(q) == n - 1 for q in counts), n
 
 
+def test_two_column_census_matches_the_per_move_reference():
+    # the whole distribution and the sources, against the transfer that
+    # works out every step on every move
+    for n in range(1, 9):
+        assert two_column_census(n) == reference_census(n), n
+
+
+def test_two_column_census_works_out_each_step_once(monkeypatch):
+    # a step reads only the last cell and the new one: at most 2n cells each
+    calls = 0
+
+    def counted(rows, cols):
+        nonlocal calls
+        calls += 1
+        return _quadruple(rows, cols)
+
+    monkeypatch.setattr(tableaux, "_quadruple", counted)
+    n = 6
+    counts, sources = two_column_census(n)
+    assert 0 < calls <= 4 * n**2
+    assert (counts, sources) == reference_census(n)
+
+
 def test_two_column_work_sums_the_states_by_rows_not_full():
     for n in range(1, 12):
         states = sum(2**k * (2 * k + 1) for k in range(n + 1))
         assert two_column_work(n) == states * comb(n + 2, 3)
+
+
+def test_two_column_work_bounds_the_entries_the_census_carries():
+    # every (state, quadruple) entry of every level after the start
+    for n in range(1, 10):
+        entries: list[int] = []
+        reference_census(n, entries)
+        assert len(entries) == 2 * n
+        assert sum(entries) <= two_column_work(n), n
+    assert sum(entries) == 57_087
 
 
 def test_count_spct_matches_the_walk():

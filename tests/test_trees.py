@@ -18,7 +18,6 @@ from tabkit.tableaux import (
 )
 from tabkit.dyck import ldyck_to_spct, spct_to_ldyck, up_step_labels
 from tabkit.trees import (
-    LeftPath,
     Node,
     check_ltree,
     edge_stats,
@@ -26,13 +25,13 @@ from tabkit.trees import (
     enumerate_ltrees,
     ldyck_to_ltree,
     ltree_to_ldyck,
-    mlpd,
     push_pop_trace,
     random_ltree,
     tree_from_json,
     tree_labels,
     tree_to_json,
 )
+from references import LeftPath, mlpd
 from test_dyck import cycle_lemma_draws, runs
 
 # the ten-node companion of the semi-length 10 golden path
