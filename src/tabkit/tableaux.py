@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import permutations
@@ -399,16 +399,15 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     the two-column rectangle with n rows, and how many of them are sources
     (``tabkit.hecke.is_source``): one per class, so (n+1)^(n-1).
 
-    One transfer over the walk that ``enumerate_spct`` runs counts both
-    without listing a tableau.  Column 1 is open in every row and column 2
-    only in the first row whose column 1 alone is filled, so a full row
-    never matters again.  A state is the rows not yet full, each marked 1
-    when its column 1 is filled, in row order, and the cell of the last
-    entry placed.  The quadruple and the source rule read only the cells of
-    i+1 and i, which is one step of the transfer.  There are at most 4n^2
-    such pairs of cells, so each step is worked out once, into a table kept
-    for the call, as is each marking's list of moves.  Its states and the
-    quadruples they carry are bounded by ``two_column_work(n)``.
+    The transfer that ``count_spct`` runs counts both without listing a
+    tableau.  Its state is the rows not yet full, each empty or holding one
+    entry, and here the cell of the last entry placed.  The
+    quadruple and the source rule read only the cells of i+1 and i, which
+    is one step of the transfer: the step adds the quadruple's unit to the
+    counts a state carries, and lets the walks to sources through or not.
+    There are at most 4n^2 such pairs of cells, and the transfer works out
+    each once per call.  Its states and the quadruples they carry are
+    bounded by ``two_column_work(n)``.
 
     >>> counts, sources = two_column_census(3)
     >>> sources
@@ -429,72 +428,33 @@ def two_column_census(n: int) -> tuple[Counter[tuple[int, int, int, int]], int]:
     if n < 1:
         raise ValueError(f"need at least one row: {n}")
     places = _places(n)
-    # the cell of the last entry as (row, column): the q-th row not yet full
-    # stands as row 2q + 1, and a full row that sat just before it as row
-    # 2q, so rows compare as they do in the tableau
-    start = ((0,) * n, None)
-    level: dict = {start: {0: 1}}
-    sources: dict = {start: 1}
-    # moves[marks]: each move as (marks and cell after it, the new cell's
-    # row in the numbering before it, its column); steps[last, row, col]:
-    # the packed quadruple step and whether a source may take it
-    moves: dict = {}
-    steps: dict = {}
-    for _ in range(2 * n):
-        reached: dict = {}
-        reached_sources: dict = {}
-        for (marks, last), counts in level.items():
-            walks_to_sources = sources.get((marks, last), 0)
-            marks_moves = moves.get(marks)
-            if marks_moves is None:
-                marks_moves = moves[marks] = [
-                    ((marks[:q] + (1,) + marks[q + 1 :], (2 * q + 1, 1)), 2 * q + 1, 1)
-                    for q, mark in enumerate(marks)
-                    if not mark
-                ]
-                if 1 in marks:
-                    q = marks.index(1)
-                    marks_moves.append(
-                        ((marks[:q] + marks[q + 1 :], (2 * q, 2)), 2 * q + 1, 2)
-                    )
-            for state, row, col in marks_moves:
-                move = (last, row, col)
-                hit = steps.get(move)
-                if hit is None:
-                    if last is None:
-                        hit = (0, True)
-                    else:
-                        rows, cols = (last[0], row), (last[1], col)
-                        hit = (_packed(_quadruple(rows, cols), places),
-                               _is_source(rows, cols))
-                    steps[move] = hit
-                step, source = hit
-                target = reached.get(state)
-                if target is None:
-                    reached[state] = {key + step: ways for key, ways in counts.items()}
-                else:
-                    for key, ways in counts.items():
-                        key += step
-                        target[key] = target.get(key, 0) + ways
-                if source and walks_to_sources:
-                    reached_sources[state] = (
-                        reached_sources.get(state, 0) + walks_to_sources
-                    )
-        level, sources = reached, reached_sources
+
+    def step(last: tuple[int, int] | None, cell: tuple[int, int]) -> tuple[int, bool]:
+        # the packed quadruple unit of placing i at the cell after i+1 at
+        # last, and whether a source may do so.  The trap: the cell is
+        # compared in last's numbering, before the move; in the numbering
+        # after it every count is 0
+        if last is None:
+            return 0, True
+        rows, cols = (last[0], cell[0] | 1), (last[1], cell[1])
+        return _packed(_quadruple(rows, cols), places), _is_source(rows, cols)
+
+    counts, sources = _transfer((2,) * n, step=step)
     # every walk ends with the last row full and entry 1 in its column 2
-    end = ((), (0, 2))
-    return _unpacked(level[end], n), sources.get(end, 0)
+    return _unpacked(counts[((), (0, 2))], n), sources
 
 
 def two_column_work(n: int) -> int:
     """A bound on the work of ``two_column_census(n)``, for a cap to charge
-    before any of it: its states times the quadruples each carries.
+    before any of it: the states of its transfer times the quadruples each
+    carries.
 
-    With k rows not yet full, the transfer has 2^k markings and 2k + 1
-    cells of the last entry (a row, or a gap between rows), summed over k
-    <= n.  The entries placed fix the sum of every quadruple a state
-    carries, at most n - 1, so it carries at most C(n+2, 3) of them.  The
-    bound passes 2^n.
+    With k rows not yet full, each empty or holding one entry, the
+    transfer has 2^k choices of their lengths and 2k + 1 cells of the last
+    entry (a row, or a gap between rows), summed over k <= n.  The entries
+    placed fix the sum of every quadruple a state carries, at most n - 1,
+    so it carries at most C(n+2, 3) of them.  The bound passes 2^n; at
+    n = 9 it is 2,872,815, and the transfer carries 57,087 in all.
     """
     return ((2 * n - 1) * 2 ** (n + 1) + 3) * comb(n + 2, 3)
 
@@ -795,7 +755,9 @@ def count_spct(
     """How many standard PCTs ``enumerate_spct`` lists for the shape, or
     ``enumerate_spct_sigma`` for the shape and the type sigma, counted
     without listing them: the walk's moves depend only on its row lengths,
-    so the count runs over those.
+    so one transfer runs over those.  It drops a row once it is full: a
+    full row d could block only a later row r of larger part, at length
+    a_d, and the stuck test below prunes every such r as d fills.
 
     With a limit, the count stops once it passes the limit and returns a
     number above it.  Each prefix it counts completes to a tableau, so a
@@ -818,39 +780,102 @@ def count_spct(
     5
     """
     shape = _nonempty(shape)
-    ell = len(shape)
     if sigma is not None:
-        sigma = _check_type(sigma, ell)
+        sigma = _check_type(sigma, len(shape))
         if any(shape[d] < shape[r] and sigma[d] > sigma[r]
-               for r in range(ell) for d in range(r)):
+               for r in range(len(shape)) for d in range(r)):
             return 0
-    after = _start_order(sigma, ell)
-    # a row can strand a later row only when a later part is larger
-    taller_later = [max(shape[r + 1 :], default=0) > shape[r] for r in range(ell)]
-    # as in the walk, a fixed 1 after the rows stands for "no row to wait on"
-    level = {(0,) * ell + (1,): 1}
+    return _transfer(shape, sigma, limit=limit)[1]
+
+
+def _transfer(shape: Composition, sigma: Perm | None = None, step: Callable | None = None,
+              limit: int | None = None) -> tuple[dict, int]:
+    # The walk of ``_spct_walk`` as a transfer, one level per entry n, ...,
+    # 1.  A state is the rows not yet full, in row order, each packed as in
+    # ``_walk_moves``; a full row d is dropped, since it could block a later
+    # row r only at length a_d with a_r > a_d, and the stuck test pruned
+    # every such r, then at max(c_r, 1) <= a_d, as d filled.  Every state
+    # carries its plain ways, the count.  With a step, a state also keeps
+    # the cell of the entry placed last and carries keyed ways too:
+    # ``step(last, cell)`` gives the key a move to the cell adds to them,
+    # and whether plain ways may take it.  Each step is worked out once per
+    # call, as is each list of moves: with a step, states of different last
+    # cells share their rows, so the lists are kept by rows; without one,
+    # the rows are the state, and each is reached in one level only.
+    # Returns the keyed ways of the last level by state and its plain ways;
+    # once the plain ways moved in a level pass a limit, no keyed ways and
+    # those plain ways.
+    p = max(shape) + 1
+    rows = tuple(a - s * p for a, s in zip(shape, sigma)) if sigma else shape
+    start = (rows, None) if step else rows
+    keyed = {start: {0: 1}}
+    plain = {start: 1}
+    moves: dict = {}
+    steps: dict = {}
     for _ in range(composition_size(shape)):
-        reached: dict[tuple[int, ...], int] = {}
+        reached_keyed: dict = {}
+        reached: dict = {}
         counted = 0
-        for lengths, ways in level.items():
-            for r in range(ell):
-                # the test of ``_spct_walk``: column 1 opens once row after[r]
-                # has started, column c + 1 only in the first row of length c
-                c = lengths[r]
-                if not (c < shape[r] and lengths.index(c) == r if c else lengths[after[r]]):
-                    continue
-                if taller_later[r] and any(
-                    max(lengths[k], 1) <= c + 1 and shape[k] > shape[r]
-                    for k in range(r + 1, ell)
-                ):
-                    continue
-                grown = lengths[:r] + (c + 1,) + lengths[r + 1 :]
-                reached[grown] = reached.get(grown, 0) + ways
+        # counts: a state's keyed ways with a step, its plain ways without
+        for state, counts in (keyed if step else plain).items():
+            rows, last = state if step else (state, None)
+            ways = plain.get(state, 0) if step else counts
+            state_moves = moves.get(rows) if step else _walk_moves(rows, p, False)
+            if state_moves is None:
+                state_moves = moves[rows] = _walk_moves(rows, p, True)
+            for after in state_moves:
+                if step:
+                    move = (last, after[1])
+                    hit = steps.get(move)
+                    if hit is None:
+                        hit = steps[move] = step(*move)
+                    key, free = hit
+                    target = reached_keyed.get(after)
+                    if target is None:
+                        reached_keyed[after] = {k + key: w for k, w in counts.items()}
+                    else:
+                        for k, w in counts.items():
+                            k += key
+                            target[k] = target.get(k, 0) + w
+                    if not (free and ways):
+                        continue
+                reached[after] = reached.get(after, 0) + ways
                 counted += ways
                 if limit is not None and counted > limit:
-                    return counted
-        level = reached
-    return sum(level.values())
+                    return {}, counted
+        keyed, plain = reached_keyed, reached
+    return keyed, sum(plain.values())
+
+
+def _walk_moves(rows: tuple[int, ...], p: int, cells: bool) -> list:
+    # The states the moves of ``_transfer`` reach from the rows not yet
+    # full, with the new cell when cells is set: the q-th row not full
+    # stands as row 2q + 1, and a full row just before it as row 2q, so
+    # rows compare as in the tableau, and a cell's row before its move is
+    # its row after it with the last bit set.  A row of part a and length
+    # c packs as c * p + a, for p past every part, but an empty row under a
+    # type as a - sigma_r * p.  Rows start in decreasing type, each after
+    # the row of sigma_r + 1, so the empty rows hold sigma_r = 1, ..., u
+    # and the one of u, the lowest packed length, starts next.
+    lengths = [code // p for code in rows]
+    found = []
+    for q, c in enumerate(lengths):
+        # the test of ``_spct_walk``: column c + 1 opens only in the first
+        # row of length c, and column 1 in the type's turn
+        if c > 0 and lengths.index(c) != q or c < 0 and c != min(lengths):
+            continue
+        grown = c + 1 if c > 0 else 1
+        a = rows[q] % p
+        # the stuck test: a later row of larger part could never pass grown
+        if a < p - 1 and any(max(later, 1) <= grown and code % p > a
+                             for later, code in zip(lengths[q + 1 :], rows[q + 1 :])):
+            continue
+        if grown == a:
+            after, cell = rows[:q] + rows[q + 1 :], (2 * q, a)
+        else:
+            after, cell = rows[:q] + (grown * p + a,) + rows[q + 1 :], (2 * q + 1, grown)
+        found.append((after, cell) if cells else after)
+    return found
 
 
 def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:

@@ -1,6 +1,7 @@
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -463,12 +464,16 @@ def test_pct_count_by_partitions_is_the_count_by_compositions():
     # the shape-rearranging bijection: each standard PCT of shape alpha is a
     # pair (T, sigma), T a reverse tableau of the sorted shape lam and sigma
     # one of its l(lam)! types
+    # one pair (T, sigma) each; past size 8 the transfer drops full rows of
+    # mixed shapes beyond the exhaustive typed comparison
     total = 0
-    for m in range(1, 9):
+    for m in range(1, 11):
         by_partitions = sum(factorial(len(lam)) * count_srt(lam) for lam in partitions_of(m))
         assert by_partitions == sum(count_spct(alpha) for alpha in compositions_of(m)), m
         total += by_partitions
-    assert total == 145_864
+        if m == 8:
+            assert total == 145_864
+    assert total == 13_903_448
 
 
 def test_srt_rejects_non_partition():
@@ -759,6 +764,30 @@ def test_count_spct_is_at_most_the_factorial():
     for m in range(1, 9):
         counts = {shape: count_spct(shape) for shape in compositions_of(m)}
         assert max(counts.values()) == factorial(m) == counts[(1,) * m], m
+
+
+def test_count_spct_and_the_census_agree_on_rectangles_past_listing():
+    # n! Cat(n) tableaux, and Cat(n) of each type: rt_to_pct sends them to
+    # the reverse tableaux of the rectangle
+    for n in range(1, 13):
+        counts, _ = two_column_census(n)
+        assert count_spct((2,) * n) == sum(counts.values()) == factorial(n) * catalan(n), n
+    for n in (10, 12):
+        shuffled = list(range(1, n + 1))
+        Random(n).shuffle(shuffled)
+        for sigma in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(shuffled)):
+            assert count_spct((2,) * n, sigma=sigma) == catalan(n), (n, sigma)
+
+
+def test_the_counts_run_one_transfer(monkeypatch):
+    def transfer(*args, **kwargs):
+        raise AssertionError("the transfer ran")
+
+    monkeypatch.setattr(tableaux, "_transfer", transfer)
+    for count in (lambda: count_spct((2, 1, 3)), lambda: count_spct((2, 2), sigma=(2, 1)),
+                  lambda: two_column_census(3)):
+        with pytest.raises(AssertionError, match="the transfer ran"):
+            count()
 
 
 def test_count_spct_limit_stops_early():
