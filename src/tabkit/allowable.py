@@ -117,15 +117,16 @@ def allowable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     return ((a, b) for a in perms for b in perms if is_allowable_pair(a, b))
 
 
-def verify_pairs(n: int) -> dict:
-    """The paper's checks on the pairs of size n, as one report: the number
-    of allowable pairs against (n+1)^(n-1), the 2112 scan against the left
-    weak order (once per candidate; the 123-312 scan runs only where 2112 is
-    avoided), every weak-order cover among the allowable pairs found, and,
-    for n <= 4, the pairs equal to the column types of the two-column
-    standard tableaux.
+def verify_pairs(n: int) -> tuple[dict, str | None]:
+    """The paper's checks on the pairs of size n, as the row of ``tk verify
+    pairs``: the number of allowable pairs against (n+1)^(n-1), the 2112
+    scan against the left weak order (once per candidate; the 123-312 scan
+    runs only where 2112 is avoided), every weak-order cover among the
+    allowable pairs found, and, for n <= 4, the pairs equal to the column
+    types of the two-column standard tableaux.  The row is returned with
+    itself as the witness when it fails, and None when it passes.
 
-    >>> verify_pairs(3)["pairs"]
+    >>> verify_pairs(3)[0]["pairs"]
     16
     """
     if n < 1:
@@ -155,7 +156,7 @@ def verify_pairs(n: int) -> dict:
     # the count matches and every verdict holds
     verdicts = [value for value in report.values() if isinstance(value, bool)]
     report["pass"] = len(pairs) == report["expected"] and all(verdicts)
-    return report
+    return report, None if report["pass"] else f"n={n}: {report}"
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ its steps, and refuses when that passes the object cap.  Exit codes: 0 pass,
 
 Each ``cmd_*`` takes the cap, the choice and the flags' values, and returns
 its parameters, results, rows and exit code; ``main`` times it and renders
-the report.  Each verification suite yields one ``(row, witness)`` pair per
-check; the witness is None on a pass.  The bijection and pair checks run in
-the modules they check (``tableaux.verify_pct_rt``, the ``verify_*`` of
-``trees`` and ``allowable.verify_pairs``), which return the pairs; a suite
-here charges its sizes, loops over them and holds the seed's ``rng``.
+the report.  A verification suite here only charges the cap and hands back
+one ``(row, witness)`` per check, the witness None on a pass.  Each check
+runs in the module it checks: ``hecke.verify_relations`` and
+``hecke.verify_classes`` per shape, ``trees.verify_counts`` and
+``allowable.verify_pairs`` per size, and for ``bijections``, under the seed's
+``rng``, ``tableaux.verify_pct_rt`` and the round trips of ``trees``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .core import (
     Composition,
     Perm,
     compositions_of,
-    format_composition,
     format_permutation,
     inversions,
     parse_composition,
@@ -51,14 +51,13 @@ from .core import (
     partitions_of,
 )
 from .dyck import (
-    catalan,
-    enumerate_dyck,
     enumerate_ldyck,
+    labeled_catalan,
     ldyck_from_json,
     ldyck_to_spct,
     spct_to_ldyck,
 )
-from .hecke import equivalence_classes, verify_hecke_relations
+from .hecke import verify_classes, verify_relations
 from .tableaux import (
     ReverseTableau,
     Tableau,
@@ -71,7 +70,6 @@ from .tableaux import (
     from_json,
     pct_to_rt,
     rt_to_pct,
-    two_column_census,
     two_column_work,
     verify_pct_rt,
 )
@@ -82,6 +80,7 @@ from .trees import (
     ltree_to_ldyck,
     tree_from_json,
     tree_to_json,
+    verify_counts,
     verify_path_round_trips,
     verify_sampled_round_trips,
 )
@@ -133,21 +132,18 @@ def _compositions(max_size: int) -> Iterator[Composition]:
     return (shape for m in range(1, max_size + 1) for shape in compositions_of(m))
 
 
-def _spct_costs(max_size: int) -> Iterator[int]:
-    """Lazily, l(lam)! f^lam for each partition lam of size 1..max_size: the
-    standard PCTs, by their bijection onto the (T, sigma) of each shape lam."""
-    return (factorial(len(lam)) * count_srt(lam)
+def _spct_costs(max_size: int, weight: Callable[[int], int] = lambda m: 1
+                ) -> Iterator[int]:
+    """Lazily, l(lam)! f^lam for each partition lam of size 1..max_size, times
+    ``weight(m)`` at size m: the standard PCTs, by their bijection onto the
+    (T, sigma) of each shape lam."""
+    return (factorial(len(lam)) * count_srt(lam) * weight(m)
             for m in range(1, max_size + 1) for lam in partitions_of(m))
 
 
 def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
     # ``two_column_work(n)`` passes 2^n, so a large n passes the cap uncomputed
     return (cap + 1 if n >= cap.bit_length() else two_column_work(n) for n in sizes)
-
-
-def _labeled(n: int) -> int:
-    """n! Cat(n): the labeled paths, labeled trees or two-column SPCTs of size n."""
-    return factorial(n) * catalan(n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def cmd_enumerate(cap: int, kind: str, shape: str | None = None, sigma: str | No
         if kind == "ltree" and n < 1:
             raise ValueError(f"need at least one node: {n}")
         # n! Cat(n) >= 2^(n-1), so a large n passes the cap uncomputed
-        count = cap + 1 if n > cap.bit_length() else _labeled(n)
+        count = cap + 1 if n > cap.bit_length() else labeled_catalan(n)
         objects = lambda: enumerate_ldyck(n) if kind == "ldyck" else enumerate_ltrees(n)
     _charge([count], cap, f"enumerate {kind}")
 
@@ -244,42 +240,25 @@ def cmd_enumerate(cap: int, kind: str, shape: str | None = None, sigma: str | No
 
 
 def _suite_hecke(cap: int, shape: str | None, max_n: int | None) -> Iterator[Check]:
+    # charged its C(m, 2) relation checks on each tableau of size m, and at
+    # least one, so that a tableau of size <= 2 is one object
+    relations = lambda m: max(1, comb(m, 2))
     if max_n is None:
         one = parse_composition(shape)
-        shapes, costs = [one], [count_spct(one, cap)]
+        per = relations(sum(one))
+        _charge([per], cap, "verify hecke")  # before the shape is counted
+        shapes, costs = [one], [per * count_spct(one, cap // per)]
     else:
-        shapes, costs = _compositions(max_n), _spct_costs(max_n)
+        shapes, costs = _compositions(max_n), _spct_costs(max_n, relations)
     _charge(costs, cap, "verify hecke")
-    for alpha in shapes:
-        rep = verify_hecke_relations(alpha)
-        name = format_composition(alpha)
-        row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
-               "pass": rep.passed}
-        yield row, None if rep.passed else f"shape {name}: {rep.counterexample}"
+    return map(verify_relations, shapes)
 
 
 def _suite_counts(cap: int, max_n: int) -> Iterator[Check]:
     # charged with the transfers' bound: the tree recurrence takes less, and
     # so do the Cat(n) paths of the walk, through n = 26
     _charge(_transfer_costs(range(1, max_n + 1), cap), cap, "verify counts")
-    for n in range(1, max_n + 1):
-        # each class has one source, so the transfer counts both
-        quadruples, class_count = two_column_census(n)
-        row = {
-            "n": n,
-            "spct": sum(quadruples.values()),
-            # the labeled paths: every Dyck path under each of n! labelings
-            "ldyck": factorial(n) * sum(1 for _ in enumerate_dyck(n)),
-            "ltree": sum(edge_stats_counts(n).values()),
-            "expected_objects": _labeled(n),
-            "classes": class_count,
-            "expected_classes": (n + 1) ** (n - 1),
-        }
-        passed = row["pass"] = (
-            row["spct"] == row["ldyck"] == row["ltree"] == row["expected_objects"]
-            and class_count == row["expected_classes"]
-        )
-        yield row, None if passed else f"n={n}: {row}"
+    return map(verify_counts, range(1, max_n + 1))
 
 
 def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Check]:
@@ -288,7 +267,7 @@ def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Che
             lambda _: f"up to n={n} draws {drawn} samples")
     k = min(n, 4)
     # the samples, the paths of size <= k and the (T, sigma) cases of size <= n
-    paths = sum(_labeled(m) for m in range(1, k + 1))
+    paths = sum(labeled_catalan(m) for m in range(1, k + 1))
     _charge(chain((drawn, paths), _spct_costs(n)), cap, "verify bijections")
     rng = random.Random(seed)
     for m in range(1, n + 1):
@@ -301,22 +280,13 @@ def _suite_bijections(cap: int, n: int, samples: int, seed: int) -> Iterator[Che
 
 def _suite_classes(cap: int, max_size: int) -> Iterator[Check]:
     _charge(_spct_costs(max_size), cap, "verify classes")
-    for shape in _compositions(max_size):
-        name = format_composition(shape)
-        try:
-            classes = equivalence_classes(shape)
-        except AssertionError as exc:
-            yield {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
-        else:
-            yield {"shape": name, "classes": len(classes), "pass": True}, None
+    return map(verify_classes, _compositions(max_size))
 
 
 def _suite_pairs(cap: int, max_n: int) -> Iterator[Check]:
     _charge((factorial(n) ** 2 for n in range(1, max_n + 1)), cap, "verify pairs",
             lambda tests: f"up to n={max_n} needs {tests} pair tests")
-    for n in range(1, max_n + 1):
-        row = verify_pairs(n)
-        yield row, None if row["pass"] else f"n={n}: {row}"
+    return map(verify_pairs, range(1, max_n + 1))
 
 
 # each suite, and the optional flags it takes with their defaults
@@ -359,7 +329,7 @@ def cmd_stats(cap: int, kind: str, n: int) -> Outcome:
     equal = tableau_side == tree_side
     results = {
         "distribution": rows,
-        "objects_per_side": _labeled(n),
+        "objects_per_side": labeled_catalan(n),
         "distinct_quadruples": len(quadruples),
         "equal": equal,
     }

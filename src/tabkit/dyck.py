@@ -25,6 +25,7 @@ import random
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from math import comb, factorial
 
 from .tableaux import Tableau
 
@@ -40,6 +41,7 @@ __all__ = [
     "enumerate_ldyck",
     "random_ldyck",
     "catalan",
+    "labeled_catalan",
     "ldyck_from_json",
 ]
 
@@ -325,9 +327,17 @@ def random_ldyck(n: int, rng: random.Random) -> LabeledDyckPath:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number."""
-    from math import comb
-
     return comb(2 * n, n) // (n + 1)
+
+
+def labeled_catalan(n: int) -> int:
+    """n! Cat(n): the canonical labeled paths of semi-length n, the labeled
+    trees on n nodes, and the standard tableaux of (2)^n.
+
+    >>> labeled_catalan(3)
+    30
+    """
+    return factorial(n) * catalan(n)
 
 
 def ldyck_from_json(data: dict) -> LabeledDyckPath:

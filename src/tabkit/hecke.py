@@ -20,7 +20,9 @@ among the shape's words.  The relations are then checked column by column:
 column i lists the image of every word under pi_i, and each side of a
 relation is a composition of whole columns, one list comprehension per
 operator, compared as lists.  The public functions on a ``Tableau`` apply
-the same cell rules through ``positions``.
+the same cell rules through ``positions``.  ``verify_relations`` and
+``verify_classes`` return the row and witness of one shape for ``tk verify
+hecke`` and ``tk verify classes``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 from itertools import combinations
 from operator import itemgetter
 
-from .core import Perm, apply_left_swap, check_composition
+from .core import Perm, apply_left_swap, check_composition, format_composition
 from .tableaux import (
     Rows,
     Tableau,
@@ -54,8 +56,10 @@ __all__ = [
     "swap_entries",
     "pi",
     "verify_hecke_relations",
+    "verify_relations",
     "is_source",
     "equivalence_classes",
+    "verify_classes",
 ]
 
 
@@ -240,6 +244,16 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     return RelationReport(True, shape, len(words), len(words) * len(relations), None)
 
 
+def verify_relations(shape: Sequence[int]) -> tuple[dict, str | None]:
+    """The row of ``tk verify hecke`` for one shape, read from its
+    ``verify_hecke_relations`` report, and the counterexample or None."""
+    rep = verify_hecke_relations(shape)
+    name = format_composition(shape)
+    row = {"shape": name, "tableaux": rep.tableaux, "checks": rep.checks,
+           "pass": rep.passed}
+    return row, None if rep.passed else f"shape {name}: {rep.counterexample}"
+
+
 def is_source(t: Tableau) -> bool:
     """Every non-descent i < n has i+1 in the cell immediately to its left."""
     return _is_source(*_cells(t))
@@ -322,6 +336,17 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
                                  f"and {len(sinks)} sinks")
         classes.append(EquivalenceClass(signature, members, sources[0], sinks[0]))
     return tuple(classes)
+
+
+def verify_classes(shape: Sequence[int]) -> tuple[dict, str | None]:
+    """The row of ``tk verify classes`` for one shape, and the message of the
+    ``AssertionError`` of ``equivalence_classes`` or None."""
+    name = format_composition(shape)
+    try:
+        classes = equivalence_classes(shape)
+    except AssertionError as exc:
+        return {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
+    return {"shape": name, "classes": len(classes), "pass": True}, None
 
 
 def _moves(

@@ -16,8 +16,8 @@ the up-step right after it.
 
 Edges are classified by comparing labels: a right child larger than its
 parent is a right ascent, smaller a right descent, and likewise on the left.
-The ``verify_*`` functions run the path, tableau and tree round trips of
-``tk verify bijections``.
+The ``verify_*`` functions run the round trips of ``tk verify bijections``
+and the counts of ``tk verify counts``.
 """
 
 from __future__ import annotations
@@ -27,18 +27,21 @@ import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from .core import _places, _unpacked
 from .dyck import (
     LabeledDyckPath,
     _require_canonical,
+    enumerate_dyck,
     enumerate_ldyck,
+    labeled_catalan,
     ldyck_to_spct,
     random_ldyck,
     spct_to_ldyck,
     up_step_labels,
 )
+from .tableaux import two_column_census
 
 __all__ = [
     "Node",
@@ -55,6 +58,7 @@ __all__ = [
     "tree_from_json",
     "verify_path_round_trips",
     "verify_sampled_round_trips",
+    "verify_counts",
 ]
 
 
@@ -373,6 +377,29 @@ def verify_sampled_round_trips(m: int, samples: int, rng: random.Random
         "sampled", m, sampled,
         lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
     )
+
+
+def verify_counts(n: int) -> tuple[dict, str | None]:
+    """The row of ``tk verify counts`` at size n, and the row as the witness
+    when it fails: the census's tableaux and classes, the Dyck walk's labeled
+    paths and the recurrence's trees, against n! Cat(n) and (n+1)^(n-1)."""
+    # each class has one source, so the transfer counts both
+    quadruples, class_count = two_column_census(n)
+    row = {
+        "n": n,
+        "spct": sum(quadruples.values()),
+        # the labeled paths: every Dyck path under each of n! labelings
+        "ldyck": factorial(n) * sum(1 for _ in enumerate_dyck(n)),
+        "ltree": sum(edge_stats_counts(n).values()),
+        "expected_objects": labeled_catalan(n),
+        "classes": class_count,
+        "expected_classes": (n + 1) ** (n - 1),
+    }
+    passed = row["pass"] = (
+        row["spct"] == row["ldyck"] == row["ltree"] == row["expected_objects"]
+        and class_count == row["expected_classes"]
+    )
+    return row, None if passed else f"n={n}: {row}"
 
 
 def _path_moved(d: LabeledDyckPath) -> str | None:

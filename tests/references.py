@@ -1,8 +1,10 @@
 """Slow, direct references that the tests check the library against."""
 
+import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 from tabkit.core import _packed, _places, _unpacked
 from tabkit.dyck import DyckPath
@@ -15,6 +17,13 @@ from tabkit.tableaux import (
     positions,
 )
 from tabkit.trees import Node
+
+
+def recorded_checks(argv: str) -> list[dict]:
+    """The rows of the ``tk`` report recorded for ``argv`` in
+    ``cli_exhaustive.json``."""
+    recorded = json.loads((Path(__file__).parent / "cli_exhaustive.json").read_text())
+    return recorded[argv]["results"]["checks"]
 
 
 def is_standard(t: Tableau | ReverseTableau) -> bool:

@@ -135,12 +135,12 @@ def test_st_pairs_of_two_column_tableaux_are_the_allowable_pairs():
 
 
 def test_verify_pairs_reports_every_check():
-    assert verify_pairs(4) == {
+    assert verify_pairs(4) == ({
         "n": 4, "pairs": 125, "expected": 125, "weak_order_agrees": True,
         "covers_allowable": True, "matches_tableau_pairs": True, "pass": True,
-    }
+    }, None)
     # past n = 4 the tableau pairs are not listed
-    assert list(verify_pairs(5)) == [
+    assert list(verify_pairs(5)[0]) == [
         "n", "pairs", "expected", "weak_order_agrees", "covers_allowable", "pass",
     ]
     with pytest.raises(ValueError):
@@ -150,12 +150,15 @@ def test_verify_pairs_reports_every_check():
 def test_verify_pairs_fails_on_a_broken_scan(monkeypatch):
     # without the 123-312 scan the 2112-avoiding pairs are too many
     monkeypatch.setattr("tabkit.allowable.is_123312_avoiding", lambda a, b: True)
-    report = verify_pairs(3)
+    report, witness = verify_pairs(3)
     assert (report["pairs"], report["matches_tableau_pairs"], report["pass"]) == (17, False, False)
+    # the witness is the failing row, as ``tk verify pairs`` reports it
+    assert witness == f"n=3: {report}"
     # a 2112 scan that passes everything disagrees with the weak order
     monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", lambda a, b: True)
-    report = verify_pairs(3)
+    report, witness = verify_pairs(3)
     assert (report["weak_order_agrees"], report["pass"]) == (False, False)
+    assert witness == f"n=3: {report}"
 
 
 def test_graph_shape_and_edge_counts():

@@ -16,9 +16,10 @@ from hypothesis import example, given, strategies as st
 
 from tabkit import cli, trees
 from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
-from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, equivalence_classes, main
+from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, main
 from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
+from tabkit.hecke import equivalence_classes
 from tabkit.tableaux import _first_column, _pct_rows, _row_order
 from tabkit.trees import Node, ldyck_to_ltree
 
@@ -175,7 +176,7 @@ def test_verify_classes_reports_a_failing_shape(capsys, monkeypatch):
             raise AssertionError("no classes")
         return equivalence_classes(shape)
 
-    monkeypatch.setattr("tabkit.cli.equivalence_classes", broken)
+    monkeypatch.setattr("tabkit.hecke.equivalence_classes", broken)
     code, out, err = run(capsys, "verify", "classes", "--max-size", "3")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -188,7 +189,7 @@ def test_verify_classes_reports_a_failing_shape(capsys, monkeypatch):
 
 
 def test_verify_counts_reports_the_first_failing_size(capsys, monkeypatch):
-    monkeypatch.setattr("tabkit.cli.catalan", lambda n: 0)
+    monkeypatch.setattr("tabkit.dyck.catalan", lambda n: 0)
     code, out, err = run(capsys, "verify", "counts", "--max-n", "2")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]
@@ -213,7 +214,7 @@ def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
 def test_enumerate_refuses_a_large_n_at_once(capsys, monkeypatch, kind):
     monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
     sizes = []
-    monkeypatch.setattr("tabkit.cli.factorial", lambda n: sizes.append(n) or factorial(n))
+    monkeypatch.setattr("tabkit.dyck.factorial", lambda n: sizes.append(n) or factorial(n))
     code, out, err = run(capsys, "enumerate", kind, "--n", "300000")
     assert code == 2 and out == ""
     assert err.startswith(f"refused: enumerate {kind} passed {DEFAULT_MAX_OBJECTS} objects")
@@ -267,15 +268,42 @@ def test_verify_suites_refuse_before_any_walk(capsys, monkeypatch, argv):
 
     monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
     monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
-    for name in ("enumerate_ldyck", "enumerate_ltrees", "enumerate_dyck",
-                 "two_column_census", "edge_stats_counts"):
+    for name in ("enumerate_ldyck", "enumerate_ltrees", "edge_stats_counts"):
         monkeypatch.setattr(f"tabkit.cli.{name}", walk)
-    # the path round trips of ``verify bijections`` walk and draw in trees
-    for name in ("enumerate_ldyck", "random_ldyck"):
+    # the path round trips of ``verify bijections`` walk and draw in trees,
+    # and the counts of ``verify counts`` transfer, walk and recur there
+    for name in ("enumerate_ldyck", "random_ldyck", "enumerate_dyck",
+                 "two_column_census", "edge_stats_counts"):
         monkeypatch.setattr(f"tabkit.trees.{name}", walk)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"refused: {argv[0]} {argv[1]} passed {argv[-1]} objects")
+
+
+def test_verify_hecke_is_charged_its_relation_checks(capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # one row of 2,000 cells: C(2000, 2) = 1,999,000 checks on its one
+    # tableau, refused before the shape is counted or walked
+    monkeypatch.setattr("tabkit.cli.count_spct", work)
+    monkeypatch.setattr("tabkit.hecke._spct_walk", work)
+    code, out, err = run(capsys, "verify", "hecke", "--shape", "2000", "--max-objects", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: verify hecke passed 1 objects")
+    monkeypatch.undo()
+    # (2, 2): 4 tableaux, C(4, 2) = 6 relations on each
+    argv = ("verify", "hecke", "--shape", "2,2", "--max-objects")
+    code, out, err = run(capsys, *argv, "23")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: verify hecke passed 23 objects")
+    assert run_json(capsys, *argv, "24")["results"]["checks"] == [
+        {"shape": "2,2", "tableaux": 4, "checks": 24, "pass": True}]
+    # the charge is the checks made: C(m, 2) on each tableau of size m
+    rows = run_json(capsys, "verify", "hecke", "--max-n", "5")["results"]["checks"]
+    for row in rows:
+        m = sum(map(int, row["shape"].split(",")))
+        assert row["checks"] == row["tableaux"] * (m * (m - 1) // 2), row
 
 
 def test_verify_counts_counts_past_listing(capsys, monkeypatch):
@@ -285,8 +313,9 @@ def test_verify_counts_counts_past_listing(capsys, monkeypatch):
     monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
     monkeypatch.setattr("tabkit.tableaux._spct_walk", walk)
     monkeypatch.setattr("tabkit.hecke._spct_walk", walk)
-    monkeypatch.setattr("tabkit.cli.enumerate_ldyck", walk)
-    monkeypatch.setattr("tabkit.cli.enumerate_ltrees", walk)
+    for name in ("enumerate_ldyck", "enumerate_ltrees"):
+        monkeypatch.setattr(f"tabkit.cli.{name}", walk)
+        monkeypatch.setattr(f"tabkit.trees.{name}", walk)
     # 9! Cat(9) = 1,764,322,560 paths, and as many trees: counted, not listed
     report = run_json(capsys, "verify", "counts", "--max-n", "9")
     assert report["results"]["passed"] is True
@@ -506,7 +535,8 @@ def test_stats_quadruple_refuses_before_any_work(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")
 
-    for name in ("factorial", "catalan", "descent_quadruple_counts", "edge_stats_counts"):
+    for name in ("factorial", "labeled_catalan", "descent_quadruple_counts",
+                 "edge_stats_counts"):
         monkeypatch.setattr(f"tabkit.cli.{name}", work)
     code, out, err = run(
         capsys, "stats", "quadruple", "--n", "1000000", "--max-objects", "1000"
@@ -827,12 +857,14 @@ def test_negative_env_cap_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, total, shapes", [
-    # the 7 shapes of sizes 1, 2 and 3 hold 1 + 3 + 11 = 15 tableaux
-    (("verify", "hecke", "--max-n", "3"), 15, 7),
+    # the 7 shapes of sizes 1, 2 and 3 hold 1 + 3 + 11 = 15 tableaux; hecke
+    # checks max(1, C(m, 2)) relations on each of size m: 1 + 3 + 11 * 3 = 37
+    (("verify", "hecke", "--max-n", "3"), 37, 7),
     (("verify", "classes", "--max-size", "3"), 15, 7),
-    # the 31 shapes of size <= 5 hold 15 + 53 + 301 = 369
-    (("verify", "hecke", "--max-n", "5"), 369, 31),
-    # and the 32 of size 6 hold 2,001 more
+    # the 31 shapes of size <= 5 hold 15 + 53 + 301 = 369 tableaux, and
+    # 37 + 53 * 6 + 301 * 10 = 3,365 relation checks
+    (("verify", "hecke", "--max-n", "5"), 3365, 31),
+    # and the 32 of size 6 hold 2,001 more tableaux
     (("verify", "classes", "--max-size", "6"), 2370, 63),
 ], ids=["hecke", "classes", "hecke-5", "classes-6"])
 def test_verify_suites_cap_tableaux_not_shapes(capsys, argv, total, shapes):
@@ -1162,3 +1194,33 @@ def test_cli_imports_no_private_name_from_another_module():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_imports_no_check_it_hands_back():
+    # the relation, class and count checks run in hecke and trees, and no
+    # suite of the CLI builds a row of its own
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    checks = {"verify_hecke_relations", "equivalence_classes", "two_column_census",
+              "enumerate_dyck"}
+    assert imported & checks == set()
+    suites = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")]
+    assert [node.name for node in suites] == [f"_suite_{name}" for name in _SUITES]
+    assert [node.name for node in suites
+            if any(isinstance(sub, ast.Dict) for sub in ast.walk(node))] == []
+
+
+def test_readme_lists_the_suites_their_flags_and_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### `tk verify`", 1)[1].split("\n### ", 1)[0]
+    options = {flag.option: dest for dest, flag in cli._FLAGS.items()}
+    # each row: | `suite` | what it checks | `--flag` (default), ... |
+    listed = {
+        suite: {options[option]: int(default) if default else None
+                for option, default in re.findall(r"`(--[a-z-]+)`(?: \((\d+)\))?", flags)}
+        for suite, flags in re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", section, re.M)
+    }
+    assert list(listed) == list(_SUITES)
+    assert listed == {suite: takes for suite, (_, takes) in _SUITES.items()}

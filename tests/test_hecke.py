@@ -12,7 +12,9 @@ from tabkit.hecke import (
     is_source,
     pi,
     swap_entries,
+    verify_classes,
     verify_hecke_relations,
+    verify_relations,
 )
 from tabkit.tableaux import (
     Tableau,
@@ -26,7 +28,7 @@ from tabkit.tableaux import (
     validate_pct,
 )
 
-from references import apply_word, is_sink, is_standard
+from references import apply_word, is_sink, is_standard, recorded_checks
 
 SPCT_1324 = Tableau.from_rows([[1], [7, 5, 2], [6, 4], [10, 9, 8, 3]])
 
@@ -463,3 +465,42 @@ def test_permutation_count_equals_sources_on_columns():
 def test_two_column_sources_count_the_classes():
     for n in range(1, 6):
         assert two_column_census(n)[1] == len(equivalence_classes((2,) * n)), n
+
+
+def test_verify_relations_rows_are_the_recorded_ones():
+    shapes = [shape for m in range(1, 6) for shape in compositions_of(m)]
+    rows = [verify_relations(shape) for shape in shapes]
+    assert all(witness is None for _, witness in rows)
+    assert [row for row, _ in rows] == recorded_checks("verify hecke --max-n 5")
+
+
+def test_verify_relations_names_the_shape_of_a_broken_image(monkeypatch):
+    moved_to(monkeypatch, (0, 1, 1, 0))
+    row, witness = verify_relations((2, 2))
+    assert row == {"shape": "2,2", "tableaux": 4, "checks": 0, "pass": False}
+    assert witness == (
+        "shape 2,2: pi_2 image ((4, 1), (3, 2)) of ((4, 3), (2, 1)) is not a "
+        "valid standard tableau of the same type"
+    )
+
+
+def test_verify_classes_rows_are_the_recorded_ones():
+    shapes = [shape for m in range(1, 7) for shape in compositions_of(m)]
+    rows = [verify_classes(shape) for shape in shapes]
+    assert all(witness is None for _, witness in rows)
+    assert [row for row, _ in rows] == recorded_checks("verify classes --max-size 6")
+
+
+def test_verify_classes_fails_the_row_of_a_shape_whose_classes_raise(monkeypatch):
+    def broken(shape):
+        raise AssertionError("no classes")
+
+    monkeypatch.setattr(hecke, "equivalence_classes", broken)
+    assert verify_classes((2, 1)) == (
+        {"shape": "2,1", "classes": 0, "pass": False}, "shape 2,1: no classes")
+    # a real failure of the classes names the move
+    monkeypatch.undo()
+    moved_to(monkeypatch, (1, 0, 0))
+    row, witness = verify_classes((2, 1))
+    assert row == {"shape": "2,1", "classes": 0, "pass": False}
+    assert witness == "shape 2,1: pi_1 moves ((3, 2), (1,)) out of its class"

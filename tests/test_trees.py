@@ -30,8 +30,9 @@ from tabkit.trees import (
     tree_from_json,
     tree_labels,
     tree_to_json,
+    verify_counts,
 )
-from references import LeftPath, mlpd
+from references import LeftPath, mlpd, recorded_checks
 from test_dyck import cycle_lemma_draws, runs
 
 # the ten-node companion of the semi-length 10 golden path
@@ -428,3 +429,17 @@ def test_built_paths_equal_their_parsed_twins():
         assert type(d.down_labels) is tuple and d.down_labels == parsed.down_labels
         # the labels stored by the first call are those of a fresh path
         assert up_step_labels(d) is up_step_labels(d) == up_step_labels(parsed)
+
+
+def test_verify_counts_rows_are_the_recorded_ones():
+    rows = [verify_counts(n) for n in range(1, 5)]
+    assert all(witness is None for _, witness in rows)
+    assert [row for row, _ in rows] == recorded_checks("verify counts --max-n 4")
+
+
+def test_verify_counts_returns_a_wrong_count_as_its_witness(monkeypatch):
+    monkeypatch.setattr("tabkit.trees.labeled_catalan", lambda n: 0)
+    row, witness = verify_counts(2)
+    assert row == {"n": 2, "spct": 4, "ldyck": 4, "ltree": 4, "expected_objects": 0,
+                   "classes": 3, "expected_classes": 3, "pass": False}
+    assert witness == f"n=2: {row}"
