@@ -22,11 +22,13 @@ rectangle shape (k, ..., k) whose j-th column standardizes to s_j.
 smallest (column, row) whose out-neighbors are all labeled.  ``realize_sct``
 computes that same labeling from the permutations alone, with no graph.
 The vertical edges make column j take its labels in increasing s_j order,
-so each column has one candidate node, and two counts of its neighbor
-columns decide when the candidate is ready.  That takes O(k n^2) time and
-O(k n) memory, where the graph holds O(k n^2) edges.  ``build_graph``,
-``PermGraph``, ``is_acyclic`` and ``topological_spct`` stay as the graph
-API, and the tests check the direct labeling against them.
+so each column has one candidate node, ready once its row is labeled in
+column j+1: on an allowable sequence, which ``realize_sct`` checks first,
+the diagonal edges never hold it back.  That takes O(k n log n) time for
+the per-column sorts plus O(k n) for the labels, and O(k n) memory, where
+the graph holds O(k n^2) edges.  ``build_graph``, ``PermGraph``,
+``is_acyclic`` and ``topological_spct`` stay as the graph API, and the
+tests check the direct labeling against them.
 """
 
 from __future__ import annotations
@@ -261,64 +263,51 @@ def topological_spct(g: PermGraph) -> Tableau:
 
 
 def _label_sequence(seq: tuple[Perm, ...]) -> Tableau:
-    """``topological_spct(build_graph(seq))``, read off the permutations
-    without building the graph.
+    """``topological_spct(build_graph(seq))`` for an allowable ``seq``, read
+    off the permutations without building the graph.
 
     The vertical edges make column j take its labels in increasing s_j
     order, so its one candidate is the row p with s_j(p) = t_j + 1, where
-    t_j counts the labels column j has.  The candidate is ready when its
-    horizontal edge is done, s_{j+1}(p) <= t_{j+1}, and its diagonal edges
-    are, D_j(p) <= t_{j-1} with D_j(p) the largest s_{j-1}(i) over the rows
-    i < p with s_j(i) < s_j(p), or 0.  Each label goes to the smallest ready
-    column, kept in a heap; a label in column j can change readiness only
-    in columns j-1, j and j+1.  Finding D takes O(k n^2) time, and the
-    labels O(k n log k); the tables take O(k n) memory.
+    t_j counts its labels.  Column j is ready when row p is labeled in
+    column j+1, s_{j+1}(p) <= t_{j+1} (the last column always is), and the
+    smallest ready column takes the next label.
+
+    That is the graph's rule: the diagonal edges never hold back the
+    smallest ready column j.  Suppose a diagonal target (i, j-1) of p, with
+    i < p and s_j(i) < s_j(p), is unlabeled.  (i, j) is labeled, as
+    s_j(i) < s_j(p).  Column j-1's candidate c has s_{j-1}(c) <= s_{j-1}(i),
+    and column j-1 is not ready, so (c, j) is unlabeled: s_j(c) >= s_j(p).
+    If c = p, (i, p) is an inversion of s_{j-1} but not of s_j, a 2112; if
+    c > i, so is (i, c).  So c < i < p, s_j(c) > s_j(p), and the weak order
+    gives s_{j-1}(i) < s_{j-1}(p): (c, i, p) increases in s_{j-1} and reads
+    312 in s_j, the other forbidden pattern.  And a column whose candidate
+    has every out-neighbor labeled is ready, so no smaller one is skipped.
+
+    A label in column j can make only columns j-1 and j ready, and every
+    other ready column is larger, so the ready columns sit on a stack, the
+    smallest on top; the last column keeps it from emptying early.  The
+    sorts take O(k n log n) time, the labels O(k n), the tables O(k n)
+    memory.  On a sequence that is not allowable the labels can break a
+    diagonal edge; ``realize_sct`` refuses such pairs first.
     """
     n, k = len(seq[0]), len(seq)
     if not n:
         raise ValueError("tableau must have at least one row")
-    # per column j = 1..k, indexed by t: the row of the t-th label (0-based)
-    # and the counts its right and left neighbor columns must have reached;
-    # the first column's left and the last's right needs are 0
-    rows_of: list[list[int]] = [[]]
-    right: list[list[int]] = [[]]
-    left: list[list[int]] = [[]]
-    for j, sigma in enumerate(seq):
-        order = sorted(range(n), key=sigma.__getitem__)
-        rows_of.append(order)
-        right.append(list(map(seq[j + 1].__getitem__, order)) if j + 1 < k else [0] * n)
-        if j == 0:
-            left.append([0] * n)
-            continue
-        prev = seq[j - 1]
-        seen = [0] * (n + 1)  # seen[i + 1]: s_{j-1}(i) once row i is passed
-        need = []
-        for p in order:
-            need.append(max(seen[: p + 1]))
-            seen[p + 1] = prev[p]
-        left.append(need)
+    # per column j = 1..k: its rows in label order, and s_{j+1}, the count
+    # column j+1 must reach before a row's label; the last column needs 0
+    rows_of = [[]] + [sorted(range(n), key=sigma.__getitem__) for sigma in seq]
+    after = ((),) + seq[1:] + ((0,) * n,)
     done = [n] + [0] * k + [n]  # labels per column; both ends count as full
-    # the ready columns; at the start only the last, whose candidate has no
-    # right neighbor to wait for
-    heap = [k]
-    queued = [False] * (k + 2)
-    queued[k] = True
+    stack = [k]  # at the start only the last column is ready
     grid = [[0] * k for _ in range(n)]
-    label = 0
-    while heap:
-        j = heapq.heappop(heap)
-        queued[j] = False
-        label += 1
+    for label in range(1, n * k + 1):
+        j = stack.pop()
         grid[rows_of[j][done[j]]][j - 1] = label
         done[j] += 1
-        for c in (j - 1, j, j + 1):
+        for c in (j, j - 1):
             t = done[c]
-            if (t < n and not queued[c] and right[c][t] <= done[c + 1]
-                    and left[c][t] <= done[c - 1]):
-                queued[c] = True
-                heapq.heappush(heap, c)
-    if label < n * k:
-        raise ValueError("graph has a cycle; no labeling exists")
+            if t < n and after[c][rows_of[c][t]] <= done[c + 1]:
+                stack.append(c)
     return Tableau._trusted(tuple(map(tuple, grid)))
 
 
@@ -329,11 +318,12 @@ def realize_sct(a: Perm, b: Perm) -> Tableau:
     identity to a, extended by the single extra column b.
 
     The labeling is read straight off the k = l(a) + 2 permutations, with
-    no graph built: column j takes its labels in increasing s_j order, and
-    its next candidate is ready once its row is labeled in column j+1 and
-    the rows its diagonal edges reach are labeled in column j-1.  It takes
-    O(k n^2) time and O(k n) memory; the graph would hold O(k n^2) edges.
-    ``build_graph`` and ``topological_spct`` stay as the graph reference.
+    no graph built, by one readiness count per column (``_label_sequence``).
+    That rule holds only on an allowable sequence, so the pair is checked
+    first.  It takes O(k n log n) time for the per-column sorts plus O(k n)
+    for the labels, and O(k n) memory; the graph would hold O(k n^2)
+    edges.  ``build_graph`` and ``topological_spct`` stay as the graph
+    reference.
 
     >>> realize_sct((1, 2), (1, 2)).rows
     ((2, 1), (4, 3))

@@ -374,7 +374,9 @@ _TRANSFORMS: dict[str, Callable[..., dict]] = {
 
 def _realize_costs(a: Perm) -> Iterator[int]:
     # the C(n, 3) triples of the 312 scan, then n^2 for each of the l(a) + 2
-    # columns labeled; l(a) is counted only when the scan fits the cap
+    # columns labeled; l(a) is counted only when the scan fits the cap.  A
+    # column's labels cost O(n log n), so n^2 is a loose bound, kept so that
+    # the cap's boundaries do not move
     n = len(a)
     yield comb(n, 3)
     yield (len(inversions(a)) + 2) * n * n

@@ -52,7 +52,9 @@ def identity(n: int) -> Perm:
 
 def is_permutation(seq: Sequence[int]) -> bool:
     """True iff seq is a bijection of {1, ..., len(seq)} in one-line notation."""
-    return sorted(seq) == list(range(1, len(seq) + 1))
+    # exact type test: bool is an int subclass, and 1.0 == 1, so neither is
+    # caught by the sort
+    return all(type(x) is int for x in seq) and sorted(seq) == list(range(1, len(seq) + 1))
 
 
 def check_permutation(seq: Sequence[int]) -> Perm:
@@ -160,9 +162,10 @@ def maximal_chain_to(target: Sequence[int]) -> tuple[Perm, ...]:
 
 
 def check_composition(parts: Sequence[int]) -> Composition:
-    """Return parts as a Composition, raising ValueError on nonpositive parts."""
+    """Return parts as a Composition, raising ValueError on parts that are
+    not positive integers (a bool or a float included)."""
     c = tuple(parts)
-    if any(x < 1 for x in c):
+    if any(type(x) is not int or x < 1 for x in c):
         raise ValueError(f"composition parts must be positive: {c}")
     return c
 

@@ -284,18 +284,20 @@ def test_label_sequence_matches_the_graph_on_every_chain_pair():
 
 
 def test_label_sequence_matches_the_graph_on_every_three_column_sequence():
-    checked = 0
+    # and on every four-column one
+    checked = {3: 0, 4: 0}
     for n in range(1, 4):
         perms = list(permutations(range(1, n + 1)))
-        for seq in product(perms, repeat=3):
-            if is_allowable_sequence(seq):
-                assert labels_as_the_graph(seq), seq
-                checked += 1
-    # 1 + 4 + 33 allowable sequences of three columns
-    assert checked == 38
+        for k in checked:
+            for seq in product(perms, repeat=k):
+                if is_allowable_sequence(seq):
+                    assert labels_as_the_graph(seq), seq
+                    checked[k] += 1
+    # three columns: 1 + 4 + 33 allowable sequences; four: 1 + 5 + 59
+    assert checked == {3: 38, 4: 65}
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_label_sequence_matches_the_graph_on_walks_in_the_pair_graph(n):
     rng = random.Random(2017 + n)
     perms = list(permutations(range(1, n + 1)))
@@ -305,12 +307,6 @@ def test_label_sequence_matches_the_graph_on_walks_in_the_pair_graph(n):
             while len(seq) < k:
                 seq.append(rng.choice([b for b in perms if is_allowable_pair(seq[-1], b)]))
             assert labels_as_the_graph(tuple(seq)), seq
-
-
-def test_label_sequence_refuses_a_cycle():
-    # the sequence of test_known_cycle: its grid graph holds a cycle
-    with pytest.raises(ValueError, match="graph has a cycle"):
-        _label_sequence(((1, 2, 3), (3, 1, 2)))
 
 
 def test_realize_builds_no_graph(monkeypatch):
@@ -332,6 +328,14 @@ def test_realize_the_reversed_pair_at_n_40():
     assert st_word(t) == maximal_chain_to(top) + (top,)
 
 
-def test_realize_rejects_non_allowable():
-    with pytest.raises(ValueError):
-        realize_sct((1, 2, 3), (3, 1, 2))
+def test_realize_rejects_non_allowable(monkeypatch):
+    # the labeler assumes an allowable sequence and has no guard of its own,
+    # so the refusal must come before it runs
+    def no_labeling(seq):
+        raise AssertionError("the labeler ran")
+
+    monkeypatch.setattr("tabkit.allowable._label_sequence", no_labeling)
+    # a 123-312 occurrence, then a 2112 one
+    for a, b in (((1, 2, 3), (3, 1, 2)), ((2, 1), (1, 2))):
+        with pytest.raises(ValueError, match="pair is not allowable"):
+            realize_sct(a, b)

@@ -50,6 +50,9 @@ def test_is_permutation():
     assert is_permutation(())  # the empty bijection
     assert not is_permutation((1, 1, 2))
     assert not is_permutation((2, 3))
+    # bool is an int subclass and 1.0 == 1: both sort like a permutation
+    assert not is_permutation((1.0, 2.0))
+    assert not is_permutation((True, 2))
 
 
 def test_check_permutation_rejects():
@@ -57,6 +60,9 @@ def test_check_permutation_rejects():
         check_permutation((1, 3))
     with pytest.raises(ValueError):
         check_permutation((0, 1))
+    for seq in ((1.0, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="not a permutation of"):
+            check_permutation(seq)
 
 
 def test_standardize_known():
@@ -201,6 +207,9 @@ def test_check_composition_rejects_nonpositive():
         check_composition((1, 0, 2))
     with pytest.raises(ValueError):
         check_composition((-1,))
+    for parts in ((1.5, 2), (2.0, 1), (True, 2)):
+        with pytest.raises(ValueError, match="composition parts must be positive"):
+            check_composition(parts)
 
 
 @given(p=permutation_strategy())

@@ -483,6 +483,20 @@ def test_srt_rejects_non_partition():
         count_srt((1, 2))
 
 
+def test_float_and_bool_shapes_and_types_are_refused():
+    # each once raised a TypeError from inside, or yielded nothing
+    with pytest.raises(ValueError, match="composition parts must be positive"):
+        count_spct((1.5, 2))
+    with pytest.raises(ValueError, match="composition parts must be positive"):
+        count_srt((2.0, 1))
+    with pytest.raises(ValueError, match="composition parts must be positive"):
+        list(enumerate_spct((1.5, 2)))
+    T = ReverseTableau.from_rows(((2,), (1,)))
+    for sigma in ((1.0, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="not a permutation of"):
+            rt_to_pct(T, sigma)
+
+
 @given(sigma_index=st.integers(0, 23), n=st.integers(1, 5))
 @settings(max_examples=40)
 def test_column_sort_union_identity(n, sigma_index):
