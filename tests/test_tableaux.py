@@ -484,7 +484,7 @@ def test_srt_rejects_non_partition():
 
 
 def test_float_and_bool_shapes_and_types_are_refused():
-    # each once raised a TypeError from inside, or yielded nothing
+    # refused at the check, not left to fail or yield nothing inside
     with pytest.raises(ValueError, match="composition parts must be positive"):
         count_spct((1.5, 2))
     with pytest.raises(ValueError, match="composition parts must be positive"):
