@@ -475,7 +475,8 @@ def _helps(flags: Iterable[str], choices: dict[str, dict]) -> dict[str, str]:
 
 
 # Every parser shares the flags every choice takes, and --seed, accepted
-# everywhere so that a choice that does not take it refuses it by name.
+# everywhere so that a choice that does not take it refuses it by name, but
+# shown only in the help of a command that takes it.
 _SHARED = {dest: _FLAGS[dest].help for dest in _COMMON} | _helps(["seed"], {
     f"{name} {choice}": takes
     for name, (*_, choices) in _COMMANDS.items() for choice, takes in choices.items()})
@@ -492,8 +493,6 @@ def _add_flags(parser: argparse.ArgumentParser, helps: dict[str, str]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_flags(common, _SHARED)
     parser = argparse.ArgumentParser(
         prog="tk",
         description="Composition tableaux, labeled Dyck paths, labeled "
@@ -501,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help, positional, choices) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help)
+        p = sub.add_parser(name, help=help)
+        seeded = any("seed" in takes for takes in choices.values())
+        _add_flags(p, _SHARED if seeded else _SHARED | {"seed": argparse.SUPPRESS})
         p.add_argument(positional, choices=tuple(choices))
         _add_flags(p, _HELP[name])
     return parser

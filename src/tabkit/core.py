@@ -166,7 +166,7 @@ def check_composition(parts: Sequence[int]) -> Composition:
     not positive integers (a bool or a float included)."""
     c = tuple(parts)
     if any(type(x) is not int or x < 1 for x in c):
-        raise ValueError(f"composition parts must be positive: {c}")
+        raise ValueError(f"composition parts must be positive integers: {c}")
     return c
 
 

@@ -168,7 +168,8 @@ def _action(
 
 def _by_rows(shape: Sequence[int]) -> tuple[list[Word], list[Rows]]:
     # the row words of the shape and their rows, sorted by rows
-    listed = sorted(_spct_walk(_nonempty(shape), kind=None), key=itemgetter(1))
+    listed = sorted(((w, tuple(map(tuple, rows)))
+                     for w, rows in _spct_walk(_nonempty(shape))), key=itemgetter(1))
     return [w for w, _ in listed], [rows for _, rows in listed]
 
 
@@ -190,7 +191,7 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     shape = check_composition(shape)
     n = sum(shape)
     ell = len(shape)
-    words = list(_spct_walk(_nonempty(shape), kind=tuple))
+    words = [w for w, _ in _spct_walk(_nonempty(shape))]
     table = [row for _, row in _action(words, ell)]
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]

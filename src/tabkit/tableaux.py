@@ -679,41 +679,34 @@ def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
     absent or destined for a smaller entry, and either way the new entry
     would complete a forbidden triple with the earlier row's column c-1.
     """
-    return _spct_walk(_nonempty(shape))
+    return (Tableau._trusted(tuple(map(tuple, rows)))
+            for _, rows in _spct_walk(_nonempty(shape)))
 
 
-def _spct_walk(
-    shape: Composition, sigma: Perm | None = None, kind: type[_F] | None = Tableau
-) -> Iterator:
+def _spct_walk(shape: Composition, sigma: Perm | None = None) -> Iterator[tuple[Word, list]]:
     # one backtracking loop: ``chosen`` holds the rows (from 0) of n, n-1,
     # ..., v+1, and ``r`` is the first row still to try for the entry v.
-    # It yields each standard PCT as a ``kind``, with kind None as its row
-    # word, tuple(chosen), and its rows, or with kind tuple as its row word
-    # alone.  Under a type sigma, row r starts only after row after[r], of
-    # type value sigma[r] + 1 (a fixed 1 at lengths[ell] stands for it when
-    # there is none).
+    # It yields each standard PCT as its row word and its rows, the walk's
+    # own lists, valid until the next item.  Its move rule is the one of
+    # ``_walk_moves``: column c + 1 opens only in the first row of length
+    # c, and, as rows start in decreasing type, an empty row r only when
+    # sigma_r is the number of empty rows.
     ell = len(shape)
     rows: list[list[int]] = [[] for _ in range(ell)]
-    lengths = [0] * ell + [1]
-    after = _start_order(sigma, ell)
+    lengths = [0] * ell
     chosen: list[int] = []
     v = composition_size(shape)
     r = 0
     while True:
         if v == 0:
-            if kind is None:
-                yield tuple(chosen), tuple(map(tuple, rows))
-            elif kind is tuple:
-                yield tuple(chosen)
-            else:
-                yield kind._trusted(tuple(map(tuple, rows)))
+            yield tuple(chosen), rows
             r = ell
         while r < ell:
             c = lengths[r]
             if c:  # no earlier row of length c: c is first found at r
                 if c < shape[r] and lengths.index(c) == r:
                     break
-            elif lengths[after[r]]:
+            elif sigma is None or sigma[r] == lengths.count(0):
                 break
             r += 1
         if r < ell:
@@ -732,13 +725,6 @@ def _spct_walk(
             return
 
 
-def _start_order(sigma: Perm | None, ell: int) -> list[int]:
-    # for each row, the row that must start before it: the row of type
-    # value sigma[r] + 1, or ell for none (every row, with no type)
-    row_of = {s: r for r, s in enumerate(sigma or ())}
-    return [row_of.get(s + 1, ell) for s in sigma] if sigma else [ell] * ell
-
-
 def enumerate_spct_sigma(
     shape: Sequence[int], sigma: Sequence[int]
 ) -> Iterator[Tableau]:
@@ -746,7 +732,8 @@ def enumerate_spct_sigma(
     ``enumerate_spct``, whose walk the type prunes: first-column entries
     arrive largest first, so the type fixes the order rows start in."""
     shape = _nonempty(shape)
-    return _spct_walk(shape, _check_type(sigma, len(shape)))
+    return (Tableau._trusted(tuple(map(tuple, rows)))
+            for _, rows in _spct_walk(shape, _check_type(sigma, len(shape))))
 
 
 def count_spct(
@@ -768,8 +755,9 @@ def count_spct(
     rows not yet full, the topmost longest one, or one of largest part when
     they are all empty.
 
-    Under a type, row r starts only once the row of type value sigma_r + 1
-    has, as in the walk.  A row d above r with a_d < a_r and sigma_d >
+    Under a type, an empty row r starts only when sigma_r is the number of
+    empty rows, as in the walk: first-column entries arrive largest first,
+    so rows start in decreasing sigma.  A row d above r with a_d < a_r and sigma_d >
     sigma_r then starts first and strands r, so the count is 0.  Past that
     check, completion under a type rests on an exhaustive comparison with
     the walk on every composition of size at most 7 and every type.
@@ -791,8 +779,9 @@ def count_spct(
 def _transfer(shape: Composition, sigma: Perm | None = None, step: Callable | None = None,
               limit: int | None = None) -> tuple[dict, int]:
     # The walk of ``_spct_walk`` as a transfer, one level per entry n, ...,
-    # 1.  A state is the rows not yet full, in row order, each packed as in
-    # ``_walk_moves``; a full row d is dropped, since it could block a later
+    # 1, by its move rule, stated once in ``_walk_moves``.  A state is the
+    # rows not yet full, in row order, each packed as there; a full row d
+    # is dropped, since it could block a later
     # row r only at length a_d with a_r > a_d, and the stuck test pruned
     # every such r, then at max(c_r, 1) <= a_d, as d filled.  Every state
     # carries its plain ways, the count.  With a step, a state also keeps
@@ -854,14 +843,15 @@ def _walk_moves(rows: tuple[int, ...], p: int, cells: bool) -> list:
     # rows compare as in the tableau, and a cell's row before its move is
     # its row after it with the last bit set.  A row of part a and length
     # c packs as c * p + a, for p past every part, but an empty row under a
-    # type as a - sigma_r * p.  Rows start in decreasing type, each after
-    # the row of sigma_r + 1, so the empty rows hold sigma_r = 1, ..., u
-    # and the one of u, the lowest packed length, starts next.
+    # type as a - sigma_r * p, of packed length -sigma_r.  Rows start in
+    # decreasing type, so the u empty rows hold sigma_r = 1, ..., u, and -u
+    # is min(lengths).
     lengths = [code // p for code in rows]
     found = []
     for q, c in enumerate(lengths):
-        # the test of ``_spct_walk``: column c + 1 opens only in the first
-        # row of length c, and column 1 in the type's turn
+        # the move rule of ``_spct_walk``: column c + 1 opens only in the
+        # first row of length c, and an empty row under a type only when
+        # sigma_r is the number of empty rows, -c == u
         if c > 0 and lengths.index(c) != q or c < 0 and c != min(lengths):
             continue
         grown = c + 1 if c > 0 else 1
@@ -887,7 +877,8 @@ def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:
     > c; conversely decreasing columns meet the triple condition.
     """
     lam = _partition(partition)
-    return _spct_walk(lam, tuple(range(len(lam), 0, -1)), ReverseTableau)
+    return (ReverseTableau._trusted(tuple(map(tuple, rows)))
+            for _, rows in _spct_walk(lam, tuple(range(len(lam), 0, -1))))
 
 
 def count_srt(partition: Sequence[int]) -> int:

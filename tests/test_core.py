@@ -212,6 +212,13 @@ def test_check_composition_rejects_nonpositive():
             check_composition(parts)
 
 
+def test_a_float_part_is_refused_as_not_an_integer():
+    # the text names the fault: 1.5 is positive, but not an integer
+    with pytest.raises(ValueError) as raised:
+        check_composition((1.5, 2))
+    assert str(raised.value) == "composition parts must be positive integers: (1.5, 2)"
+
+
 @given(p=permutation_strategy())
 def test_permutation_text_round_trip(p):
     assert parse_permutation(format_permutation(p)) == p

@@ -156,7 +156,7 @@ def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
     monkeypatch.setattr(hecke, "_swap", recording_swap)
     for n in range(2, 7):
         for shape in compositions_of(n):
-            words = [w for w, _ in _spct_walk(shape, kind=None)]
+            words = [w for w, _ in _spct_walk(shape)]
             list(hecke._action(words, len(shape)))
     assert len(moves) > 1000
     for word, i, moved in moves:
@@ -360,7 +360,7 @@ def reference_classes(shape):
 def test_table_matches_public_pi():
     for n in range(1, 7):
         for shape in compositions_of(n):
-            words = [w for w, _ in _spct_walk(shape, kind=None)]
+            words = [w for w, _ in _spct_walk(shape)]
             table = [row for _, row in hecke._action(words, len(shape))]
             assert table == reference_action(list(enumerate_spct(shape))), shape
 
@@ -377,7 +377,7 @@ def reference_relations(shape):
     # same earliest failure and the same count of checks
     shape = check_composition(shape)
     n = sum(shape)
-    words = [w for w, _ in _spct_walk(_nonempty(shape), kind=None)]
+    words = [w for w, _ in _spct_walk(_nonempty(shape))]
     table = [row for _, row in hecke._action(words, len(shape))]
     types = [tuple(dict.fromkeys(w)) for w in words]
     checks = 0

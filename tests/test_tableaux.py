@@ -18,6 +18,7 @@ from tabkit.tableaux import (
     _columns,
     _quadruple,
     _spct_walk,
+    _walk_moves,
     column_word,
     count_spct,
     count_srt,
@@ -677,18 +678,11 @@ def test_descent_quadruple_matches_the_per_entry_rule():
             assert descent_quadruple(t) == reference_quadruple(t), t.rows
 
 
-def test_the_walk_lists_its_row_words_alone_in_the_same_order():
-    for n in range(1, 7):
-        for shape in compositions_of(n):
-            words = [word for word, _ in _spct_walk(shape, kind=None)]
-            assert list(_spct_walk(shape, kind=tuple)) == words, shape
-
-
 def walk_census(n):
     # the reference: the quadruple of every row word the walk lists
     return Counter(
         _quadruple(word, _columns(word, n))
-        for word, _ in _spct_walk((2,) * n, kind=None)
+        for word, _ in _spct_walk((2,) * n)
     )
 
 
@@ -769,6 +763,45 @@ def test_count_spct_matches_the_walk():
         count_spct((2, 2), sigma=(1, 2, 3))
     with pytest.raises(ValueError):
         count_spct((2, 2), sigma=(1, 1))
+
+
+def packed(shape, sigma, prefix, p):
+    # the transfer's state after the walk placed n, n-1, ... in the rows of
+    # prefix: the rows not yet full, as c * p + a, a, or a - sigma_r * p
+    # when empty, and the row index of each
+    lengths = Counter(prefix)
+    kept = [r for r, a in enumerate(shape) if lengths[r] < a]
+    state = tuple(lengths[r] * p + shape[r] if lengths[r] else
+                  shape[r] - sigma[r] * p if sigma else shape[r] for r in kept)
+    return state, kept
+
+
+def test_the_walk_and_the_transfer_make_the_same_moves():
+    # every state the transfer reaches completes, so at each prefix of a
+    # listed word the rows the walk extends it by toward a listed tableau
+    # are the moves of ``_walk_moves``, in order, state and cell alike
+    cases = [(shape, None) for m in range(1, 8) for shape in compositions_of(m)]
+    cases += [(shape, sigma) for m in range(1, 7) for shape in compositions_of(m)
+              for sigma in permutations(range(1, len(shape) + 1))
+              if not any(shape[d] < shape[r] and sigma[d] > sigma[r]
+                         for r in range(len(shape)) for d in range(r))]
+    for shape, sigma in cases:
+        p = max(shape) + 1
+        extended: dict = {}
+        for word, _ in _spct_walk(shape, sigma):
+            for k, r in enumerate(word):
+                rows = extended.setdefault(word[:k], [])
+                if not rows or rows[-1] != r:
+                    rows.append(r)
+        assert extended, (shape, sigma)
+        for prefix, rows in extended.items():
+            state, kept = packed(shape, sigma, prefix, p)
+            want = []
+            for r in rows:
+                q, grown = kept.index(r), prefix.count(r) + 1
+                cell = (2 * q + (grown < shape[r]), grown)
+                want.append((packed(shape, sigma, prefix + (r,), p)[0], cell))
+            assert _walk_moves(state, p, True) == want, (shape, sigma, prefix)
 
 
 def test_count_spct_is_at_most_the_factorial():
