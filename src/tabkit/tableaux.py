@@ -757,10 +757,11 @@ def count_spct(
 
     Under a type, an empty row r starts only when sigma_r is the number of
     empty rows, as in the walk: first-column entries arrive largest first,
-    so rows start in decreasing sigma.  A row d above r with a_d < a_r and sigma_d >
-    sigma_r then starts first and strands r, so the count is 0.  Past that
-    check, completion under a type rests on an exhaustive comparison with
-    the walk on every composition of size at most 7 and every type.
+    so rows start in decreasing sigma.  A row d above r with a_d < a_r and
+    sigma_d > sigma_r then starts first and strands r, so the count is 0.
+    Past that check, completion under a type rests on an exhaustive
+    comparison with the walk on every composition of size at most 7 and
+    every type.
 
     >>> count_spct((2, 2, 2))
     30
@@ -781,11 +782,11 @@ def _transfer(shape: Composition, sigma: Perm | None = None, step: Callable | No
     # The walk of ``_spct_walk`` as a transfer, one level per entry n, ...,
     # 1, by its move rule, stated once in ``_walk_moves``.  A state is the
     # rows not yet full, in row order, each packed as there; a full row d
-    # is dropped, since it could block a later
-    # row r only at length a_d with a_r > a_d, and the stuck test pruned
-    # every such r, then at max(c_r, 1) <= a_d, as d filled.  Every state
-    # carries its plain ways, the count.  With a step, a state also keeps
-    # the cell of the entry placed last and carries keyed ways too:
+    # is dropped, since it could block a later row r only at length a_d
+    # with a_r > a_d, and the stuck test pruned every such r, then at
+    # max(c_r, 1) <= a_d, as d filled.  Every state carries its plain
+    # ways, the count.  With a step, a state also keeps the cell of the
+    # entry placed last and carries keyed ways too:
     # ``step(last, cell)`` gives the key a move to the cell adds to them,
     # and whether plain ways may take it.  Each step is worked out once per
     # call, as is each list of moves: with a step, states of different last
