@@ -163,16 +163,11 @@ def verify_pairs(n: int) -> tuple[dict, str | None]:
 
 @dataclass(frozen=True)
 class PermGraph:
-    """Directed graph on an n-row, k-column grid of nodes with tagged edges.
-
-    ``sigmas`` records the defining permutation sequence when the graph was
-    built from one; hand-assembled graphs may leave it None.
-    """
+    """Directed graph on an n-row, k-column grid of nodes with tagged edges."""
 
     n: int
     k: int
     edges: frozenset[Edge]
-    sigmas: tuple[Perm, ...] | None = None
 
     def __post_init__(self) -> None:
         for src, dst, kind in self.edges:
@@ -194,11 +189,6 @@ def build_graph(seq: tuple[Perm, ...]) -> PermGraph:
         raise ValueError(f"need at least two permutations: {len(seq)}")
     if not is_allowable_sequence(seq):
         raise ValueError(f"sequence is not allowable: {seq}")
-    return _grid_graph(seq)
-
-
-def _grid_graph(seq: tuple[Perm, ...]) -> PermGraph:
-    # the edges of a sequence the caller knows to be allowable
     n = len(seq[0])
     k = len(seq)
     edges: set[Edge] = set()
@@ -212,7 +202,7 @@ def _grid_graph(seq: tuple[Perm, ...]) -> PermGraph:
                     edges.add(((p, j), (i, j), "vertical"))
                     if j >= 2 and i < p:
                         edges.add(((p, j), (i, j - 1), "diagonal"))
-    return PermGraph(n, k, frozenset(edges), seq)
+    return PermGraph(n, k, frozenset(edges))
 
 
 def _peel(g: PermGraph) -> list[Node]:

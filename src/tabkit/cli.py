@@ -151,9 +151,10 @@ def _transfer_costs(sizes: Iterable[int], cap: int) -> Iterator[int]:
 
 
 def _write_json(path: str, obj) -> None:
+    # the whole text first: an object too deep to encode leaves no file
+    text = json.dumps(obj, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _cell(value) -> str:

@@ -33,7 +33,7 @@ from enum import Enum
 from itertools import combinations
 from operator import itemgetter
 
-from .core import Perm, apply_left_swap, check_composition, format_composition
+from .core import Perm, apply_left_swap, format_composition
 from .tableaux import (
     Rows,
     Tableau,
@@ -166,6 +166,16 @@ def _action(
         yield cols, row
 
 
+def _moves(table: list[list[int | None]]) -> Iterator[tuple[int, int, int | None]]:
+    # (k, i, m) for each move of words[k] by pi_i, to words[m], or with m
+    # None when the image is not listed; a fixed cell (k) or a zero (-1) is
+    # no move
+    for k, row in enumerate(table):
+        for i, m in enumerate(row, start=1):
+            if m != k and m != -1:
+                yield k, i, m
+
+
 def _by_rows(shape: Sequence[int]) -> tuple[list[Word], list[Rows]]:
     # the row words of the shape and their rows, sorted by rows
     listed = sorted(((w, tuple(map(tuple, rows)))
@@ -188,10 +198,10 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     loop would: the earliest tableau, then the earliest relation, that
     fails, with ``checks`` counting the pairs up to it.
     """
-    shape = check_composition(shape)
+    shape = _nonempty(shape)
     n = sum(shape)
     ell = len(shape)
-    words = [w for w, _ in _spct_walk(_nonempty(shape))]
+    words = [w for w, _ in _spct_walk(shape)]
     table = [row for _, row in _action(words, ell)]
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]
@@ -199,15 +209,12 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     def fail(checks: int, witness: str) -> RelationReport:
         return RelationReport(False, shape, len(words), checks, witness)
 
-    # a fixed cell's image is its own word, so only the other cells are
-    # compared
-    for k, row in enumerate(table):
-        for i, m in enumerate(row, start=1):
-            if m is None or (m != k and m >= 0 and types[m] != types[k]):
-                w = words[k]
-                image = _rows(_swap(w, len(w) - i) if m is None else words[m])
-                return fail(0, f"pi_{i} image {image} of {_rows(w)} "
-                               "is not a valid standard tableau of the same type")
+    for k, i, m in _moves(table):
+        if m is None or types[m] != types[k]:
+            w = words[k]
+            image = _rows(_swap(w, len(w) - i) if m is None else words[m])
+            return fail(0, f"pi_{i} image {image} of {_rows(w)} "
+                           "is not a valid standard tableau of the same type")
     # columns[i - 1][k] is the index of pi_i(words[k]); the zero, at index
     # -1, is fixed by every pi_i
     columns = [[*column, -1] for column in zip(*table)]
@@ -320,8 +327,8 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
         if _is_source(words[k], cols):
             source_indices.add(k)
     movers = set()
-    for k, i, m in _moves(words, table):
-        if groups[m] is not groups[k]:
+    for k, i, m in _moves(table):
+        if m is None or groups[m] is not groups[k]:
             raise AssertionError(f"pi_{i} moves {rows[k]} out of its class")
         movers.add(k)
     tableaux = [Tableau._trusted(r) for r in rows]
@@ -349,14 +356,3 @@ def verify_classes(shape: Sequence[int]) -> tuple[dict, str | None]:
         return {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
     return {"shape": name, "classes": len(classes), "pass": True}, None
 
-
-def _moves(
-    words: Sequence[Word], table: list[list[int | None]]
-) -> Iterator[tuple[int, int, int]]:
-    # (k, i, m) for each move of words[k] to words[m] by pi_i
-    for k, row in enumerate(table):
-        for i, m in enumerate(row, start=1):
-            if m is None:
-                raise AssertionError(f"pi_{i} moves {_rows(words[k])} out of its class")
-            if m != k and m >= 0:
-                yield k, i, m

@@ -514,24 +514,18 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
         raise ValueError(
             "not a valid PCT: " + "; ".join(v.message for v in _violations(t))
         )
-    # the columns shorten to the right, so the i-th entry of each column
-    # long enough makes up row i
+    cols: list[list[int]] = [[] for _ in range(max(t.shape))]
+    for row in t.rows:
+        for col, x in zip(cols, row):
+            col.append(x)
+    # each column sorted largest first; the columns shorten to the right, so
+    # the i-th entry of each column long enough makes up row i
     rows: list[list[int]] = [[] for _ in t.rows]
-    for col in _sorted_columns(t.rows):
+    for col in cols:
+        col.sort(reverse=True)
         for row, x in zip(rows, col):
             row.append(x)
     return ReverseTableau._trusted(tuple(map(tuple, rows)))
-
-
-def _sorted_columns(rows: Rows) -> list[list[int]]:
-    # each column of a filling, largest entry first
-    cols: list[list[int]] = [[] for _ in range(max(map(len, rows)))]
-    for row in rows:
-        for col, x in zip(cols, row):
-            col.append(x)
-    for col in cols:
-        col.sort(reverse=True)
-    return cols
 
 
 def _check_type(sigma: Sequence[int], ell: int) -> Perm:
@@ -924,11 +918,16 @@ def from_json(data: dict) -> Tableau | ReverseTableau:
     rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError('"rows" must be a list of lists')
-    cls = ReverseTableau if data.get("reverse") else Tableau
-    t = cls.from_rows(rows)
+    # exact type tests: "false" is truthy, 2.0 == 2 and True == 1
+    reverse = data.get("reverse", False)
+    if type(reverse) is not bool:
+        raise ValueError(f'"reverse" must be a boolean: {reverse!r}')
+    t = (ReverseTableau if reverse else Tableau).from_rows(rows)
     shape = data.get("shape", t.shape)
     if not isinstance(shape, (list, tuple)) or tuple(shape) != t.shape:
         raise ValueError(
             f"declared shape {shape} does not match rows {list(t.shape)}"
         )
+    if any(type(part) is not int for part in shape):
+        raise ValueError(f'"shape" entries must be integers: {shape!r}')
     return t

@@ -339,23 +339,48 @@ def random_ltree(n: int, rng: random.Random) -> Node:
 
 
 def tree_to_json(t: Node) -> dict:
-    out: dict = {"label": t.label}
-    if t.left:
-        out["left"] = tree_to_json(t.left)
-    if t.right:
-        out["right"] = tree_to_json(t.right)
-    return out
+    """The nested JSON object of a tree, keys in the order label, left,
+    right; built from an explicit stack, so a deep tree does not recurse."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        v, out = stack.pop()
+        out["label"] = v.label
+        if v.left is not None:
+            out["left"] = child = {}
+            stack.append((v.left, child))
+        if v.right is not None:
+            out["right"] = child = {}
+            stack.append((v.right, child))
+    return root
 
 
 def tree_from_json(data: dict) -> Node:
-    if not isinstance(data, dict) or "label" not in data:
-        raise ValueError('expected an object with a "label" key')
-    label = data["label"]
-    if type(label) is not int:  # bool is an int subclass and must not pass
-        raise ValueError(f"label must be an integer: {label!r}")
-    left = tree_from_json(data["left"]) if "left" in data else None
-    right = tree_from_json(data["right"]) if "right" in data else None
-    return Node(label, left, right)
+    """The tree of a nested JSON object, without recursion.  The objects are
+    checked in preorder, so the first fault reported is the one a recursive
+    reader meets first."""
+    order = []  # (label, has a left child, has a right child) in preorder
+    stack = [data]
+    while stack:
+        data = stack.pop()
+        if not isinstance(data, dict) or "label" not in data:
+            raise ValueError('expected an object with a "label" key')
+        label = data["label"]
+        if type(label) is not int:  # bool is an int subclass and must not pass
+            raise ValueError(f"label must be an integer: {label!r}")
+        left, right = "left" in data, "right" in data
+        if right:
+            stack.append(data["right"])
+        if left:
+            stack.append(data["left"])
+        order.append((label, left, right))
+    # read backwards, preorder gives each node after its right subtree and
+    # then its left one, so its left child's root is on top of the stack
+    built: list[Node] = []
+    for label, left, right in reversed(order):
+        left_child = built.pop() if left else None
+        built.append(Node(label, left_child, built.pop() if right else None))
+    return built.pop()
 
 
 

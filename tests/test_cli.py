@@ -641,6 +641,23 @@ def test_map_non_list_shape_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error: declared shape 3")
 
 
+@pytest.mark.parametrize("argv", [["pct-to-rt"], ["rt-to-pct", "--sigma", "1"]])
+def test_map_takes_only_a_boolean_reverse_marker(capsys, monkeypatch, argv):
+    data = {"rows": [[2, 1]], "reverse": "false"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run(capsys, "map", *argv, "--in", "-")
+    assert code == 2 and out == ""
+    assert err == "error: \"reverse\" must be a boolean: 'false'\n"
+
+
+def test_map_takes_only_integer_shape_entries(capsys, monkeypatch):
+    code, out, err = map_stdin(
+        capsys, monkeypatch, "pct-to-rt", {"rows": [[2, 1]], "shape": [2.0]}
+    )
+    assert code == 2 and out == ""
+    assert err == 'error: "shape" entries must be integers: [2.0]\n'
+
+
 def test_map_rejects_boolean_entries(capsys, monkeypatch):
     code, out, err = map_stdin(capsys, monkeypatch, "pct-to-rt", {"rows": [[True]]})
     assert code == 2 and out == ""
@@ -679,6 +696,18 @@ def test_map_too_deep_result_is_usage_error(capsys, monkeypatch):
     code, out, err = map_stdin(capsys, monkeypatch, "ldyck-to-ltree", {"steps": steps})
     assert code == 2 and out == ""
     assert err == "error: the object nests too deeply to process\n"
+
+
+def test_map_writes_no_file_for_a_result_too_deep_to_encode(capsys, monkeypatch, tmp_path):
+    # the tree of the 1,500-deep left path is built and turned into nested
+    # dicts, but ``json`` cannot encode them at the default recursion limit
+    target = tmp_path / "tree.json"
+    steps = ["U"] * 1500 + [f"D{i}" for i in range(1, 1501)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"steps": steps})))
+    code, out, err = run(capsys, "map", "ldyck-to-ltree", "--in", "-", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == "error: the object nests too deeply to process\n"
+    assert not target.exists()
 
 
 def test_map_bad_tree_labels_error_is_short(capsys, monkeypatch):
@@ -1184,6 +1213,19 @@ def test_installed_script_smoke():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["count"] == 4
+
+
+def test_the_module_entry_point_runs_a_command():
+    # ``python -m tabkit.cli`` runs the ``__main__`` block and ``entry``
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "tabkit.cli", "verify", "counts", "--max-n", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["results"]["passed"] is True
 
 
 def test_cli_imports_no_private_name_from_another_module():

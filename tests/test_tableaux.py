@@ -869,3 +869,19 @@ def test_from_json_rejects_garbage():
         from_json({"rows": "nope"})
     with pytest.raises(ValueError):
         from_json({})
+
+
+def test_from_json_takes_a_boolean_reverse_marker():
+    assert type(from_json({"rows": [[2, 1]], "reverse": False})) is Tableau
+    for marker in ("false", 1, None):
+        with pytest.raises(ValueError, match=f'"reverse" must be a boolean: {marker!r}'):
+            from_json({"rows": [[2, 1]], "reverse": marker})
+
+
+@pytest.mark.parametrize("rows, shape", [([[2, 1]], [2.0]), ([[1]], [True])])
+def test_from_json_takes_integer_shape_entries(rows, shape):
+    # each declared shape equals the rows' shape under ==
+    assert from_json({"rows": rows, "shape": [len(rows[0])]}).shape == (len(rows[0]),)
+    with pytest.raises(ValueError) as err:
+        from_json({"rows": rows, "shape": shape})
+    assert str(err.value) == f'"shape" entries must be integers: {shape!r}'

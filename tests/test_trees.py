@@ -355,8 +355,30 @@ def test_json_round_trip(t):
 def test_json_shape():
     data = tree_to_json(Node(2, Node(1), Node(3)))
     assert data == {"label": 2, "left": {"label": 1}, "right": {"label": 3}}
+    assert list(data) == ["label", "left", "right"]
     with pytest.raises(ValueError):
         tree_from_json({"left": {"label": 1}})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"label": 1.0, "left": {"label": 2.0}}, "label must be an integer: 1.0"),
+    ({"label": 1, "left": {"label": "a", "left": []}, "right": {"label": True}},
+     "label must be an integer: 'a'"),
+    ({"label": 1, "left": {"label": 2, "right": []}, "right": {"label": True}},
+     'expected an object with a "label" key'),
+    ({"label": 1, "left": {"label": 2}, "right": {"label": True}},
+     "label must be an integer: True"),
+])
+def test_json_faults_are_reported_in_preorder(data, message):
+    with pytest.raises(ValueError) as err:
+        tree_from_json(data)
+    assert str(err.value) == message
+
+
+def test_json_round_trip_of_a_deep_tree():
+    # a uniform tree on 10^5 nodes nests far deeper than the recursion limit
+    t = random_ltree(10**5, random.Random(1))
+    assert tree_from_json(tree_to_json(t)) == t
 
 
 def test_statistic_transport_small():
