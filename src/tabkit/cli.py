@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import random
@@ -179,23 +180,27 @@ def _table_lines(rows: list[dict]) -> list[str]:
 
 
 def _emit(fmt: str, report: dict, rows: list[dict]) -> None:
+    # the whole text first, as in ``_write_json``: a report too deep to
+    # encode prints nothing
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        text = json.dumps(report, indent=2) + "\n"
     elif fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=_fields(rows))
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=_fields(rows))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _cell(v) for k, v in row.items()})
+        text = buffer.getvalue()
     else:
-        print(f"command: {report['command']}")
         params = " ".join(f"{k}={_cell(v)}" for k, v in report["parameters"].items())
-        print(f"parameters: {params}" if params else "parameters: (none)")
-        for line in _table_lines(rows):
-            print(line)
-        for key, value in report["results"].items():
-            if not isinstance(value, (list, dict)):
-                print(f"{key}: {value}")
-        print(f"elapsed: {report['elapsed_seconds']}s")
+        lines = [f"command: {report['command']}",
+                 f"parameters: {params}" if params else "parameters: (none)",
+                 *_table_lines(rows),
+                 *(f"{key}: {value}" for key, value in report["results"].items()
+                   if not isinstance(value, (list, dict))),
+                 f"elapsed: {report['elapsed_seconds']}s"]
+        text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,15 @@ def test_map_too_deep_result_is_usage_error(capsys, monkeypatch):
     assert err == "error: the object nests too deeply to process\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_map_prints_nothing_of_a_result_too_deep_to_encode(capsys, monkeypatch, fmt):
+    steps = ["U"] * 1500 + [f"D{i}" for i in range(1, 1501)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"steps": steps})))
+    code, out, err = run(capsys, "map", "ldyck-to-ltree", "--in", "-", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: the object nests too deeply to process\n"
+
+
 def test_map_writes_no_file_for_a_result_too_deep_to_encode(capsys, monkeypatch, tmp_path):
     # the tree of the 1,500-deep left path is built and turned into nested
     # dicts, but ``json`` cannot encode them at the default recursion limit
