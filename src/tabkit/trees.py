@@ -362,17 +362,17 @@ def tree_from_json(data: dict) -> Node:
     order = []  # (label, has a left child, has a right child) in preorder
     stack = [data]
     while stack:
-        data = stack.pop()
-        if not isinstance(data, dict) or "label" not in data:
+        obj = stack.pop()
+        if not isinstance(obj, dict) or "label" not in obj:
             raise ValueError('expected an object with a "label" key')
-        label = data["label"]
+        label = obj["label"]
         if type(label) is not int:  # bool is an int subclass and must not pass
             raise ValueError(f"label must be an integer: {label!r}")
-        left, right = "left" in data, "right" in data
+        left, right = "left" in obj, "right" in obj
         if right:
-            stack.append(data["right"])
+            stack.append(obj["right"])
         if left:
-            stack.append(data["left"])
+            stack.append(obj["left"])
         order.append((label, left, right))
     # read backwards, preorder gives each node after its right subtree and
     # then its left one, so its left child's root is on top of the stack
