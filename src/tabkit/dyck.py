@@ -25,6 +25,7 @@ import random
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb, factorial
 
 from .tableaux import Tableau
@@ -286,8 +287,6 @@ def _dyck_walk(n: int) -> Iterator[DyckPath]:
 
 def enumerate_ldyck(n: int) -> Iterator[LabeledDyckPath]:
     """All n! Cat(n) canonical labeled paths of semi-length n."""
-    from itertools import permutations
-
     tokens = [f"D{label}" for label in range(n + 1)]
     for path in enumerate_dyck(n):
         down_positions = [k for k, s in enumerate(path.steps) if s == "D"]

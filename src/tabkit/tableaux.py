@@ -193,19 +193,42 @@ def validate_pct(t: Tableau) -> ValidationResult:
     """Check the PCT conditions, reporting every violation with its cells.
 
     On success the result carries the type: the standardization of the first
-    column read top to bottom.  Validity is decided by ``_is_pct`` in one
-    sweep over the rows, O(cells log n); the violations are listed only for
-    input it rejects, by a loop over every pair of rows, O(l^2) for l rows
-    however few the violations.  So a long tableau takes far longer to
-    reject than to accept: with two columns and one row reversed, the time
-    grows fourfold each time the rows double.
+    column read top to bottom.  ``_is_pct`` decides validity in one sweep
+    over the rows, O(cells log n), and for input it rejects sweeps again to
+    list the violations, adding O(l) for each cell that breaks the triple
+    condition, l the number of rows.  The violations come in the order the
+    conditions are listed: entries past the cell count, first-column
+    repeats, row increases, then triples by their rows and column.
     """
-    if _is_pct(t.rows, t.size):
-        return ValidationResult(standardize([row[0] for row in t.rows]), ())
-    return ValidationResult(None, _violations(t))
+    rows, n = t.rows, t.size
+    if _is_pct(rows, n):
+        return ValidationResult(standardize([row[0] for row in rows]), ())
+    faults: list[tuple[str, int, int, int]] = []
+    _is_pct(rows, n, faults)
+    violations = []
+    for kind, i, k, j in sorted(faults):
+        # rows i and k and column j, from 1; see ``_is_pct`` for each kind
+        a = rows[i - 1][j - 1]
+        if kind == "entry-range":
+            cells = ((i, j),)
+            message = f"entry {a} at ({i},{j}) exceeds the cell count {n}"
+        elif kind == "first-column-repeat":
+            cells = ((k, 1), (i, 1))
+            message = f"first column repeats {a} at rows {k} and {i}"
+        elif kind == "row-increase":
+            cells = ((i, j), (i, j + 1))
+            message = f"row {i} increases from column {j} to {j + 1}"
+        else:
+            c = rows[k - 1][j]
+            b = f"={rows[i - 1][j]}" if j < len(rows[i - 1]) else " empty"
+            cells = ((i, j), (i, j + 1), (k, j + 1))
+            message = (f"cells ({i},{j})={a}, ({i},{j + 1}){b}, ({k},{j + 1})={c}: "
+                       f"{a} >= {c} needs a larger entry above")
+        violations.append(Violation(kind, cells, message))
+    return ValidationResult(None, tuple(violations))
 
 
-def _is_pct(rows: Rows, n: int) -> bool:
+def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
     # For the columns j, j+1, an earlier row i with a = (i, j) and b = (i,
     # j+1), b = 0 when absent, forbids c = (k, j+1) in [b, a] for every
     # later row k.  So each column pair keeps the union of the earlier rows'
@@ -216,18 +239,33 @@ def _is_pct(rows: Rows, n: int) -> bool:
     # insert is one slice assignment, which shifts the later intervals by
     # one memmove; ``list.insert`` shifts them one at a time, and at 10^5
     # rows that is slower.
-    firsts: set[int] = set()
+    #
+    # Without faults, returns False at the first broken condition.  With a
+    # list, sweeps on and appends a key per broken condition, rows and
+    # columns from 1, sorting in the order ``validate_pct`` lists them:
+    # ("entry-range", r, r, c), ("first-column-repeat", r, first row, 1),
+    # ("row-increase", r, r, c) for the cells c, c+1, and ("triple", i, k,
+    # j) for a = (i, j) and c = (k, j+1).
+    firsts: dict[int, int] = {}  # each first-column entry, with its row k
     pairs: list[tuple[list[int], list[int]]] = []  # the starts and ends of pair j
+    k = 0  # counted only when listing: ``enumerate`` slows small accepts
     for row in rows:
         # rows weakly decrease (checked below), so row[0] is their largest
         a = row[0]
-        if a > n or a in firsts:
+        if faults is not None:
+            k += 1
+            first = firsts.setdefault(a, k)
+            if first != k:
+                faults.append(("first-column-repeat", k, first, 1))
+            if max(row) > n:
+                faults.extend(("entry-range", k, k, c)
+                              for c, x in enumerate(row, start=1) if x > n)
+        elif a > n or a in firsts:
             return False
-        firsts.add(a)
+        else:
+            firsts[a] = k
         j = 0
         for b in row[1:]:
-            if b > a:
-                return False
             if j == len(pairs):
                 pairs.append(([], []))
             lows, highs = pairs[j]
@@ -235,16 +273,30 @@ def _is_pct(rows: Rows, n: int) -> bool:
             # past that check, the intervals from lo on end above b
             lo = bisect_right(lows, b)
             if lo and highs[lo - 1] >= b:
-                return False
+                if faults is None:
+                    return False
+                # the earlier rows whose [b, a] holds this row's b
+                faults.extend(("triple", i, k, j + 1)
+                              for i, above in enumerate(rows[:k - 1], start=1)
+                              if len(above) > j and b <= above[j]
+                              and (len(above) == j + 1 or above[j + 1] <= b))
+                # [b, a] joins the interval that held b, unless the row
+                # increases here and [b, a] is empty
+                if b <= a:
+                    lo -= 1
             # merge [b, a] with the intervals it meets: from lo, those
-            # starting at or below a
+            # starting at or below a.  An increase (b > a) meets none
             hi = bisect_right(lows, a, lo)
             if lo < hi:
                 lows[lo:hi] = (min(b, lows[lo]),)
                 highs[lo:hi] = (max(a, highs[hi - 1]),)
-            else:
+            elif b <= a:
                 lows[lo:lo] = (b,)
                 highs[lo:lo] = (a,)
+            elif faults is None:
+                return False
+            else:
+                faults.append(("row-increase", k, k, j + 1))
             a = b
             j += 1
         # the last cell a has no b: its interval [0, a] merges with every
@@ -257,75 +309,7 @@ def _is_pct(rows: Rows, n: int) -> bool:
             a = max(a, highs[hi - 1])
         lows[:hi] = (0,)
         highs[:hi] = (a,)
-    return True
-
-
-def _violations(t: Tableau) -> tuple[Violation, ...]:
-    # every violation, in the order the conditions are listed, by a loop over
-    # the cells and over the pairs of rows: run only on rejected input
-    violations: list[Violation] = []
-    n = t.size
-
-    for r, row in enumerate(t.rows, start=1):
-        for c, x in enumerate(row, start=1):
-            if x > n:
-                violations.append(
-                    Violation(
-                        "entry-range",
-                        ((r, c),),
-                        f"entry {x} at ({r},{c}) exceeds the cell count {n}",
-                    )
-                )
-
-    seen: dict[int, int] = {}
-    for r, row in enumerate(t.rows, start=1):
-        x = row[0]
-        if x in seen:
-            violations.append(
-                Violation(
-                    "first-column-repeat",
-                    ((seen[x], 1), (r, 1)),
-                    f"first column repeats {x} at rows {seen[x]} and {r}",
-                )
-            )
-        else:
-            seen[x] = r
-
-    for r, row in enumerate(t.rows, start=1):
-        for c in range(1, len(row)):
-            if row[c - 1] < row[c]:
-                violations.append(
-                    Violation(
-                        "row-increase",
-                        ((r, c), (r, c + 1)),
-                        f"row {r} increases from column {c} to {c + 1}",
-                    )
-                )
-
-    # an absent cell (i, j+1) counts as zero, so a >= c with no b at all is a
-    # violation
-    ell = len(t.rows)
-    for i in range(ell):
-        for k in range(i + 1, ell):
-            for j in range(min(len(t.rows[i]), len(t.rows[k]) - 1)):
-                a = t.rows[i][j]
-                b = t.rows[i][j + 1] if j + 1 < len(t.rows[i]) else None
-                c = t.rows[k][j + 1]
-                if a >= c and (b is None or b <= c):
-                    detail = (
-                        f"({i + 1},{j + 2})={b}" if b is not None
-                        else f"({i + 1},{j + 2}) empty"
-                    )
-                    violations.append(
-                        Violation(
-                            "triple",
-                            ((i + 1, j + 1), (i + 1, j + 2), (k + 1, j + 2)),
-                            f"cells ({i + 1},{j + 1})={a}, {detail}, "
-                            f"({k + 1},{j + 2})={c}: {a} >= {c} needs a larger "
-                            "entry above",
-                        )
-                    )
-    return tuple(violations)
+    return not faults
 
 
 def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
@@ -507,13 +491,14 @@ def _rows(word: Word) -> Rows:
 def pct_to_rt(t: Tableau) -> ReverseTableau:
     """Sort each column into the partition shape, top to bottom decreasing.
 
-    The input is validated; the result is then a reverse tableau by the
-    bijection theorem (see the module docstring) and is not checked again.
+    The input is validated, and a ValueError names its first violation and
+    counts the rest; the result is then a reverse tableau by the bijection
+    theorem (see the module docstring) and is not checked again.
     """
     if not _is_pct(t.rows, t.size):
-        raise ValueError(
-            "not a valid PCT: " + "; ".join(v.message for v in _violations(t))
-        )
+        first, *rest = validate_pct(t).violations
+        more = f" (and {len(rest)} more)" if rest else ""
+        raise ValueError(f"not a valid PCT: {first.message}{more}")
     cols: list[list[int]] = [[] for _ in range(max(t.shape))]
     for row in t.rows:
         for col, x in zip(cols, row):

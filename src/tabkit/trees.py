@@ -27,6 +27,7 @@ import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb, factorial
 
 from .core import _places, _unpacked
@@ -319,8 +320,6 @@ def _materialize(shape: tuple | None, labels: Iterator[int]) -> Node | None:
 
 def enumerate_ltrees(n: int) -> Iterator[Node]:
     """All labeled trees on n nodes: every shape with every labeling."""
-    from itertools import permutations
-
     if n < 1:
         raise ValueError(f"need at least one node: {n}")
     for shape in _shapes(n):
@@ -381,7 +380,6 @@ def tree_from_json(data: dict) -> Node:
         left_child = built.pop() if left else None
         built.append(Node(label, left_child, built.pop() if right else None))
     return built.pop()
-
 
 
 def verify_path_round_trips(m: int) -> tuple[dict, str | None]:

@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 from pathlib import Path
+from time import perf_counter
 from unittest import mock
 
 import pytest
@@ -865,6 +866,27 @@ def test_map_refuses_invalid_shape_bijection_input(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
         code, out, err = run(capsys, "map", "rt-to-pct", "--in", "-", "--sigma", "1 2")
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_map_names_one_violation_of_a_long_invalid_pct(capsys, monkeypatch):
+    # every one of 20,000 rows increases: one short line, not every message
+    rows = [[2 * i - 1, 2 * i] for i in range(1, 20_001)]
+    code, out, err = map_stdin(capsys, monkeypatch, "pct-to-rt", {"rows": rows})
+    assert code == 2 and out == ""
+    assert err == ("error: not a valid PCT: row 1 increases from column 1 to 2 "
+                   "(and 19999 more)\n")
+
+
+def test_map_rejects_a_long_pct_with_one_reversed_row_quickly(capsys, monkeypatch):
+    # the two-column rectangle of 10,000 rows with row 5,001 reversed: the
+    # pairwise listing of violations took about 30 s
+    rows = [[20_000 - 2 * i, 19_999 - 2 * i] for i in range(10_000)]
+    rows[5_000].reverse()
+    start = perf_counter()
+    code, out, err = map_stdin(capsys, monkeypatch, "pct-to-rt", {"rows": rows})
+    assert perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == "error: not a valid PCT: row 5001 increases from column 1 to 2\n"
 
 
 def test_map_type_mismatch_is_usage_error(capsys, tmp_path):

@@ -2,13 +2,15 @@ from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabkit import tableaux
+from tabkit.allowable import realize_sct
 from tabkit.core import compositions_of, partitions_of, standardize, to_partition
-from tabkit.dyck import catalan
+from tabkit.dyck import catalan, ldyck_to_spct, random_ldyck
 from tabkit.tableaux import (
     ReverseTableau,
     Tableau,
@@ -276,6 +278,87 @@ def test_validate_pct_matches_the_triple_loop_on_every_standard_filling():
 @given(t=filling_strategy() | filling_strategy(max_n=10))
 def test_validate_pct_matches_the_triple_loop(t):
     assert validate_pct(t) == reference_validate_pct(t)
+
+
+def corrupt(t: Tableau, rng: Random) -> Tableau:
+    """t with one to three faults: two entries swapped, a row reversed, or
+    an entry pushed past the cell count."""
+    rows = [list(row) for row in t.rows]
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.randrange(3)
+        if fault == 0:
+            (r, c), (q, d) = rng.sample(cells, 2)
+            rows[r][c], rows[q][d] = rows[q][d], rows[r][c]
+        elif fault == 1:
+            rows[rng.randrange(len(rows))].reverse()
+        else:
+            r, c = rng.choice(cells)
+            rows[r][c] = t.size + rng.randint(1, 3)
+    return Tableau.from_rows(rows)
+
+
+def test_validate_pct_matches_the_triple_loop_on_corrupted_large_tableaux():
+    # standard PCTs of size 30 to 200, past the hypothesis sizes, where
+    # interleaved faults test the sweep's merges after each hit: two-column
+    # rectangles from labeled paths and rectangles realizing pairs
+    rng = Random(3301)
+    sources = [ldyck_to_spct(random_ldyck(rng.randint(15, 100), rng))
+               for _ in range(150)]
+    perms = {n: list(permutations(range(1, n + 1))) for n in (6, 7)}
+    while len(sources) < 300:
+        n = rng.choice((6, 7))
+        try:
+            t = realize_sct(rng.choice(perms[n]), rng.choice(perms[n]))
+        except ValueError:  # not an allowable pair
+            continue
+        if t.size >= 30:
+            sources.append(t)
+    rejected = 0
+    for t in sources:
+        assert validate_pct(t).valid
+        bad = corrupt(t, rng)
+        result = validate_pct(bad)
+        assert result == reference_validate_pct(bad), bad.rows
+        rejected += not result.valid
+    assert rejected > 250
+
+
+def reversed_rectangle(ell: int) -> Tableau:
+    """The standard two-column rectangle with rows (2l-2i, 2l-2i-1), its
+    row l/2 + 1 reversed."""
+    rows = [(2 * ell - 2 * i, 2 * ell - 2 * i - 1) for i in range(ell)]
+    rows[ell // 2] = rows[ell // 2][::-1]
+    return Tableau(tuple(rows))
+
+
+def test_validate_pct_rejects_a_long_tableau_in_one_sweep():
+    t = reversed_rectangle(2_000)
+    assert validate_pct(t) == reference_validate_pct(t)
+    # the pairwise loop takes about 30 s here, the sweep well under 1 s
+    t = reversed_rectangle(10_000)
+    start = perf_counter()
+    result = validate_pct(t)
+    assert perf_counter() - start < 5
+    assert [(v.kind, v.cells) for v in result.violations] == [
+        ("row-increase", ((5001, 1), (5001, 2)))
+    ]
+    start = perf_counter()
+    with pytest.raises(ValueError, match=r"^not a valid PCT: row 5001 increases "
+                       r"from column 1 to 2$"):
+        pct_to_rt(t)
+    assert perf_counter() - start < 5
+
+
+def test_pct_to_rt_names_the_first_violation_and_counts_the_rest():
+    # every row increases: 2,000 violations, one named
+    t = Tableau(tuple((2 * i - 1, 2 * i) for i in range(1, 2_001)))
+    assert len(validate_pct(t).violations) == 2_000
+    with pytest.raises(ValueError) as info:
+        pct_to_rt(t)
+    assert str(info.value) == (
+        "not a valid PCT: row 1 increases from column 1 to 2 (and 1999 more)"
+    )
 
 
 @given(t=spct_strategy())
