@@ -246,7 +246,7 @@ def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
     # ("entry-range", r, r, c), ("first-column-repeat", r, first row, 1),
     # ("row-increase", r, r, c) for the cells c, c+1, and ("triple", i, k,
     # j) for a = (i, j) and c = (k, j+1).
-    firsts: dict[int, int] = {}  # each first-column entry, with its row k
+    firsts: dict[int, int] = {}  # each first-column entry, with its row when listing
     pairs: list[tuple[list[int], list[int]]] = []  # the starts and ends of pair j
     k = 0  # counted only when listing: ``enumerate`` slows small accepts
     for row in rows:

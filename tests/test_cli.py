@@ -879,7 +879,7 @@ def test_map_names_one_violation_of_a_long_invalid_pct(capsys, monkeypatch):
 
 def test_map_rejects_a_long_pct_with_one_reversed_row_quickly(capsys, monkeypatch):
     # the two-column rectangle of 10,000 rows with row 5,001 reversed: the
-    # pairwise listing of violations took about 30 s
+    # pairwise listing of violations took tens of seconds
     rows = [[20_000 - 2 * i, 19_999 - 2 * i] for i in range(10_000)]
     rows[5_000].reverse()
     start = perf_counter()

@@ -335,7 +335,8 @@ def reversed_rectangle(ell: int) -> Tableau:
 def test_validate_pct_rejects_a_long_tableau_in_one_sweep():
     t = reversed_rectangle(2_000)
     assert validate_pct(t) == reference_validate_pct(t)
-    # the pairwise loop takes about 30 s here, the sweep well under 1 s
+    # a loop over every pair of rows takes tens of seconds here, the sweep
+    # well under one
     t = reversed_rectangle(10_000)
     start = perf_counter()
     result = validate_pct(t)
