@@ -213,6 +213,10 @@ def cmd_enumerate(cap: int, kind: str, shape: str | None = None, sigma: str | No
     if kind in ("spct", "srt"):
         shape = parse_composition(shape)
         params["shape"] = list(shape)
+        # before the count: it walks one level per cell, and its first
+        # level holds l copies of the l - 1 other rows
+        _charge([sum(shape)], cap, f"enumerate {kind}")
+        _charge([len(shape) ** 2], cap, f"enumerate {kind}")
         if kind == "srt":
             count = count_srt(shape)
             objects = lambda: enumerate_srt(shape)

@@ -35,7 +35,6 @@ from operator import itemgetter
 
 from .core import Perm, apply_left_swap, format_composition
 from .tableaux import (
-    Rows,
     Tableau,
     Word,
     _cells,
@@ -176,13 +175,6 @@ def _moves(table: list[list[int | None]]) -> Iterator[tuple[int, int, int | None
                 yield k, i, m
 
 
-def _by_rows(shape: Sequence[int]) -> tuple[list[Word], list[Rows]]:
-    # the row words of the shape and their rows, sorted by rows
-    listed = sorted(((w, tuple(map(tuple, rows)))
-                     for w, rows in _spct_walk(_nonempty(shape))), key=itemgetter(1))
-    return [w for w, _ in listed], [rows for _, rows in listed]
-
-
 def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """Check idempotence, distant commutation, and the braid relation
     pointwise on every standard tableau of the given shape.
@@ -314,7 +306,9 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     of entry times column, so every member's moves lead to the sink (see
     ``EquivalenceClass``).
     """
-    words, rows = _by_rows(shape)
+    shape = _nonempty(shape)
+    # in the walk's order; each class sorts its own members
+    words, rows = zip(*((w, tuple(map(tuple, r))) for w, r in _spct_walk(shape)))
     heights = [sum(part > j for part in shape) for j in range(max(shape))]
     by_key: dict[tuple[int, ...], list[int]] = {}
     groups = []  # groups[k]: the indices of the class of words[k], shared
@@ -336,6 +330,7 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     # the signature of each class is read off its key, and orders the classes
     for signature, ks in sorted((_signature(key, heights), ks)
                                 for key, ks in by_key.items()):
+        ks.sort(key=rows.__getitem__)
         members = tuple(tableaux[k] for k in ks)
         sources = [tableaux[k] for k in ks if k in source_indices]
         sinks = [tableaux[k] for k in ks if k not in movers]

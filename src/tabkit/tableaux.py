@@ -193,42 +193,42 @@ def validate_pct(t: Tableau) -> ValidationResult:
     """Check the PCT conditions, reporting every violation with its cells.
 
     On success the result carries the type: the standardization of the first
-    column read top to bottom.  ``_is_pct`` decides validity in one sweep
-    over the rows, O(cells log n), and for input it rejects sweeps again to
-    list the violations, adding O(l) for each cell that breaks the triple
+    column read top to bottom.  One sweep over the rows finds every
+    violation, O(cells log n) plus O(l) per cell that breaks the triple
     condition, l the number of rows.  The violations come in the order the
     conditions are listed: entries past the cell count, first-column
     repeats, row increases, then triples by their rows and column.
     """
     rows, n = t.rows, t.size
-    if _is_pct(rows, n):
+    faults = _pct_faults(rows, n)
+    if not faults:
         return ValidationResult(standardize([row[0] for row in rows]), ())
-    faults: list[tuple[str, int, int, int]] = []
-    _is_pct(rows, n, faults)
-    violations = []
-    for kind, i, k, j in sorted(faults):
-        # rows i and k and column j, from 1; see ``_is_pct`` for each kind
-        a = rows[i - 1][j - 1]
-        if kind == "entry-range":
-            cells = ((i, j),)
-            message = f"entry {a} at ({i},{j}) exceeds the cell count {n}"
-        elif kind == "first-column-repeat":
-            cells = ((k, 1), (i, 1))
-            message = f"first column repeats {a} at rows {k} and {i}"
-        elif kind == "row-increase":
-            cells = ((i, j), (i, j + 1))
-            message = f"row {i} increases from column {j} to {j + 1}"
-        else:
-            c = rows[k - 1][j]
-            b = f"={rows[i - 1][j]}" if j < len(rows[i - 1]) else " empty"
-            cells = ((i, j), (i, j + 1), (k, j + 1))
-            message = (f"cells ({i},{j})={a}, ({i},{j + 1}){b}, ({k},{j + 1})={c}: "
-                       f"{a} >= {c} needs a larger entry above")
-        violations.append(Violation(kind, cells, message))
-    return ValidationResult(None, tuple(violations))
+    return ValidationResult(None, tuple(_violation(rows, n, key) for key in sorted(faults)))
 
 
-def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
+def _violation(rows: Rows, n: int, key: tuple[str, int, int, int]) -> Violation:
+    # the cells and text of a key of ``_pct_faults``: rows i, k, column j
+    kind, i, k, j = key
+    a = rows[i - 1][j - 1]
+    if kind == "entry-range":
+        cells = ((i, j),)
+        message = f"entry {a} at ({i},{j}) exceeds the cell count {n}"
+    elif kind == "first-column-repeat":
+        cells = ((k, 1), (i, 1))
+        message = f"first column repeats {a} at rows {k} and {i}"
+    elif kind == "row-increase":
+        cells = ((i, j), (i, j + 1))
+        message = f"row {i} increases from column {j} to {j + 1}"
+    else:
+        c = rows[k - 1][j]
+        b = f"={rows[i - 1][j]}" if j < len(rows[i - 1]) else " empty"
+        cells = ((i, j), (i, j + 1), (k, j + 1))
+        message = (f"cells ({i},{j})={a}, ({i},{j + 1}){b}, ({k},{j + 1})={c}: "
+                   f"{a} >= {c} needs a larger entry above")
+    return Violation(kind, cells, message)
+
+
+def _pct_faults(rows: Rows, n: int) -> list:
     # For the columns j, j+1, an earlier row i with a = (i, j) and b = (i,
     # j+1), b = 0 when absent, forbids c = (k, j+1) in [b, a] for every
     # later row k.  So each column pair keeps the union of the earlier rows'
@@ -240,30 +240,27 @@ def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
     # one memmove; ``list.insert`` shifts them one at a time, and at 10^5
     # rows that is slower.
     #
-    # Without faults, returns False at the first broken condition.  With a
-    # list, sweeps on and appends a key per broken condition, rows and
-    # columns from 1, sorting in the order ``validate_pct`` lists them:
-    # ("entry-range", r, r, c), ("first-column-repeat", r, first row, 1),
-    # ("row-increase", r, r, c) for the cells c, c+1, and ("triple", i, k,
-    # j) for a = (i, j) and c = (k, j+1).
-    firsts: dict[int, int] = {}  # each first-column entry, with its row when listing
+    # Returns a key per broken condition, none when the rows are a valid
+    # PCT, rows and columns from 1, sorting in the order ``validate_pct``
+    # lists them: ("entry-range", r, r, c), ("first-column-repeat", r,
+    # first row, 1), ("row-increase", r, r, c) for the cells c, c+1, and
+    # ("triple", i, k, j) for a = (i, j) and c = (k, j+1).
+    faults: list[tuple[str, int, int, int]] = []
+    firsts: dict[int, int] = {}  # each first-column entry, with its row
     pairs: list[tuple[list[int], list[int]]] = []  # the starts and ends of pair j
-    k = 0  # counted only when listing: ``enumerate`` slows small accepts
+    k = 0
+    scanned = 0  # the last row scanned for entries past n
     for row in rows:
-        # rows weakly decrease (checked below), so row[0] is their largest
+        k += 1
+        # a row that weakly decreases starts with its largest entry, so only
+        # a row that starts past n, or that increases, can hold entries past n
         a = row[0]
-        if faults is not None:
-            k += 1
-            first = firsts.setdefault(a, k)
-            if first != k:
-                faults.append(("first-column-repeat", k, first, 1))
-            if max(row) > n:
-                faults.extend(("entry-range", k, k, c)
-                              for c, x in enumerate(row, start=1) if x > n)
-        elif a > n or a in firsts:
-            return False
-        else:
-            firsts[a] = k
+        if firsts.setdefault(a, k) != k:
+            faults.append(("first-column-repeat", k, firsts[a], 1))
+        if a > n:
+            scanned = k
+            faults.extend(("entry-range", k, k, c)
+                          for c, x in enumerate(row, start=1) if x > n)
         j = 0
         for b in row[1:]:
             if j == len(pairs):
@@ -273,8 +270,6 @@ def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
             # past that check, the intervals from lo on end above b
             lo = bisect_right(lows, b)
             if lo and highs[lo - 1] >= b:
-                if faults is None:
-                    return False
                 # the earlier rows whose [b, a] holds this row's b
                 faults.extend(("triple", i, k, j + 1)
                               for i, above in enumerate(rows[:k - 1], start=1)
@@ -293,10 +288,12 @@ def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
             elif b <= a:
                 lows[lo:lo] = (b,)
                 highs[lo:lo] = (a,)
-            elif faults is None:
-                return False
             else:
                 faults.append(("row-increase", k, k, j + 1))
+                if scanned != k:
+                    scanned = k
+                    faults.extend(("entry-range", k, k, c)
+                                  for c, x in enumerate(row, start=1) if x > n)
             a = b
             j += 1
         # the last cell a has no b: its interval [0, a] merges with every
@@ -309,7 +306,7 @@ def _is_pct(rows: Rows, n: int, faults: list | None = None) -> bool:
             a = max(a, highs[hi - 1])
         lows[:hi] = (0,)
         highs[:hi] = (a,)
-    return not faults
+    return faults
 
 
 def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
@@ -495,9 +492,10 @@ def pct_to_rt(t: Tableau) -> ReverseTableau:
     counts the rest; the result is then a reverse tableau by the bijection
     theorem (see the module docstring) and is not checked again.
     """
-    if not _is_pct(t.rows, t.size):
-        first, *rest = validate_pct(t).violations
-        more = f" (and {len(rest)} more)" if rest else ""
+    faults = _pct_faults(t.rows, t.size)
+    if faults:
+        more = f" (and {len(faults) - 1} more)" if len(faults) > 1 else ""
+        first = _violation(t.rows, t.size, min(faults))
         raise ValueError(f"not a valid PCT: {first.message}{more}")
     cols: list[list[int]] = [[] for _ in range(max(t.shape))]
     for row in t.rows:
@@ -614,7 +612,7 @@ def _types_moved(T: ReverseTableau, types: list[tuple[Perm, list[int]]]
     later = {x: j for row in T.rows for j, x in enumerate(row) if j}
     for case, (sigma, order) in enumerate(types, start=1):
         rows = _pct_rows(T.rows, sigma, first, order)
-        if not _is_pct(rows, m):
+        if _pct_faults(rows, m):
             return case, (f"rt_to_pct of {T.rows} under type {sigma} is not a valid "
                           f"PCT: {tuple(map(tuple, rows))}")
         if _columns_moved(rows, sigma, first, later):

@@ -450,6 +450,27 @@ def test_enumerate_srt_counts_by_the_hook_lengths(capsys, monkeypatch):
     assert run_json(capsys, *argv, "--max-objects", "5")["results"]["count"] == 5
 
 
+@pytest.mark.parametrize("kind", ["spct", "srt"])
+@pytest.mark.parametrize("shape", ["99999999999999999999", ",".join(["1"] * 10_000)],
+                         ids=["one-long-row", "many-rows"])
+def test_enumerate_refuses_a_large_shape_before_counting(capsys, monkeypatch, kind, shape):
+    # the count walks one level per cell, and the transfer's first level
+    # holds l copies of the l - 1 other rows: both are charged first
+    monkeypatch.delenv("TK_MAX_OBJECTS", raising=False)
+
+    def count(*args, **kwargs):
+        raise AssertionError("the count started")
+
+    monkeypatch.setattr("tabkit.cli.count_spct", count)
+    monkeypatch.setattr("tabkit.cli.count_srt", count)
+    start = perf_counter()
+    code, out, err = run(capsys, "enumerate", kind, "--shape", shape)
+    assert perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == (f"refused: enumerate {kind} passed {DEFAULT_MAX_OBJECTS} objects; "
+                   "raise --max-objects or TK_MAX_OBJECTS\n")
+
+
 def test_enumerate_refuses_a_listing_before_writing_it(capsys, tmp_path):
     target = tmp_path / "objects.json"
     argv = ("enumerate", "ltree", "--n", "3", "--list", str(target))

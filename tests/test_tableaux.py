@@ -362,6 +362,25 @@ def test_pct_to_rt_names_the_first_violation_and_counts_the_rest():
     )
 
 
+def test_each_check_sweeps_once(monkeypatch):
+    # accepting or rejecting, a check sweeps the rows once
+    sweeps = []
+    sweep = tableaux._pct_faults
+    monkeypatch.setattr(tableaux, "_pct_faults",
+                        lambda rows, n: sweeps.append(rows) or sweep(rows, n))
+    for t in (PCT_3142, reversed_rectangle(6)):
+        sweeps.clear()
+        valid = validate_pct(t).valid
+        assert sweeps == [t.rows]
+        sweeps.clear()
+        if valid:
+            pct_to_rt(t)
+        else:
+            with pytest.raises(ValueError, match="^not a valid PCT: row 4 increases"):
+                pct_to_rt(t)
+        assert sweeps == [t.rows]
+
+
 @given(t=spct_strategy())
 def test_enumerated_are_valid_standard(t):
     assert validate_pct(t).valid
