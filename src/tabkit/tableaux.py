@@ -488,9 +488,10 @@ def _rows(word: Word) -> Rows:
 def pct_to_rt(t: Tableau) -> ReverseTableau:
     """Sort each column into the partition shape, top to bottom decreasing.
 
-    The input is validated, and a ValueError names its first violation and
-    counts the rest; the result is then a reverse tableau by the bijection
-    theorem (see the module docstring) and is not checked again.
+    The input is validated by the one sweep of ``validate_pct``, and a
+    ValueError names its first violation and counts the rest; the result is
+    then a reverse tableau by the bijection theorem (see the module
+    docstring) and is not checked again.
     """
     faults = _pct_faults(t.rows, t.size)
     if faults:
