@@ -119,42 +119,84 @@ def allowable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     return ((a, b) for a in perms for b in perms if is_allowable_pair(a, b))
 
 
+def _pair_bits(p: Perm) -> int:
+    """The 2112 bits of p: bit i*n + j for each inversion (i, j) of p.  A
+    pair (a, b) avoids 2112 iff a's bits are all among b's."""
+    n = len(p)
+    return sum(1 << i * n + j for i, j in inversions(p))
+
+
+def _triple_bits(p: Perm) -> tuple[int, int]:
+    """The 123 bits and the 312 bits of p: bit (i*n + j)*n + k for each
+    position triple i < j < k where p reads 123, and for each where it reads
+    312.  A pair (a, b) avoids 123-312 iff a's 123 bits miss b's 312 bits."""
+    n = len(p)
+    inc = p312 = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                bit = 1 << (i * n + j) * n + k
+                if p[i] < p[j] < p[k]:
+                    inc |= bit
+                elif p[j] < p[k] < p[i]:
+                    p312 |= bit
+    return inc, p312
+
+
 def verify_pairs(n: int) -> tuple[dict, str | None]:
     """The paper's checks on the pairs of size n, as the row of ``tk verify
-    pairs``: the number of allowable pairs against (n+1)^(n-1), the 2112
-    scan against the left weak order (once per candidate; the 123-312 scan
-    runs only where 2112 is avoided), every weak-order cover among the
-    allowable pairs found, and, for n <= 4, the pairs equal to the column
-    types of the two-column standard tableaux.  The row is returned with
-    itself as the witness when it fails, and None when it passes.
+    pairs``: the number of allowable pairs against (n+1)^(n-1); for each a,
+    its 2112-avoiders among all n! candidates b against its up-set in the
+    left weak order, built from the covers alone (``weak_order_agrees``);
+    every weak-order cover among the allowable pairs found
+    (``covers_allowable``); and, for n <= 4, the pairs equal to the column
+    types of the two-column standard tableaux (``matches_tableau_pairs``).
+    The row is returned with itself as the witness when it fails, and None
+    when it passes.
+
+    Each candidate costs two bit operations on per-permutation tables
+    (``_pair_bits``, ``_triple_bits``), not a pattern scan; the scans
+    ``is_2112_avoiding`` and ``is_123312_avoiding`` stay the single-pair
+    predicates, and the tests hold the bit tests to them.
 
     >>> verify_pairs(3)[0]["pairs"]
     16
     """
     if n < 1:
         raise ValueError(f"need n >= 1: {n}")
-    inv = {p: inversions(p) for p in permutations(range(1, n + 1))}
+    perms = list(permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [_pair_bits(p) for p in perms]
+    lacks = [~bits for bits in inv]
+    inc, p312 = zip(*map(_triple_bits, perms))
+    covers = [[index[apply_left_swap(p, v)] for v in left_cover_swaps(p)] for p in perms]
+    # each cover of p puts v + 1 where p has v, at the first position they
+    # differ, so it comes later in lexicographic order: walking the list
+    # backwards finds every cover's up-set complete
+    up = [0] * len(perms)
+    for i in reversed(range(len(perms))):
+        up[i] = 1 << i
+        for j in covers[i]:
+            up[i] |= up[j]
     pairs = set()
     agree = True
-    for a, below in inv.items():
-        for b, above in inv.items():
-            avoids = is_2112_avoiding(a, b)
-            if avoids != (below <= above):
-                agree = False
-            if avoids and is_123312_avoiding(a, b):
-                pairs.add((a, b))
+    for i, below in enumerate(inv):
+        avoiders = 0
+        for j in [j for j, lack in enumerate(lacks) if not below & lack]:
+            avoiders |= 1 << j
+            if not inc[i] & p312[j]:
+                pairs.add((i, j))
+        agree = agree and avoiders == up[i]
     report = {
         "n": n,
         "pairs": len(pairs),
         "expected": (n + 1) ** (n - 1),
         "weak_order_agrees": agree,
-        "covers_allowable": all(
-            (p, apply_left_swap(p, v)) in pairs for p in inv for v in left_cover_swaps(p)
-        ),
+        "covers_allowable": all((i, j) in pairs for i, js in enumerate(covers) for j in js),
     }
     if n <= 4:
         columns = {(st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)}
-        report["matches_tableau_pairs"] = columns == pairs
+        report["matches_tableau_pairs"] = columns == {(perms[i], perms[j]) for i, j in pairs}
     # the count matches and every verdict holds
     verdicts = [value for value in report.values() if isinstance(value, bool)]
     report["pass"] = len(pairs) == report["expected"] and all(verdicts)

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from tabkit.allowable import (
     PermGraph,
     _label_sequence,
+    _pair_bits,
+    _triple_bits,
     allowable_pairs,
     build_graph,
     is_123312_avoiding,
@@ -18,7 +20,13 @@ from tabkit.allowable import (
     topological_spct,
     verify_pairs,
 )
-from tabkit.core import identity, inversions, maximal_chain_to, weak_bruhat_leq
+from tabkit.core import (
+    identity,
+    inversions,
+    left_cover_swaps,
+    maximal_chain_to,
+    weak_bruhat_leq,
+)
 from tabkit.tableaux import enumerate_spct, st_column, st_word, validate_pct
 
 
@@ -148,17 +156,50 @@ def test_verify_pairs_reports_every_check():
 
 
 def test_verify_pairs_fails_on_a_broken_scan(monkeypatch):
-    # without the 123-312 scan the 2112-avoiding pairs are too many
-    monkeypatch.setattr("tabkit.allowable.is_123312_avoiding", lambda a, b: True)
+    # a 123-312 bit test that never fires: the 2112-avoiding pairs are too many
+    monkeypatch.setattr("tabkit.allowable._triple_bits", lambda p: (0, 0))
     report, witness = verify_pairs(3)
     assert (report["pairs"], report["matches_tableau_pairs"], report["pass"]) == (17, False, False)
     # the witness is the failing row, as ``tk verify pairs`` reports it
     assert witness == f"n=3: {report}"
-    # a 2112 scan that passes everything disagrees with the weak order
-    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", lambda a, b: True)
+    # a 2112 bit test that passes every candidate disagrees with the weak order
+    monkeypatch.setattr("tabkit.allowable._pair_bits", lambda p: 0)
     report, witness = verify_pairs(3)
     assert (report["weak_order_agrees"], report["pass"]) == (False, False)
     assert witness == f"n=3: {report}"
+
+
+def test_verify_pairs_fails_on_a_dropped_cover(monkeypatch):
+    # the identity's last cover is an atom, above nothing else the identity
+    # reaches, so its up-set loses that atom and the 2112-avoiders disagree
+    def one_cover_less(p):
+        swaps = left_cover_swaps(p)
+        return swaps[:-1] if p == identity(len(p)) else swaps
+
+    monkeypatch.setattr("tabkit.allowable.left_cover_swaps", one_cover_less)
+    report, witness = verify_pairs(3)
+    assert (report["pairs"], report["weak_order_agrees"], report["pass"]) == (16, False, False)
+    assert witness == f"n=3: {report}"
+
+
+def test_bit_tests_agree_with_the_scans():
+    # every (a, b) of size <= 5: 15,017 pairs
+    checked = 0
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        bits = {p: (_pair_bits(p), *_triple_bits(p)) for p in perms}
+        for (a, (inv_a, inc_a, _)), (b, (inv_b, _, p312_b)) in product(bits.items(), repeat=2):
+            assert (inv_a & ~inv_b == 0) == is_2112_avoiding(a, b), (a, b)
+            assert (inc_a & p312_b == 0) == is_123312_avoiding(a, b), (a, b)
+            checked += 1
+    assert checked == 15_017
+
+
+def test_verify_pairs_passes_at_n_6():
+    assert verify_pairs(6) == ({
+        "n": 6, "pairs": 16_807, "expected": 16_807, "weak_order_agrees": True,
+        "covers_allowable": True, "pass": True,
+    }, None)
 
 
 def test_graph_shape_and_edge_counts():

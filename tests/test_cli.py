@@ -15,8 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tabkit import cli, trees
-from tabkit.allowable import is_2112_avoiding, is_123312_avoiding, is_allowable_pair
+from tabkit import allowable, cli, trees
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, main
 from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
@@ -201,7 +200,7 @@ def test_verify_counts_reports_the_first_failing_size(capsys, monkeypatch):
 
 def test_verify_pairs_refuses_before_starting(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", lambda a, b: calls.append(a))
+    monkeypatch.setattr("tabkit.cli.verify_pairs", calls.append)
     # 1!^2 + 2!^2 + 3!^2 = 41 pair tests
     code, out, err = run(capsys, "verify", "pairs", "--max-n", "3", "--max-objects", "40")
     assert code == 2 and out == "" and calls == []
@@ -490,20 +489,20 @@ def test_verify_suites_with_nothing_to_list_pass_a_zero_cap(capsys, argv):
     assert report["results"] == {"checks": [], "passed": True}
 
 
-def test_verify_pairs_tests_2112_once_per_candidate(capsys, monkeypatch):
-    avoiding = mock.Mock(wraps=is_2112_avoiding)
-    avoiding_123312 = mock.Mock(wraps=is_123312_avoiding)
-    allowable = mock.Mock(wraps=is_allowable_pair)
-    monkeypatch.setattr("tabkit.allowable.is_2112_avoiding", avoiding)
-    monkeypatch.setattr("tabkit.allowable.is_123312_avoiding", avoiding_123312)
-    monkeypatch.setattr("tabkit.allowable.is_allowable_pair", allowable)
+def test_verify_pairs_runs_no_pattern_scan(capsys, monkeypatch):
+    counted = {}
+    for name in ("is_2112_avoiding", "is_123312_avoiding", "is_allowable_pair",
+                 "_pair_bits", "_triple_bits"):
+        counted[name] = mock.Mock(wraps=getattr(allowable, name))
+        monkeypatch.setattr(allowable, name, counted[name])
     report = run_json(capsys, "verify", "pairs", "--max-n", "4")
     assert report["results"]["passed"] is True
-    # 1 + 4 + 36 + 576 candidates; the 123-312 test runs on the 172 that
-    # avoid 2112, and the 43 cover pairs are looked up among the pairs found,
-    # not scanned again
-    calls = (avoiding.call_count, avoiding_123312.call_count, allowable.call_count)
-    assert calls == (617, 172, 0)
+    # the 1 + 4 + 36 + 576 candidates are tested on bit tables built once
+    # per permutation, 1 + 2 + 6 + 24 of them; no pair is scanned
+    assert {name: f.call_count for name, f in counted.items()} == {
+        "is_2112_avoiding": 0, "is_123312_avoiding": 0, "is_allowable_pair": 0,
+        "_pair_bits": 33, "_triple_bits": 33,
+    }
 
 
 def test_text_and_csv_renderings(capsys):
