@@ -151,6 +151,10 @@ def test_verify_pairs_reports_every_check():
     assert list(verify_pairs(5)[0]) == [
         "n", "pairs", "expected", "weak_order_agrees", "covers_allowable", "pass",
     ]
+    assert verify_pairs(6) == ({
+        "n": 6, "pairs": 16_807, "expected": 16_807, "weak_order_agrees": True,
+        "covers_allowable": True, "pass": True,
+    }, None)
     with pytest.raises(ValueError):
         verify_pairs(0)
 
@@ -166,6 +170,11 @@ def test_verify_pairs_fails_on_a_broken_scan(monkeypatch):
     monkeypatch.setattr("tabkit.allowable._pair_bits", lambda p: 0)
     report, witness = verify_pairs(3)
     assert (report["weak_order_agrees"], report["pass"]) == (False, False)
+    assert witness == f"n=3: {report}"
+    # one that passes only b = a misses the rest of each up-set
+    monkeypatch.setattr("tabkit.allowable._pair_bits", lambda p: 1 << int("".join(map(str, p))))
+    report, witness = verify_pairs(3)
+    assert (report["pairs"], report["weak_order_agrees"], report["pass"]) == (6, False, False)
     assert witness == f"n=3: {report}"
 
 
@@ -193,13 +202,6 @@ def test_bit_tests_agree_with_the_scans():
             assert (inc_a & p312_b == 0) == is_123312_avoiding(a, b), (a, b)
             checked += 1
     assert checked == 15_017
-
-
-def test_verify_pairs_passes_at_n_6():
-    assert verify_pairs(6) == ({
-        "n": 6, "pairs": 16_807, "expected": 16_807, "weak_order_agrees": True,
-        "covers_allowable": True, "pass": True,
-    }, None)
 
 
 def test_graph_shape_and_edge_counts():
