@@ -19,10 +19,13 @@ and only a move builds a word, the two letters swapped, which is looked up
 among the shape's words.  The relations are then checked column by column:
 column i lists the image of every word under pi_i, and each side of a
 relation is a composition of whole columns, one list comprehension per
-operator, compared as lists.  The public functions on a ``Tableau`` apply
-the same cell rules through ``positions``.  ``verify_relations`` and
-``verify_classes`` return the row and witness of one shape for ``tk verify
-hecke`` and ``tk verify classes``.
+operator, compared as lists.  The class check groups the same words by a
+key read from their cells, and tests every move and each class's one
+source and one sink on the words alone; only ``equivalence_classes`` then
+builds a ``Tableau`` per member, the signatures and the sorts.  The public
+functions on a ``Tableau`` apply the same cell rules through ``positions``.
+``verify_relations`` and ``verify_classes`` return the row and witness of
+one shape for ``tk verify hecke`` and ``tk verify classes``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .core import Perm, apply_left_swap, format_composition
+from .core import Composition, Perm, apply_left_swap, format_composition
 from .tableaux import (
     Tableau,
     Word,
@@ -296,20 +299,20 @@ def _signature(key: tuple[int, ...], heights: Sequence[int]) -> tuple[Perm, ...]
     return tuple(signature)
 
 
-def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
-    """Partition the standard tableaux of a shape by standardized column word.
+def _heights(shape: Composition) -> list[int]:
+    # the height of each column of the shape
+    return [sum(part > j for part in shape) for j in range(max(shape))]
 
-    Classes are sorted by signature; members by their rows.  One table of
-    operator images over the shape gives every move, and a move between two
-    signatures raises AssertionError.  Each class records its unique source
-    and its sink, the one member that no pi_i moves.  A move lowers the sum
-    of entry times column, so every member's moves lead to the sink (see
-    ``EquivalenceClass``).
-    """
-    shape = _nonempty(shape)
-    # in the walk's order; each class sorts its own members
-    words, rows = zip(*((w, tuple(map(tuple, r))) for w, r in _spct_walk(shape)))
-    heights = [sum(part > j for part in shape) for j in range(max(shape))]
+
+def _grouped(shape: Composition
+             ) -> tuple[list[Word], dict[tuple[int, ...], tuple[list[int], int, int]]]:
+    # The class check, on the row words of the walk: the words, and by class
+    # key the indices of its words in walk order, its source and its sink.
+    # One table of operator images gives every move, and a move to a word
+    # that is not listed or of another key raises AssertionError; so does a
+    # class without exactly one source and one sink, naming the first such
+    # class by signature.  Rows and signatures are read only to fail.
+    words = [w for w, _ in _spct_walk(shape)]
     by_key: dict[tuple[int, ...], list[int]] = {}
     groups = []  # groups[k]: the indices of the class of words[k], shared
     table, source_indices = [], set()
@@ -323,31 +326,56 @@ def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     movers = set()
     for k, i, m in _moves(table):
         if m is None or groups[m] is not groups[k]:
-            raise AssertionError(f"pi_{i} moves {rows[k]} out of its class")
+            raise AssertionError(f"pi_{i} moves {_rows(words[k])} out of its class")
         movers.add(k)
-    tableaux = [Tableau._trusted(r) for r in rows]
+    classes, failures = {}, []
+    for key, ks in by_key.items():
+        sources = [k for k in ks if k in source_indices]
+        sinks = [k for k in ks if k not in movers]
+        if len(sources) != 1 or len(sinks) != 1:
+            failures.append((key, len(sources), len(sinks)))
+        else:
+            classes[key] = (ks, sources[0], sinks[0])
+    if failures:
+        heights = _heights(shape)
+        signature, s, t = min((_signature(key, heights), s, t) for key, s, t in failures)
+        raise AssertionError(f"class {signature} has {s} sources and {t} sinks")
+    return words, classes
+
+
+def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
+    """Partition the standard tableaux of a shape by standardized column word.
+
+    Classes are sorted by signature; members by their rows.  The class
+    check that ``verify_classes`` runs comes first, on the row words: one
+    table of operator images over the shape gives every move, a move
+    between two signatures raises AssertionError, and so does a class
+    without exactly one source and one sink.  Each class records its unique
+    source and its sink, the one member that no pi_i moves.  A move lowers
+    the sum of entry times column, so every member's moves lead to the sink
+    (see ``EquivalenceClass``).  The members, their tableaux, signatures and
+    sorts are built only here.
+    """
+    shape = _nonempty(shape)
+    words, groups = _grouped(shape)
+    heights = _heights(shape)
+    tableaux = [Tableau._trusted(_rows(w)) for w in words]
     classes = []
     # the signature of each class is read off its key, and orders the classes
-    for signature, ks in sorted((_signature(key, heights), ks)
-                                for key, ks in by_key.items()):
-        ks.sort(key=rows.__getitem__)
-        members = tuple(tableaux[k] for k in ks)
-        sources = [tableaux[k] for k in ks if k in source_indices]
-        sinks = [tableaux[k] for k in ks if k not in movers]
-        if len(sources) != 1 or len(sinks) != 1:
-            raise AssertionError(f"class {signature} has {len(sources)} sources "
-                                 f"and {len(sinks)} sinks")
-        classes.append(EquivalenceClass(signature, members, sources[0], sinks[0]))
+    for signature, (ks, source, sink) in sorted((_signature(key, heights), group)
+                                                for key, group in groups.items()):
+        members = sorted((tableaux[k] for k in ks), key=attrgetter("rows"))
+        classes.append(EquivalenceClass(signature, tuple(members),
+                                        tableaux[source], tableaux[sink]))
     return tuple(classes)
 
 
 def verify_classes(shape: Sequence[int]) -> tuple[dict, str | None]:
     """The row of ``tk verify classes`` for one shape, and the message of the
-    ``AssertionError`` of ``equivalence_classes`` or None."""
+    ``AssertionError`` of its class check or None."""
     name = format_composition(shape)
     try:
-        classes = equivalence_classes(shape)
+        _, classes = _grouped(_nonempty(shape))
     except AssertionError as exc:
         return {"shape": name, "classes": 0, "pass": False}, f"shape {name}: {exc}"
     return {"shape": name, "classes": len(classes), "pass": True}, None
-

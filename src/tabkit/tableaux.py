@@ -825,25 +825,32 @@ def _walk_moves(rows: tuple[int, ...], p: int, cells: bool) -> list:
     # type as a - sigma_r * p, of packed length -sigma_r.  Rows start in
     # decreasing type, so the u empty rows hold sigma_r = 1, ..., u, and -u
     # is min(lengths).
-    lengths = [code // p for code in rows]
+    split = [divmod(code, p) for code in rows]  # (length, part) of each row
+    seen = set()  # the positive lengths of the rows before q
     found = []
-    for q, c in enumerate(lengths):
+    for q, (c, a) in enumerate(split):
         # the move rule of ``_spct_walk``: column c + 1 opens only in the
         # first row of length c, and an empty row under a type only when
         # sigma_r is the number of empty rows, -c == u
-        if c > 0 and lengths.index(c) != q or c < 0 and c != min(lengths):
+        if c > 0:
+            if c in seen:
+                continue
+            seen.add(c)
+        elif c < 0 and c != min(split)[0]:
             continue
         grown = c + 1 if c > 0 else 1
-        a = rows[q] % p
-        # the stuck test: a later row of larger part could never pass grown
-        if a < p - 1 and any(max(later, 1) <= grown and code % p > a
-                             for later, code in zip(lengths[q + 1 :], rows[q + 1 :])):
-            continue
-        if grown == a:
-            after, cell = rows[:q] + rows[q + 1 :], (2 * q, a)
-        else:
-            after, cell = rows[:q] + (grown * p + a,) + rows[q + 1 :], (2 * q + 1, grown)
-        found.append((after, cell) if cells else after)
+        # the stuck test: a later row of larger part could never pass
+        # grown, as max(later, 1) <= grown (grown is at least 1); no part
+        # passes p - 1
+        for later, b in split[q + 1 :] if a < p - 1 else ():
+            if b > a and later <= grown:
+                break
+        else:  # not stuck
+            if grown == a:
+                after, cell = rows[:q] + rows[q + 1 :], (2 * q, a)
+            else:
+                after, cell = rows[:q] + (grown * p + a,) + rows[q + 1 :], (2 * q + 1, grown)
+            found.append((after, cell) if cells else after)
     return found
 
 

@@ -19,7 +19,7 @@ from tabkit import allowable, cli, trees
 from tabkit.cli import _SUITES, _TRANSFORMS, DEFAULT_MAX_OBJECTS, main
 from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
-from tabkit.hecke import equivalence_classes
+from tabkit.hecke import _grouped
 from tabkit.tableaux import _first_column, _pct_rows, _row_order
 from tabkit.trees import Node, ldyck_to_ltree
 
@@ -174,9 +174,9 @@ def test_verify_classes_reports_a_failing_shape(capsys, monkeypatch):
     def broken(shape):
         if tuple(shape) == (2, 1):
             raise AssertionError("no classes")
-        return equivalence_classes(shape)
+        return _grouped(shape)
 
-    monkeypatch.setattr("tabkit.hecke.equivalence_classes", broken)
+    monkeypatch.setattr("tabkit.hecke._grouped", broken)
     code, out, err = run(capsys, "verify", "classes", "--max-size", "3")
     assert code == 1 and err == ""
     results = json.loads(out)["results"]

@@ -495,7 +495,7 @@ def test_verify_classes_fails_the_row_of_a_shape_whose_classes_raise(monkeypatch
     def broken(shape):
         raise AssertionError("no classes")
 
-    monkeypatch.setattr(hecke, "equivalence_classes", broken)
+    monkeypatch.setattr(hecke, "_grouped", broken)
     assert verify_classes((2, 1)) == (
         {"shape": "2,1", "classes": 0, "pass": False}, "shape 2,1: no classes")
     # a real failure of the classes names the move
@@ -504,3 +504,36 @@ def test_verify_classes_fails_the_row_of_a_shape_whose_classes_raise(monkeypatch
     row, witness = verify_classes((2, 1))
     assert row == {"shape": "2,1", "classes": 0, "pass": False}
     assert witness == "shape 2,1: pi_1 moves ((3, 2), (1,)) out of its class"
+
+
+# On (3, 2) the classes have 1, 2 and 5 members.  Every word a source, or no
+# word moved, breaks exactly one count in each class of two or more members.
+# The walk meets the class of five first; the signature order names the
+# class of two.
+@pytest.mark.parametrize("seam, broken, counts", [
+    ("_is_source", lambda word, cols: True, "2 sources and 1 sinks"),
+    ("_moves", lambda table: iter(()), "1 sources and 2 sinks"),
+], ids=["sources", "sinks"])
+def test_a_class_with_one_count_wrong_fails(monkeypatch, seam, broken, counts):
+    monkeypatch.setattr(hecke, seam, broken)
+    message = f"class ((1, 2), (2, 1), (1,)) has {counts}"
+    with pytest.raises(AssertionError) as raised:
+        equivalence_classes((3, 2))
+    assert str(raised.value) == message
+    assert verify_classes((3, 2)) == (
+        {"shape": "3,2", "classes": 0, "pass": False}, f"shape 3,2: {message}")
+
+
+def test_verify_classes_builds_no_tableau(monkeypatch):
+    # the check reads the walk's row words; only equivalence_classes builds
+    # the members
+    def refuse(cls, rows):
+        raise RuntimeError(f"built a tableau of {rows}")
+
+    monkeypatch.setattr(Tableau, "_trusted", classmethod(refuse))
+    shapes = [shape for m in range(1, 7) for shape in compositions_of(m)]
+    rows = [verify_classes(shape) for shape in shapes]
+    assert all(witness is None for _, witness in rows)
+    assert [row for row, _ in rows] == recorded_checks("verify classes --max-size 6")
+    with pytest.raises(RuntimeError, match="built a tableau"):
+        equivalence_classes((2, 1))
