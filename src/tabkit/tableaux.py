@@ -824,7 +824,7 @@ def _walk_moves(rows: tuple[int, ...], p: int, cells: bool) -> list:
     # c packs as c * p + a, for p past every part, but an empty row under a
     # type as a - sigma_r * p, of packed length -sigma_r.  Rows start in
     # decreasing type, so the u empty rows hold sigma_r = 1, ..., u, and -u
-    # is min(lengths).
+    # is the least length.
     split = [divmod(code, p) for code in rows]  # (length, part) of each row
     seen = set()  # the positive lengths of the rows before q
     found = []
