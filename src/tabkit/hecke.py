@@ -12,27 +12,28 @@ every class contains exactly one source (each non-descent i < n has i+1
 immediately to its left) and exactly one sink (every descent attacking).
 
 The relation and class checks read one table of operator images per shape,
-built on the row words of the enumeration walk.  One pass over each word
-decides every pi_i from integer tests on the columns and rows of i and i+1,
-with no call per cell: a fixed cell is the word's own index, a zero is -1,
-and only a move builds a word, the two letters swapped, which is looked up
-among the shape's words.  The relations are then checked column by column:
-column i lists the image of every word under pi_i, and each side of a
-relation is a composition of whole columns, one list comprehension per
-operator, compared as lists.  The class check groups the same words by a
-key read from their cells, and tests every move and each class's one
-source and one sink on the words alone; only ``equivalence_classes`` then
-builds a ``Tableau`` per member, the signatures and the sorts.  The public
-functions on a ``Tableau`` apply the same cell rules through ``positions``.
-``verify_relations`` and ``verify_classes`` return the row and witness of
-one shape for ``tk verify hecke`` and ``tk verify classes``.
+built on the row words of the enumeration walk by ``_images``, the one
+statement of the rule.  One pass over each word decides every pi_i from
+integer tests on the columns and rows of i and i+1, with no call per cell:
+a fixed cell is the word's own index, a zero is -1, and only a move builds
+a word, the two letters swapped, which is looked up among the shape's words.
+``pi`` runs ``_images`` on a window of one ``Tableau``: the two-letter word
+of the rows of i+1 and i, with their columns, read from ``positions``.
+The relations are then checked column by column: column i lists the image
+of every word under pi_i, and each side of a relation is a composition of
+whole columns, one list comprehension per operator, compared as lists.  The
+class check groups the same words by a key read from their cells, and tests
+every move and each class's one source and one sink on the words alone;
+only ``equivalence_classes`` then builds a ``Tableau`` per member, the
+signatures and the sorts.  ``verify_relations`` and ``verify_classes``
+return the row and witness of one shape for ``tk verify hecke`` and
+``tk verify classes``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
@@ -50,12 +51,9 @@ from .tableaux import (
 )
 
 __all__ = [
-    "DescentClass",
     "HeckeResult",
     "EquivalenceClass",
     "RelationReport",
-    "classify",
-    "swap_entries",
     "pi",
     "verify_hecke_relations",
     "verify_relations",
@@ -63,12 +61,6 @@ __all__ = [
     "equivalence_classes",
     "verify_classes",
 ]
-
-
-class DescentClass(Enum):
-    NOT_DESCENT = "not-descent"
-    ATTACKING = "attacking-descent"
-    NONATTACKING = "nonattacking-descent"
 
 
 @dataclass(frozen=True)
@@ -79,18 +71,14 @@ class HeckeResult:
     tableau: Tableau | None  # the input if fixed, the image if moved, else None
 
 
-def _classify(r1: int, c1: int, r2: int, c2: int) -> DescentClass:
-    # entry i in row r1 and column c1, entry i+1 in row r2 and column c2
-    if c2 < c1:
-        return DescentClass.NOT_DESCENT
-    # same column, or adjacent columns with i+1 strictly southeast of i
-    if c1 == c2 or (c2 == c1 + 1 and r2 > r1):
-        return DescentClass.ATTACKING
-    return DescentClass.NONATTACKING
+def pi(t: Tableau, i: int) -> HeckeResult:
+    """Apply the i-th descent operator.
 
-
-def classify(t: Tableau, i: int) -> DescentClass:
-    """Is i a descent of t, and if so, are i and i+1 attacking?
+    The rule is the table's, ``_images``, on the window of i+1 and i: the
+    two-letter word of their rows, with their columns, from ``positions``.
+    A moved image is the filling with i and i+1 interchanged, and is not
+    revalidated here; ``verify_hecke_relations`` checks every moved image
+    of its table.
 
     Raises ValueError unless i is an int in 1..n-1; a bool is not.
     """
@@ -98,35 +86,16 @@ def classify(t: Tableau, i: int) -> DescentClass:
     # exact type test: a float passes the range test, and a bool is an int
     if type(i) is not int or not 1 <= i <= t.size - 1:
         raise ValueError(f"index must be an integer in 1..{t.size - 1}: {i!r}")
-    return _classify(*pos[i], *pos[i + 1])
-
-
-def swap_entries(t: Tableau, i: int) -> Tableau:
-    """The filling with entries i and i+1 interchanged.
-
-    Raises ValueError unless i is a positive integer; then the swap keeps
-    every entry a positive integer, so the image is not checked again.
-    """
-    # exact type test: bool is an int subclass and must not pass
-    if type(i) is not int or i < 1:
-        raise ValueError(f"index must be a positive integer: {i!r}")
-    return Tableau._trusted(tuple(apply_left_swap(row, i) for row in t.rows))
-
-
-def pi(t: Tableau, i: int) -> HeckeResult:
-    """Apply the i-th descent operator.
-
-    A moved result is not revalidated here.  ``verify_hecke_relations``
-    checks that every moved image of its table is a standard tableau of the
-    same shape and type, and the tests check that this function agrees with
-    that table on every shape of size at most 6.
-    """
-    kind = classify(t, i)
-    if kind is DescentClass.NOT_DESCENT:
+    (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+    # the window's own index is 0 and it lists no other word, so a move
+    # reads None
+    (image,) = _images((r2, r1), (c2, c1), 0, {})
+    if image == 0:
         return HeckeResult("fixed", t)
-    if kind is DescentClass.ATTACKING:
+    if image == -1:
         return HeckeResult("zero", None)
-    return HeckeResult("moved", swap_entries(t, i))
+    return HeckeResult("moved",
+                       Tableau._trusted(tuple(apply_left_swap(row, i) for row in t.rows)))
 
 
 @dataclass(frozen=True)
@@ -144,28 +113,37 @@ def _swap(word: Word, p: int) -> Word:
     return word[: p - 1] + (word[p], word[p - 1]) + word[p + 1 :]
 
 
+def _images(word: Word, cols: Sequence[int], k: int,
+            index: dict[Word, int]) -> list[int | None]:
+    # The one statement of the operator rule, on a row word and the column
+    # of each letter.  Entry i-1 of the result is the image under pi_i of
+    # the word of index k: k when i+1 is strictly left of i (not a descent);
+    # -1, the zero, when i and i+1 attack (one column, or adjacent columns
+    # with i+1 strictly below i); otherwise the index of the word with the
+    # two letters swapped, or None when ``index`` does not list it.  Entry i
+    # sits at p = len(word) - i and i+1 just before it.
+    images = []
+    for p in range(len(word) - 1, 0, -1):
+        c1, c2 = cols[p], cols[p - 1]
+        if c2 < c1:
+            images.append(k)
+        elif c2 == c1 or (c2 == c1 + 1 and word[p - 1] > word[p]):
+            images.append(-1)
+        else:
+            images.append(index.get(_swap(word, p)))
+    return images
+
+
 def _action(
     words: Sequence[Word], ell: int
 ) -> Iterator[tuple[list[int], list[int | None]]]:
     # per word, its columns and its row of the table: entry i-1 is the index
-    # of pi_i(words[k]) in the list, so k when pi_i fixes it; -1 when zero,
-    # None when the image is not listed.  Entry i sits at p = len(w) - i and
-    # i+1 just before it; the cells follow the rules of ``_classify``.
-    # Columns are not kept, so a caller reads what else it needs from them
-    # as they pass.
+    # of pi_i(words[k]) in the list, from ``_images``.  Columns are not
+    # kept, so a caller reads what else it needs from them as they pass.
     index = {w: k for k, w in enumerate(words)}
     for k, w in enumerate(words):
         cols = _columns(w, ell)
-        row = []
-        for p in range(len(w) - 1, 0, -1):
-            c1, c2 = cols[p], cols[p - 1]
-            if c2 < c1:  # i+1 strictly left of i: not a descent
-                row.append(k)
-            elif c2 == c1 or (c2 == c1 + 1 and w[p - 1] > w[p]):  # attacking
-                row.append(-1)
-            else:
-                row.append(index.get(_swap(w, p)))
-        yield cols, row
+        yield cols, _images(w, cols, k, index)
 
 
 def _moves(table: list[list[int | None]]) -> Iterator[tuple[int, int, int | None]]:

@@ -326,14 +326,18 @@ def positions(t: Tableau | ReverseTableau) -> dict[int, tuple[int, int]]:
 
 
 def column_word(t: Tableau | ReverseTableau, col: int) -> tuple[int, ...]:
-    """Column col read top to bottom."""
+    """Column col read top to bottom.
+
+    Raises ValueError unless col is an int naming a column; a bool is not.
+    """
     # every row reaches column 0 or below, so only col >= 1 is read; past
-    # the longest row the column is empty
-    if col >= 1:
+    # the longest row the column is empty.  Exact type test: a bool is an
+    # int, and a float cannot index a row
+    if type(col) is int and col >= 1:
         word = tuple(row[col - 1] for row in t.rows if len(row) >= col)
         if word:
             return word
-    raise ValueError(f"column index out of range: {col}")
+    raise ValueError(f"column index out of range: {col!r}")
 
 
 def st_column(t: Tableau | ReverseTableau, col: int) -> Perm:

@@ -113,11 +113,13 @@ def tree_labels(t: Node) -> tuple[int, ...]:
 
 
 def check_ltree(t: Node) -> int:
-    """Validate that labels are exactly 1..n; return n."""
+    """Validate that labels are exactly the ints 1..n; return n."""
     labels = tree_labels(t)
     n = len(labels)
     seen: set[int] = set()
     for label in labels:
+        if type(label) is not int:  # bool is an int subclass and must not pass
+            raise ValueError(f"label must be an integer: {label!r}")
         if label in seen or not 1 <= label <= n:
             raise ValueError(
                 f"labels must be exactly 1..{n}: {label} is repeated or out of range"
@@ -245,8 +247,8 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
 def _replay(t: Node) -> list[int]:
     # The push/pop replay of t, a push of label x recorded as x and a pop as
     # -x, in one pass without recursion that also checks the labels:
-    # distinct as they are pushed, and 1..n once all are.  On a bad tree
-    # ``check_ltree`` raises, naming the first bad label in preorder.
+    # distinct as they are pushed, and exact ints 1..n once all are.  On a
+    # bad tree ``check_ltree`` raises, naming the first bad label in preorder.
     ops: list[int] = []
     heap: list[int] = []  # the pushed labels not yet popped
     nodes: dict[int, Node] = {}  # every pushed node, by label
@@ -265,7 +267,8 @@ def _replay(t: Node) -> list[int]:
         label = heapq.heappop(heap)
         ops.append(-label)
         node = nodes[label].right
-    if min(nodes) < 1 or max(nodes) > len(nodes):
+    # a bool or a float equal to a label passes the tests above
+    if set(map(type, nodes)) != {int} or min(nodes) < 1 or max(nodes) > len(nodes):
         check_ltree(t)
     return ops
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from tabkit.core import _packed, _places, _unpacked
 from tabkit.dyck import DyckPath
-from tabkit.hecke import DescentClass, _classify, pi
+from tabkit.hecke import pi
 from tabkit.tableaux import (
     ReverseTableau,
     Tableau,
@@ -43,13 +43,24 @@ def apply_word(t: Tableau, word: Sequence[int]) -> Tableau | None:
     return state
 
 
+def reference_pi(t: Tableau, i: int) -> tuple[str, Tableau | None]:
+    """The kind and tableau of ``hecke.pi(t, i)``, from the cells of i and
+    i+1: fixed when i+1 is strictly left of i, zero when they share a column
+    or i+1 is one column right and strictly below, else the filling with i
+    and i+1 interchanged."""
+    pos = positions(t)
+    (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+    if c2 < c1:
+        return "fixed", t
+    if c1 == c2 or (c2 == c1 + 1 and r2 > r1):
+        return "zero", None
+    swapped = {i: i + 1, i + 1: i}
+    return "moved", Tableau.from_rows([[swapped.get(x, x) for x in row] for row in t.rows])
+
+
 def is_sink(t: Tableau) -> bool:
     """Every descent is attacking."""
-    pos = positions(t)
-    return all(
-        _classify(*pos[i], *pos[i + 1]) is not DescentClass.NONATTACKING
-        for i in range(1, t.size)
-    )
+    return all(reference_pi(t, i)[0] != "moved" for i in range(1, t.size))
 
 
 def srt_to_dyck(T: ReverseTableau) -> DyckPath:

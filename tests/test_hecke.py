@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from tabkit import hecke
 from tabkit.core import check_composition, compositions_of
 from tabkit.hecke import (
-    DescentClass,
-    classify,
     equivalence_classes,
     is_source,
     pi,
-    swap_entries,
     verify_classes,
     verify_hecke_relations,
     verify_relations,
@@ -28,7 +25,7 @@ from tabkit.tableaux import (
     validate_pct,
 )
 
-from references import apply_word, is_sink, is_standard, recorded_checks
+from references import apply_word, is_sink, is_standard, recorded_checks, reference_pi
 
 SPCT_1324 = Tableau.from_rows([[1], [7, 5, 2], [6, 4], [10, 9, 8, 3]])
 
@@ -44,19 +41,19 @@ def spct_strategy(draw, max_n=6):
 
 def test_classify_known():
     # 3 sits one column right of 2 and strictly below: attacking
-    assert classify(SPCT_1324, 2) == DescentClass.ATTACKING
+    assert pi(SPCT_1324, 2).kind == "zero"
     # 4 is strictly left of 3: not a descent
-    assert classify(SPCT_1324, 3) == DescentClass.NOT_DESCENT
+    assert pi(SPCT_1324, 3).kind == "fixed"
     # 6 and 7 share the first column: attacking
-    assert classify(SPCT_1324, 6) == DescentClass.ATTACKING
+    assert pi(SPCT_1324, 6).kind == "zero"
     # 1 in column 1, 2 in column 3 of the row below: nonattacking
-    assert classify(SPCT_1324, 1) == DescentClass.NONATTACKING
+    assert pi(SPCT_1324, 1).kind == "moved"
     # 7 in column 1, 8 in column 3 strictly southeast but not adjacent
-    assert classify(SPCT_1324, 7) == DescentClass.NONATTACKING
+    assert pi(SPCT_1324, 7).kind == "moved"
     with pytest.raises(ValueError):
-        classify(SPCT_1324, 10)
+        pi(SPCT_1324, 10)
     with pytest.raises(ValueError):
-        classify(SPCT_1324, 0)
+        pi(SPCT_1324, 0)
 
 
 @pytest.mark.parametrize("rows, kind", [
@@ -70,18 +67,29 @@ def test_an_index_that_is_not_an_int_is_refused(rows, kind):
     # a float passes the range test, and a bool is an int
     message = rf"^index must be an integer in 1\.\.{t.size - 1}: "
     for i in (1.5, True):
-        for call in (lambda: classify(t, i), lambda: pi(t, i), lambda: apply_word(t, [i])):
+        for call in (lambda: pi(t, i), lambda: apply_word(t, [i])):
             with pytest.raises(ValueError, match=message):
                 call()
 
 
-def test_swap_entries():
-    t = Tableau.from_rows([[2, 1], [4, 3]])
-    assert swap_entries(t, 2).rows == ((3, 1), (4, 2))
-    assert swap_entries(swap_entries(t, 2), 2) == t
-    for i in (0, True):  # would put 0, or the bool True, into the filling
-        with pytest.raises(ValueError):
-            swap_entries(t, i)
+def standard_fillings(n):
+    # every filling of every composition of n by 1..n, rows in any order
+    for shape in compositions_of(n):
+        ends = list(accumulate(shape))
+        for entries in permutations(range(1, n + 1)):
+            yield Tableau(tuple(entries[end - part : end]
+                                for part, end in zip(shape, ends)))
+
+
+def test_pi_matches_the_cell_reference():
+    fillings = [t for n in range(1, 6) for t in standard_fillings(n)]
+    assert len(fillings) == 2141
+    pcts = [t for n in range(1, 7) for shape in compositions_of(n)
+            for t in enumerate_spct(shape)]
+    for t in fillings + pcts:
+        for i in range(1, t.size):
+            result = pi(t, i)
+            assert (result.kind, result.tableau) == reference_pi(t, i), (t.rows, i)
 
 
 def test_pi_outcomes():
@@ -144,7 +152,7 @@ def test_pi_preserves_shape_and_type():
 
 def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
     # the table moves row words; the filling of each moved word is the
-    # public swap of the tableau it moved, and a valid Tableau
+    # tableau it moved with the two entries interchanged, and a valid Tableau
     moves = []
     swap = hecke._swap
 
@@ -160,8 +168,9 @@ def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
             list(hecke._action(words, len(shape)))
     assert len(moves) > 1000
     for word, i, moved in moves:
-        swapped = swap_entries(Tableau(_rows(word)), i)
-        assert Tableau(_rows(moved)) == swapped
+        swapped = {i: i + 1, i + 1: i}
+        rows = [[swapped.get(x, x) for x in row] for row in _rows(word)]
+        assert Tableau(_rows(moved)) == Tableau.from_rows(rows)
 
 
 def moved_to(monkeypatch, target):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
@@ -741,6 +742,13 @@ def test_st_word_known():
     assert st_word(PCT_REPEATS) == ((1, 3, 2, 4), (2, 1, 3), (1, 2), (1,))
     assert st_column(PCT_3142, 1) == (3, 1, 4, 2)
     assert column_word(SPCT_1324, 2) == (5, 4, 9)
+
+
+@pytest.mark.parametrize("col", [True, 1.0, 1.5, 0, 5])
+def test_a_column_index_that_is_not_a_column_is_refused(col):
+    for read in (column_word, st_column):
+        with pytest.raises(ValueError, match=f"^column index out of range: {re.escape(repr(col))}$"):
+            read(SPCT_1324, col)
 
 
 def test_descent_set_known():

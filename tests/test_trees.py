@@ -92,12 +92,21 @@ def test_check_ltree():
         check_ltree(Node(1, Node(1)))  # repeated label
 
 
+@pytest.mark.parametrize("tree", [Node(True), Node(2, Node(True)), Node(2.0, Node(1))])
+def test_check_ltree_refuses_labels_that_are_not_ints(tree):
+    with pytest.raises(ValueError, match="^label must be an integer: "):
+        check_ltree(tree)
+
+
 @pytest.mark.parametrize("tree, message", [
     (Node(2), "labels must be exactly 1..1: 2 is repeated or out of range"),
     (Node(1, Node(3)), "labels must be exactly 1..2: 3 is repeated or out of range"),
     (Node(2, Node(0)), "labels must be exactly 1..2: 0 is repeated or out of range"),
     (Node(2, Node(1), Node(1)), "labels must be exactly 1..3: 1 is repeated or out of range"),
-], ids=["too-large", "too-large-below", "zero", "repeated"])
+    (Node(True), "label must be an integer: True"),
+    (Node(2, Node(True)), "label must be an integer: True"),
+    (Node(2.0, Node(1)), "label must be an integer: 2.0"),
+], ids=["too-large", "too-large-below", "zero", "repeated", "bool", "bool-below", "float"])
 def test_replay_refuses_labels_other_than_1_to_n(tree, message):
     # the replay checks the labels as it goes, with check_ltree's message
     for replay in (push_pop_trace, ltree_to_ldyck):
