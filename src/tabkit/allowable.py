@@ -47,7 +47,8 @@ from .core import (
     maximal_chain_to,
     weak_bruhat_leq,
 )
-from .tableaux import Tableau, enumerate_spct, st_column
+from .hecke import _class_key, _signature
+from .tableaux import Tableau, _spct_walk
 
 __all__ = [
     "PermGraph",
@@ -195,7 +196,9 @@ def verify_pairs(n: int) -> tuple[dict, str | None]:
         "covers_allowable": all((i, j) in pairs for i, js in enumerate(covers) for j in js),
     }
     if n <= 4:
-        columns = {(st_column(t, 1), st_column(t, 2)) for t in enumerate_spct((2,) * n)}
+        # the column types of each class, read once off its key
+        keys = {_class_key(word, cols) for word, cols, _ in _spct_walk((2,) * n)}
+        columns = {_signature(key, (n, n)) for key in keys}
         report["matches_tableau_pairs"] = columns == {(perms[i], perms[j]) for i, j in pairs}
     # the count matches and every verdict holds
     verdicts = [value for value in report.values() if isinstance(value, bool)]

@@ -12,22 +12,21 @@ every class contains exactly one source (each non-descent i < n has i+1
 immediately to its left) and exactly one sink (every descent attacking).
 
 The relation and class checks read one table of operator images per shape,
-built on the row words of the enumeration walk by ``_images``, the one
-statement of the rule.  One pass over each word decides every pi_i from
-integer tests on the columns and rows of i and i+1, with no call per cell:
-a fixed cell is the word's own index, a zero is -1, and only a move builds
-a word, the two letters swapped, which is looked up among the shape's words.
-``pi`` runs ``_images`` on a window of one ``Tableau``: the two-letter word
-of the rows of i+1 and i, with their columns, read from ``positions``.
-The relations are then checked column by column: column i lists the image
-of every word under pi_i, and each side of a relation is a composition of
-whole columns, one list comprehension per operator, compared as lists.  The
-class check groups the same words by a key read from their cells, and tests
-every move and each class's one source and one sink on the words alone;
-only ``equivalence_classes`` then builds a ``Tableau`` per member, the
-signatures and the sorts.  ``verify_relations`` and ``verify_classes``
-return the row and witness of one shape for ``tk verify hecke`` and
-``tk verify classes``.
+built by ``_images``, the one statement of the rule, on the row words of the
+enumeration walk and the columns the walk filled as it placed each letter.
+One pass over each word decides every pi_i from integer tests on the rows
+and columns of i and i+1: a fixed cell is the word's own index, a zero is
+-1, and only a move builds a word, the two letters swapped, looked up among
+the shape's words.  ``pi`` runs ``_images`` on a window of one ``Tableau``:
+the two-letter word of the rows of i+1 and i, with their columns from
+``positions``.  The relations are checked column by column: column i lists
+the image of every word under pi_i, and each side of a relation composes
+whole columns, compared as lists.  The class check groups the same words by
+a key read from their rows and columns, and tests every move and each
+class's one source and one sink on the words alone; only
+``equivalence_classes`` builds a ``Tableau`` per member.
+``verify_relations`` and ``verify_classes`` return the row and witness of
+one shape for ``tk verify hecke`` and ``tk verify classes``.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .core import Composition, Perm, apply_left_swap, format_composition
 from .tableaux import (
     Tableau,
     Word,
     _cells,
-    _columns,
     _is_source,
     _nonempty,
     _rows,
@@ -134,16 +132,18 @@ def _images(word: Word, cols: Sequence[int], k: int,
     return images
 
 
-def _action(
-    words: Sequence[Word], ell: int
-) -> Iterator[tuple[list[int], list[int | None]]]:
-    # per word, its columns and its row of the table: entry i-1 is the index
-    # of pi_i(words[k]) in the list, from ``_images``.  Columns are not
-    # kept, so a caller reads what else it needs from them as they pass.
+def _action(shape: Composition
+            ) -> tuple[list[Word], list[list[int]], list[list[int | None]]]:
+    # the row words the walk lists for the shape, the column of each letter,
+    # as the walk placed it, and the table of operator images: row k, entry
+    # i-1, is the index of pi_i(words[k]) in the list, from ``_images``
+    words, columns = [], []
+    for word, cols, _ in _spct_walk(shape):
+        words.append(word)
+        columns.append(cols[:])
     index = {w: k for k, w in enumerate(words)}
-    for k, w in enumerate(words):
-        cols = _columns(w, ell)
-        yield cols, _images(w, cols, k, index)
+    return words, columns, [_images(w, cols, k, index)
+                            for k, (w, cols) in enumerate(zip(words, columns))]
 
 
 def _moves(table: list[list[int | None]]) -> Iterator[tuple[int, int, int | None]]:
@@ -173,9 +173,7 @@ def verify_hecke_relations(shape: Sequence[int]) -> RelationReport:
     """
     shape = _nonempty(shape)
     n = sum(shape)
-    ell = len(shape)
-    words = [w for w, _ in _spct_walk(shape)]
-    table = [row for _, row in _action(words, ell)]
+    words, _, table = _action(shape)
     # the rows in the order their first-column entries arrive fix the type
     types = [tuple(dict.fromkeys(w)) for w in words]
 
@@ -260,7 +258,7 @@ def _class_key(word: Word, cols: list[int]) -> tuple[int, ...]:
     # the row of every entry, column by column and, within a column, largest
     # entry first.  The shape fixes how many entries each column has, so on
     # one shape this fixes, and is fixed by, every standardized column word.
-    return tuple([r for _, r in sorted(zip(cols, word), key=itemgetter(0))])
+    return tuple([word[p] for p in sorted(range(len(word)), key=cols.__getitem__)])
 
 
 def _signature(key: tuple[int, ...], heights: Sequence[int]) -> tuple[Perm, ...]:
@@ -290,17 +288,13 @@ def _grouped(shape: Composition
     # that is not listed or of another key raises AssertionError; so does a
     # class without exactly one source and one sink, naming the first such
     # class by signature.  Rows and signatures are read only to fail.
-    words = [w for w, _ in _spct_walk(shape)]
+    words, columns, table = _action(shape)
     by_key: dict[tuple[int, ...], list[int]] = {}
     groups = []  # groups[k]: the indices of the class of words[k], shared
-    table, source_indices = [], set()
-    for k, (cols, row) in enumerate(_action(words, len(shape))):
-        group = by_key.setdefault(_class_key(words[k], cols), [])
+    for k, (word, cols) in enumerate(zip(words, columns)):
+        group = by_key.setdefault(_class_key(word, cols), [])
         group.append(k)
         groups.append(group)
-        table.append(row)
-        if _is_source(words[k], cols):
-            source_indices.add(k)
     movers = set()
     for k, i, m in _moves(table):
         if m is None or groups[m] is not groups[k]:
@@ -308,7 +302,7 @@ def _grouped(shape: Composition
         movers.add(k)
     classes, failures = {}, []
     for key, ks in by_key.items():
-        sources = [k for k in ks if k in source_indices]
+        sources = [k for k in ks if _is_source(words[k], columns[k])]
         sinks = [k for k in ks if k not in movers]
         if len(sources) != 1 or len(sinks) != 1:
             failures.append((key, len(sources), len(sinks)))
@@ -324,15 +318,14 @@ def _grouped(shape: Composition
 def equivalence_classes(shape: Sequence[int]) -> tuple[EquivalenceClass, ...]:
     """Partition the standard tableaux of a shape by standardized column word.
 
-    Classes are sorted by signature; members by their rows.  The class
-    check that ``verify_classes`` runs comes first, on the row words: one
-    table of operator images over the shape gives every move, a move
-    between two signatures raises AssertionError, and so does a class
-    without exactly one source and one sink.  Each class records its unique
-    source and its sink, the one member that no pi_i moves.  A move lowers
-    the sum of entry times column, so every member's moves lead to the sink
-    (see ``EquivalenceClass``).  The members, their tableaux, signatures and
-    sorts are built only here.
+    Classes are sorted by signature; members by their rows.  The class check
+    of ``verify_classes`` runs first, on the row words: one table of
+    operator images gives every move, and a move between two signatures, or
+    a class without exactly one source and one sink, raises AssertionError.
+    Each class records its unique source and its sink, the one member that
+    no pi_i moves.  A move lowers the sum of entry times column, so every
+    member's moves lead to the sink (see ``EquivalenceClass``).  The
+    tableaux, signatures and sorts are built only here.
     """
     shape = _nonempty(shape)
     words, groups = _grouped(shape)

@@ -235,10 +235,12 @@ def _pct_faults(rows: Rows, n: int) -> list:
     # intervals [b, a], as sorted disjoint intervals with their starts and
     # ends in two lists, and a row's c is looked up before its own interval
     # joins.  A row's c in the pair j, j+1 is its own b there.  A pair's
-    # lists are made when the first row reaches column j.  Each merge or
+    # lists are made when the first row reaches column j, starting with
+    # [0, 0], which holds no entry.  A row ending at column j widens that
+    # first interval in place unless a later one starts at or below its a;
+    # none does until some row reaches column j+1.  Any other merge or
     # insert is one slice assignment, which shifts the later intervals by
-    # one memmove; ``list.insert`` shifts them one at a time, and at 10^5
-    # rows that is slower.
+    # one memmove, where ``list.insert`` shifts them one at a time.
     #
     # Returns a key per broken condition, none when the rows are a valid
     # PCT, rows and columns from 1, sorting in the order ``validate_pct``
@@ -252,9 +254,10 @@ def _pct_faults(rows: Rows, n: int) -> list:
     scanned = 0  # the last row scanned for entries past n
     for row in rows:
         k += 1
+        cells = iter(row)  # read once, with no copy of the row
         # a row that weakly decreases starts with its largest entry, so only
         # a row that starts past n, or that increases, can hold entries past n
-        a = row[0]
+        a = next(cells)
         if firsts.setdefault(a, k) != k:
             faults.append(("first-column-repeat", k, firsts[a], 1))
         if a > n:
@@ -262,14 +265,14 @@ def _pct_faults(rows: Rows, n: int) -> list:
             faults.extend(("entry-range", k, k, c)
                           for c, x in enumerate(row, start=1) if x > n)
         j = 0
-        for b in row[1:]:
+        for b in cells:
             if j == len(pairs):
-                pairs.append(([], []))
+                pairs.append(([0], [0]))
             lows, highs = pairs[j]
             # only the last interval starting at or below b can cover it;
             # past that check, the intervals from lo on end above b
             lo = bisect_right(lows, b)
-            if lo and highs[lo - 1] >= b:
+            if highs[lo - 1] >= b:
                 # the earlier rows whose [b, a] holds this row's b
                 faults.extend(("triple", i, k, j + 1)
                               for i, above in enumerate(rows[:k - 1], start=1)
@@ -299,13 +302,15 @@ def _pct_faults(rows: Rows, n: int) -> list:
         # the last cell a has no b: its interval [0, a] merges with every
         # interval starting at or below a, the first hi
         if j == len(pairs):
-            pairs.append(([], []))
+            pairs.append(([0], [a]))
+            continue
         lows, highs = pairs[j]
         hi = bisect_right(lows, a)
-        if hi:
-            a = max(a, highs[hi - 1])
-        lows[:hi] = (0,)
-        highs[:hi] = (a,)
+        if hi > 1:
+            highs[0] = max(a, highs[hi - 1])
+            del lows[1:hi], highs[1:hi]
+        elif a > highs[0]:
+            highs[0] = a
     return faults
 
 
@@ -451,17 +456,6 @@ def _cells(t: Tableau | ReverseTableau) -> tuple[list[int], list[int]]:
     return [r for r, _ in cells], [c for _, c in cells]
 
 
-def _columns(word: Word, ell: int) -> list[int]:
-    # the column of each letter of a row word: every row fills left to
-    # right, and the word lists its entries largest first
-    filled = [0] * ell
-    cols = []
-    for r in word:
-        filled[r] += 1
-        cols.append(filled[r])
-    return cols
-
-
 def _quadruple(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, int, int]:
     # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
     # before it; i+1 counts as south of i unless strictly north
@@ -475,10 +469,11 @@ def _quadruple(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, int,
 def _is_source(rows: Sequence[int], cols: Sequence[int]) -> bool:
     # rows[p], cols[p]: the cell of n - p, so entry i sits at p and i+1 just
     # before it; a non-descent i needs i+1 immediately to its left
-    return all(
-        c2 >= c1 or (r2 == r1 and c2 == c1 - 1)
-        for r2, c2, r1, c1 in zip(rows, cols, rows[1:], cols[1:])
-    )
+    for p in range(1, len(rows)):
+        c1, c2 = cols[p], cols[p - 1]
+        if c2 < c1 and (c2 != c1 - 1 or rows[p - 1] != rows[p]):
+            return False
+    return True
 
 
 def _rows(word: Word) -> Rows:
@@ -662,13 +657,15 @@ def enumerate_spct(shape: Sequence[int]) -> Iterator[Tableau]:
     would complete a forbidden triple with the earlier row's column c-1.
     """
     return (Tableau._trusted(tuple(map(tuple, rows)))
-            for _, rows in _spct_walk(_nonempty(shape)))
+            for _, _, rows in _spct_walk(_nonempty(shape)))
 
 
-def _spct_walk(shape: Composition, sigma: Perm | None = None) -> Iterator[tuple[Word, list]]:
+def _spct_walk(shape: Composition, sigma: Perm | None = None
+               ) -> Iterator[tuple[Word, list[int], list]]:
     # one backtracking loop: ``chosen`` holds the rows (from 0) of n, n-1,
-    # ..., v+1, and ``r`` is the first row still to try for the entry v.
-    # It yields each standard PCT as its row word and its rows, the walk's
+    # ..., v+1, ``cols`` their columns (from 1), and ``r`` is the first row
+    # still to try for the entry v.  It yields each standard PCT as its row
+    # word, the column of each letter and its rows, the last two the walk's
     # own lists, valid until the next item.  Its move rule is the one of
     # ``_walk_moves``: column c + 1 opens only in the first row of length
     # c, and, as rows start in decreasing type, an empty row r only when
@@ -677,11 +674,12 @@ def _spct_walk(shape: Composition, sigma: Perm | None = None) -> Iterator[tuple[
     rows: list[list[int]] = [[] for _ in range(ell)]
     lengths = [0] * ell
     chosen: list[int] = []
+    cols: list[int] = []
     v = composition_size(shape)
     r = 0
     while True:
         if v == 0:
-            yield tuple(chosen), rows
+            yield tuple(chosen), cols, rows
             r = ell
         while r < ell:
             c = lengths[r]
@@ -695,10 +693,12 @@ def _spct_walk(shape: Composition, sigma: Perm | None = None) -> Iterator[tuple[
             rows[r].append(v)
             lengths[r] = c + 1
             chosen.append(r)
+            cols.append(c + 1)
             v -= 1
             r = 0
         elif chosen:
             r = chosen.pop()
+            cols.pop()
             rows[r].pop()
             lengths[r] -= 1
             v += 1
@@ -715,7 +715,7 @@ def enumerate_spct_sigma(
     arrive largest first, so the type fixes the order rows start in."""
     shape = _nonempty(shape)
     return (Tableau._trusted(tuple(map(tuple, rows)))
-            for _, rows in _spct_walk(shape, _check_type(sigma, len(shape))))
+            for _, _, rows in _spct_walk(shape, _check_type(sigma, len(shape))))
 
 
 def count_spct(
@@ -868,7 +868,7 @@ def enumerate_srt(partition: Sequence[int]) -> Iterator[ReverseTableau]:
     """
     lam = _partition(partition)
     return (ReverseTableau._trusted(tuple(map(tuple, rows)))
-            for _, rows in _spct_walk(lam, tuple(range(len(lam), 0, -1))))
+            for _, _, rows in _spct_walk(lam, tuple(range(len(lam), 0, -1))))
 
 
 def count_srt(partition: Sequence[int]) -> int:

@@ -246,27 +246,31 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
 
 def _replay(t: Node) -> list[int]:
     # The push/pop replay of t, a push of label x recorded as x and a pop as
-    # -x, in one pass without recursion that also checks the labels:
-    # distinct as they are pushed, and exact ints 1..n once all are.  On a
-    # bad tree ``check_ltree`` raises, naming the first bad label in preorder.
+    # -x, in one pass without recursion that also checks the labels: numbers
+    # (else the loop raises TypeError), distinct as they are pushed, and exact
+    # ints 1..n once all are.  On a bad tree ``check_ltree`` names the first.
     ops: list[int] = []
     heap: list[int] = []  # the pushed labels not yet popped
     nodes: dict[int, Node] = {}  # every pushed node, by label
     node: Node | None = t  # the next node of the left path being pushed
-    while True:
-        while node:
-            label = node.label
-            if label in nodes:
-                check_ltree(t)
-            nodes[label] = node
-            ops.append(label)
-            heapq.heappush(heap, label)
-            node = node.left
-        if not heap:
-            break
-        label = heapq.heappop(heap)
-        ops.append(-label)
-        node = nodes[label].right
+    try:
+        while True:
+            while node:
+                label = node.label
+                if label in nodes:
+                    check_ltree(t)
+                nodes[label] = node
+                ops.append(label)
+                heapq.heappush(heap, label)
+                node = node.left
+            if not heap:
+                break
+            label = heapq.heappop(heap)
+            ops.append(-label)
+            node = nodes[label].right
+    except TypeError:
+        check_ltree(t)
+        raise
     # a bool or a float equal to a label passes the tests above
     if set(map(type, nodes)) != {int} or min(nodes) < 1 or max(nodes) > len(nodes):
         check_ltree(t)

@@ -27,7 +27,8 @@ from tabkit.core import (
     maximal_chain_to,
     weak_bruhat_leq,
 )
-from tabkit.tableaux import enumerate_spct, st_column, st_word, validate_pct
+from tabkit.hecke import _class_key, _signature
+from tabkit.tableaux import Tableau, _spct_walk, enumerate_spct, st_column, st_word, validate_pct
 
 
 @st.composite
@@ -157,6 +158,36 @@ def test_verify_pairs_reports_every_check():
     }, None)
     with pytest.raises(ValueError):
         verify_pairs(0)
+
+
+def test_tableau_pairs_read_off_the_walk_are_the_column_types():
+    # ``verify_pairs`` reads each class of (2)^n off its key: the rows of the
+    # walk's word, column by column
+    for n in range(1, 6):
+        for word, cols, rows in _spct_walk((2,) * n):
+            t = Tableau.from_rows(rows)
+            pair = _signature(_class_key(word, cols), (n, n))
+            assert pair == (st_column(t, 1), st_column(t, 2)), rows
+
+
+def test_verify_pairs_fails_on_a_walk_that_misses_a_tableau(monkeypatch):
+    # ((2, 1), (4, 3), (6, 5)) is the only tableau of (2)^3 whose columns
+    # both standardize to 123: without it the tableau pairs miss that pair
+    walk = _spct_walk
+    dropped = ((2, 1), (4, 3), (6, 5))
+    tableaux = [Tableau.from_rows(rows) for _, _, rows in walk((2, 2, 2))]
+    assert [t.rows for t in tableaux
+            if {st_column(t, 1), st_column(t, 2)} == {(1, 2, 3)}] == [dropped]
+
+    def missing(shape):
+        for item in walk(shape):
+            if tuple(map(tuple, item[2])) != dropped:
+                yield item
+
+    monkeypatch.setattr("tabkit.allowable._spct_walk", missing)
+    report, witness = verify_pairs(3)
+    assert (report["pairs"], report["matches_tableau_pairs"], report["pass"]) == (16, False, False)
+    assert witness == f"n=3: {report}"
 
 
 def test_verify_pairs_fails_on_a_broken_scan(monkeypatch):

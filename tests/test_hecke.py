@@ -17,7 +17,6 @@ from tabkit.tableaux import (
     Tableau,
     _nonempty,
     _rows,
-    _spct_walk,
     enumerate_spct,
     st_column,
     st_word,
@@ -164,8 +163,7 @@ def test_moved_images_of_the_table_pass_the_constructor_checks(monkeypatch):
     monkeypatch.setattr(hecke, "_swap", recording_swap)
     for n in range(2, 7):
         for shape in compositions_of(n):
-            words = [w for w, _ in _spct_walk(shape)]
-            list(hecke._action(words, len(shape)))
+            hecke._action(shape)
     assert len(moves) > 1000
     for word, i, moved in moves:
         assert reference_pi(Tableau(_rows(word)), i) == ("moved", Tableau(_rows(moved)))
@@ -199,9 +197,10 @@ def test_verify_hecke_relations_reports_an_image_of_another_type(monkeypatch):
     # ((1,), (2,)) has the row word (1, 0), ((2,), (1,)) has (0, 1)
     action = hecke._action
 
-    def broken_action(words, ell):
-        for w, (cols, row) in zip(words, action(words, ell)):
-            yield cols, [words.index((0, 1))] if w == (1, 0) else row
+    def broken_action(shape):
+        words, columns, table = action(shape)
+        return words, columns, [[words.index((0, 1))] if w == (1, 0) else row
+                                for w, row in zip(words, table)]
 
     monkeypatch.setattr(hecke, "_action", broken_action)
     report = verify_hecke_relations((1, 1))
@@ -217,9 +216,11 @@ def test_verify_hecke_relations_reports_a_broken_relation(monkeypatch):
     # tableau that pi_1 alone sends to a nonzero image
     action = hecke._action
 
-    def broken_action(words, ell):
-        for k, (cols, row) in enumerate(action(words, ell)):
-            yield cols, [-1 if i == 1 and m == k else m for i, m in enumerate(row, start=1)]
+    def broken_action(shape):
+        words, columns, table = action(shape)
+        return words, columns, [[-1 if i == 1 and m == k else m
+                                 for i, m in enumerate(row, start=1)]
+                                for k, row in enumerate(table)]
 
     monkeypatch.setattr(hecke, "_action", broken_action)
     report = verify_hecke_relations((2, 1))
@@ -324,18 +325,27 @@ def test_moved_connected_observed_on_small_shapes():
 
 
 def test_positions_derived_once_per_tableau(monkeypatch):
-    # the table reads the cells of each row word, one pass per tableau;
-    # ``positions`` serves only the public, Tableau-level functions
+    # the table reads the cells of each row word from one walk, which yields
+    # the columns it filled with the word; ``positions`` serves only the
+    # public, Tableau-level functions
     calls = []
-    columns = hecke._columns
-    monkeypatch.setattr(hecke, "_columns", lambda w, ell: calls.append(w) or columns(w, ell))
+    walk = hecke._spct_walk
+
+    def counted(shape):
+        calls.append(shape)
+        yield from walk(shape)
+
+    monkeypatch.setattr(hecke, "_spct_walk", counted)
     monkeypatch.setattr(hecke, "positions", None)  # any call would raise
     shape = (2, 2, 2, 2)  # 336 tableaux
-    equivalence_classes(shape)
-    assert len(calls) == 336
+    words, _ = hecke._grouped(shape)
+    assert (calls, len(words)) == ([shape], 336)
     calls.clear()
-    verify_hecke_relations(shape)
-    assert len(calls) == 336
+    assert len(equivalence_classes(shape)) == 125
+    assert calls == [shape]
+    calls.clear()
+    assert verify_hecke_relations(shape).tableaux == 336
+    assert calls == [shape]
 
 
 def reference_action(tableaux):
@@ -367,8 +377,7 @@ def reference_classes(shape):
 def test_table_matches_public_pi():
     for n in range(1, 7):
         for shape in compositions_of(n):
-            words = [w for w, _ in _spct_walk(shape)]
-            table = [row for _, row in hecke._action(words, len(shape))]
+            _, _, table = hecke._action(shape)
             assert table == reference_action(list(enumerate_spct(shape))), shape
 
 
@@ -384,8 +393,7 @@ def reference_relations(shape):
     # same earliest failure and the same count of checks
     shape = check_composition(shape)
     n = sum(shape)
-    words = [w for w, _ in _spct_walk(_nonempty(shape))]
-    table = [row for _, row in hecke._action(words, len(shape))]
+    words, _, table = hecke._action(_nonempty(shape))
     types = [tuple(dict.fromkeys(w)) for w in words]
     checks = 0
 
@@ -430,10 +438,11 @@ def killed(monkeypatch, cells):
     # pi_i now kills each tableau (given by its rows) of the (rows, i) cells
     action = hecke._action
 
-    def broken_action(words, ell):
-        for w, (cols, row) in zip(words, action(words, ell)):
-            yield cols, [-1 if (_rows(w), i) in cells else m
-                         for i, m in enumerate(row, start=1)]
+    def broken_action(shape):
+        words, columns, table = action(shape)
+        return words, columns, [[-1 if (_rows(w), i) in cells else m
+                                 for i, m in enumerate(row, start=1)]
+                                for w, row in zip(words, table)]
 
     monkeypatch.setattr(hecke, "_action", broken_action)
 

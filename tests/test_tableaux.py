@@ -18,7 +18,6 @@ from tabkit.tableaux import (
     ValidationResult,
     Violation,
     _check_type,
-    _columns,
     _quadruple,
     _spct_walk,
     _walk_moves,
@@ -792,8 +791,8 @@ def test_descent_quadruple_matches_the_per_entry_rule():
 def walk_census(n):
     # the reference: the quadruple of every row word the walk lists
     return Counter(
-        _quadruple(word, _columns(word, n))
-        for word, _ in _spct_walk((2,) * n)
+        _quadruple(word, cols)
+        for word, cols, _ in _spct_walk((2,) * n)
     )
 
 
@@ -858,6 +857,24 @@ def test_two_column_work_bounds_the_entries_the_census_carries():
     assert sum(entries) == 57_087
 
 
+def test_the_walk_yields_the_cells_of_its_words():
+    # letter p of a word is the entry n - p: its row is the letter, and its
+    # column the walk's; both are the cell ``positions`` gives that entry
+    cases = [(shape, None) for m in range(1, 8) for shape in compositions_of(m)]
+    cases += [(shape, sigma) for m in range(1, 7) for shape in compositions_of(m)
+              for sigma in permutations(range(1, len(shape) + 1))]
+    words = 0
+    for shape, sigma in cases:
+        for word, cols, rows in _spct_walk(shape, sigma):
+            pos = positions(Tableau.from_rows(rows))
+            cells = [pos[v] for v in range(len(word), 0, -1)]
+            assert cells == [(r + 1, c) for r, c in zip(word, cols)], (shape, sigma, word)
+            words += 1
+    # every standard PCT of size <= 7, then again of size <= 6, by type
+    assert words == sum(count_spct(shape) for m in range(1, 8) for shape in compositions_of(m)) \
+        + sum(count_spct(shape) for m in range(1, 7) for shape in compositions_of(m))
+
+
 def test_count_spct_matches_the_walk():
     for m in range(1, 8):
         for shape in compositions_of(m):
@@ -899,7 +916,7 @@ def test_the_walk_and_the_transfer_make_the_same_moves():
     for shape, sigma in cases:
         p = max(shape) + 1
         extended: dict = {}
-        for word, _ in _spct_walk(shape, sigma):
+        for word, _, _ in _spct_walk(shape, sigma):
             for k, r in enumerate(word):
                 rows = extended.setdefault(word[:k], [])
                 if not rows or rows[-1] != r:

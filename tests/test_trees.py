@@ -106,7 +106,10 @@ def test_check_ltree_refuses_labels_that_are_not_ints(tree):
     (Node(True), "label must be an integer: True"),
     (Node(2, Node(True)), "label must be an integer: True"),
     (Node(2.0, Node(1)), "label must be an integer: 2.0"),
-], ids=["too-large", "too-large-below", "zero", "repeated", "bool", "bool-below", "float"])
+    (Node("a"), "label must be an integer: 'a'"),
+    (Node(2, Node("a")), "label must be an integer: 'a'"),
+], ids=["too-large", "too-large-below", "zero", "repeated", "bool", "bool-below", "float",
+        "str", "str-below"])
 def test_replay_refuses_labels_other_than_1_to_n(tree, message):
     # the replay checks the labels as it goes, with check_ltree's message
     for replay in (push_pop_trace, ltree_to_ldyck):
