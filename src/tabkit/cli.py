@@ -8,11 +8,12 @@ statistics on two-column standard tableaux with that of the four edge
 statistics on labeled binary trees; ``tk map`` applies one bijection.
 
 Each flag is declared once, in ``_FLAGS``, and each command's choices, with
-the flags each takes and their defaults, once, in ``_COMMANDS``; the parser,
-its help and every flag check are built from the two.  Every command is
-charged, before it starts, with an exact count of its objects or a bound on
-its steps, and refuses when that passes the object cap.  Exit codes: 0 pass,
-1 invariant failure, 2 usage error or refusal.
+the flags each takes and their defaults, once, in ``_COMMANDS``.  Every
+command's parser takes every flag; its help, and the one rule that refuses
+by name each flag the choice does not take, are built from the two.  Every
+command is charged, before it starts, with an exact count of its objects or
+a bound on its steps, and refuses when that passes the object cap.  Exit
+codes: 0 pass, 1 invariant failure, 2 usage error or refusal.
 
 Each ``cmd_*`` takes the cap, the choice and the flags' values, and returns
 its parameters, results, rows and exit code; ``main`` times it and renders
@@ -351,13 +352,10 @@ def cmd_stats(cap: int, kind: str, n: int) -> Outcome:
 
 
 def _load_json(path: str) -> dict:
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except RecursionError as exc:
-        raise ValueError("input JSON nests too deeply") from exc
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _load_tableau(data: dict, kind: type) -> Tableau | ReverseTableau:
@@ -477,31 +475,6 @@ _COMMANDS = {
 }
 
 
-def _helps(flags: Iterable[str], choices: dict[str, dict]) -> dict[str, str]:
-    """The help of each of ``flags``, naming the ``choices`` that take it."""
-    takers = {dest: ", ".join(c for c, takes in choices.items() if dest in takes)
-              for dest in flags}
-    return {dest: f"{_FLAGS[dest].help} ({names})" for dest, names in takers.items()}
-
-
-# Every parser shares the flags every choice takes, and --seed, accepted
-# everywhere so that a choice that does not take it refuses it by name, but
-# shown only in the help of a command that takes it.
-_SHARED = {dest: _FLAGS[dest].help for dest in _COMMON} | _helps(["seed"], {
-    f"{name} {choice}": takes
-    for name, (*_, choices) in _COMMANDS.items() for choice, takes in choices.items()})
-_HELP = {name: _helps([dest for dest in dict.fromkeys(chain(*choices.values()))
-                       if dest not in _SHARED], choices)
-         for name, (*_, choices) in _COMMANDS.items()}
-
-
-def _add_flags(parser: argparse.ArgumentParser, helps: dict[str, str]) -> None:
-    for dest, help in helps.items():
-        flag = _FLAGS[dest]
-        parser.add_argument(flag.option, dest=dest, type=flag.type, metavar=flag.metavar,
-                            choices=flag.choices, help=help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tk",
@@ -511,22 +484,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help, positional, choices) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        seeded = any("seed" in takes for takes in choices.values())
-        _add_flags(p, _SHARED if seeded else _SHARED | {"seed": argparse.SUPPRESS})
         p.add_argument(positional, choices=tuple(choices))
-        _add_flags(p, _HELP[name])
+        # every command parses every flag, so that one rule refuses by name
+        # the flags its choice does not take; help names the choices that
+        # take a flag, and hides a flag that none takes
+        for dest, flag in _FLAGS.items():
+            takers = ", ".join(c for c, takes in choices.items() if dest in takes)
+            p.add_argument(flag.option, dest=dest, type=flag.type, metavar=flag.metavar,
+                           choices=flag.choices,
+                           help=flag.help if dest in _COMMON
+                           else f"{flag.help} ({takers})" if takers else argparse.SUPPRESS)
     return parser
 
 
 def _values(args: argparse.Namespace, name: str, choice: str, takes: dict) -> dict:
     """The value of each flag of ``takes``, the flags ``choice`` takes, given
-    or defaulted.  Refuse any other flag of the command ``name``, a count
-    below zero and a missing required flag."""
+    or defaulted.  Refuse any other flag, a count below zero and a missing
+    required flag."""
     values = _COMMON | takes
-    for dest in chain(_SHARED, _HELP[name]):
+    for dest, flag in _FLAGS.items():
         value = getattr(args, dest)
         if value is not None:
-            flag = _FLAGS[dest]
             if dest not in values:
                 raise ValueError(f"{name} {choice} does not take {flag.option}")
             if flag.count and value < 0:

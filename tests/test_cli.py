@@ -364,15 +364,16 @@ def required_argv(takes, but):
 
 
 def test_every_flag_is_taken_refused_or_required_as_the_table_declares(capsys):
-    """Each flag of each command's parser, on each choice: refused by name if
-    the choice does not take it, reported missing (exit 2 from ``main``, not
-    a ``SystemExit``) if the choice requires it, and refused below zero if
-    it is a count.  Every refusal comes before any input is read."""
+    """Each flag of ``_FLAGS``, on each choice of each command: refused by
+    name if the choice does not take it, reported missing if the choice
+    requires it, and refused below zero if it is a count.  Each refusal is
+    exit 2 from ``main``, never a ``SystemExit``, and comes before any input
+    is read."""
     for name, (*_, choices) in cli._COMMANDS.items():
         for choice, takes in choices.items():
             takes = cli._COMMON | takes
-            for dest in (*cli._SHARED, *cli._HELP[name]):
-                option = cli._FLAGS[dest].option
+            for dest, flag in cli._FLAGS.items():
+                option = flag.option
                 argv = (name, choice, *required_argv(takes, dest))
                 if dest not in takes:
                     expected = f"error: {name} {choice} does not take {option}\n"
@@ -381,9 +382,14 @@ def test_every_flag_is_taken_refused_or_required_as_the_table_declares(capsys):
                 if takes[dest] is ...:
                     expected = f"error: {name} {choice} requires {option}\n"
                     assert run(capsys, *argv) == (2, "", expected)
-                if cli._FLAGS[dest].count:
+                if flag.count:
                     expected = f"error: {option} must be nonnegative: -1\n"
                     assert run(capsys, *argv, option, "-1") == (2, "", expected)
+
+
+def test_a_flag_no_choice_of_the_command_takes_is_refused_by_name(capsys):
+    code, out, err = run(capsys, "stats", "quadruple", "--n", "2", "--shape", "2")
+    assert (code, out, err) == (2, "", "error: stats quadruple does not take --shape\n")
 
 
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
@@ -396,14 +402,16 @@ def test_help_names_the_choices_that_take_each_flag(capsys, monkeypatch, name):
     entries = re.split(r"\n  (?=-)", capsys.readouterr().out.split("options:\n", 1)[1])
     helps = {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
     *_, choices = cli._COMMANDS[name]
-    for dest in cli._HELP[name]:
+    for dest, flag in cli._FLAGS.items():
         takers = [choice for choice, takes in choices.items() if dest in takes]
-        assert helps[cli._FLAGS[dest].option].endswith(f"({', '.join(takers)})")
-    # --seed is shown only by the command that takes it
+        if dest in cli._COMMON:
+            assert helps[flag.option].endswith(flag.help)
+        elif takers:
+            assert helps[flag.option].endswith(f"({', '.join(takers)})")
+        else:  # a flag no choice of the command takes is hidden
+            assert flag.option not in helps
     if name == "verify":
-        assert helps["--seed"].endswith("(verify bijections)")
-    else:
-        assert "--seed" not in helps
+        assert helps["--seed"].endswith("(bijections)")
 
 
 @pytest.mark.parametrize("argv, parameters", [
@@ -708,7 +716,7 @@ def test_map_deep_json_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(deep))
     code, out, err = run(capsys, "map", "ltree-to-ldyck", "--in", "-")
     assert code == 2 and out == ""
-    assert err == "error: input JSON nests too deeply\n"
+    assert err == "error: the object nests too deeply to process\n"
 
 
 def test_map_too_deep_result_is_usage_error(capsys, monkeypatch):
