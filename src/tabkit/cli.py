@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import chain
 from math import comb, factorial
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .allowable import realize_sct, verify_pairs
 from .core import (
@@ -475,8 +475,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors reach ``main`` as ``ValueError``, so that
+    they return 2 with one ``error:`` line; the command parsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tk",
         description="Composition tableaux, labeled Dyck paths, labeled "
         "binary trees, and the bijections connecting them.",
@@ -529,10 +537,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    run, _, positional, choices = _COMMANDS[args.command]
-    choice = getattr(args, positional)
     try:
+        args = _parser().parse_args(argv)
+        run, _, positional, choices = _COMMANDS[args.command]
+        choice = getattr(args, positional)
         values = _values(args, args.command, choice, choices[choice])
         fmt = values.pop("format")
         cap = _object_cap(values.pop("max_objects"))

@@ -4,6 +4,14 @@ Trees are immutable nodes with a label and optional left/right children.
 Equality is structural: it compares the preorders of (label, has a left
 child, has a right child), which fix a tree, without recursion.
 
+The module works in a private flat form of a tree on the labels 1..n: two
+lists ``left`` and ``right`` of length n + 1, indexed by label, holding the
+label of each child and 0 for none, with the root recorded as ``left[0]``.
+``_flat`` builds it from a path, and ``ldyck_to_ltree`` builds nodes from it.
+A node input is read into it once, by ``_read``, which also checks the
+labels.  The round trips of ``tk verify bijections`` run on it alone and
+build no node.
+
 Both conversions are one push/pop replay: push the root's left path root to
 leaf, pop the smallest pushed-but-unpopped label, and after popping a node
 with a right child, push that child's left path.  A push right after the
@@ -212,19 +220,13 @@ def _hung(below: Counter[int], descent: int, above: Counter[int],
             + Counter({key + ascent: ways for key, ways in above.items()}))
 
 
-def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
-    """Read a canonical path right to left as the tree's push/pop replay: a
-    down-step pushes its label, an up-step pops its own.
-
-    >>> ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "U", "D1", "D2")))
-    Node(label=2, left=Node(label=1, left=None, right=None), right=Node(label=3, left=None, right=None))
-    """
+def _flat(d: LabeledDyckPath) -> tuple[list[int], list[int]]:
+    # The flat tree of a canonical path, read right to left as the tree's
+    # push/pop replay: a down-step pushes its label, an up-step pops its own.
     _require_canonical(d)
     n = d.semi_length
     if n == 0:
         raise ValueError("need at least one node: 0")
-    # the children by label, 0 for none; the root is recorded as the left
-    # child of 0
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     ups = reversed(up_step_labels(d))
@@ -236,45 +238,80 @@ def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
         else:
             side[last] = label = next(downs)
             side, last = left, label
+    return left, right
+
+
+def ldyck_to_ltree(d: LabeledDyckPath) -> Node:
+    """Read a canonical path right to left as the tree's push/pop replay: a
+    down-step pushes its label, an up-step pops its own.
+
+    >>> ldyck_to_ltree(LabeledDyckPath(("U", "D3", "U", "U", "D1", "D2")))
+    Node(label=2, left=Node(label=1, left=None, right=None), right=Node(label=3, left=None, right=None))
+    """
+    left, right = _flat(d)
     # the labels left to right are pushed last first, so every child is
     # built before its parent
-    nodes: list[Node | None] = [None] * (n + 1)
+    nodes: list[Node | None] = [None] * len(left)
     for label in d.down_labels:
         nodes[label] = Node(label, nodes[left[label]], nodes[right[label]])
     return nodes[left[0]]
 
 
-def _replay(t: Node) -> list[int]:
-    # The push/pop replay of t, a push of label x recorded as x and a pop as
-    # -x, in one pass without recursion that also checks the labels: numbers
-    # (else the loop raises TypeError), distinct as they are pushed, and exact
-    # ints 1..n once all are.  On a bad tree ``check_ltree`` names the first.
+def _read(t: Node) -> tuple[list[int], list[int]]:
+    # The flat tree of t, its nodes gathered by one explicit-stack pass.  The
+    # labels must be exactly the ints 1..n; on a bad tree ``check_ltree``
+    # names the first in preorder.
+    nodes: list[Node] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        while node:
+            nodes.append(node)
+            if node.right:
+                stack.append(node.right)
+            node = node.left
+    n = len(nodes)
+    labels = [node.label for node in nodes]
+    # a bool or a float equal to a label passes every test but the first
+    if (set(map(type, labels)) != {int} or len(set(labels)) != n
+            or min(labels) < 1 or max(labels) > n):
+        check_ltree(t)
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    left[0] = t.label
+    for node in nodes:
+        if node.left:
+            left[node.label] = node.left.label
+        if node.right:
+            right[node.label] = node.right.label
+    return left, right
+
+
+def _replay(left: list[int], right: list[int]) -> list[int]:
+    # The push/pop replay of a flat tree, a push of label x recorded as x and
+    # a pop as -x.
     ops: list[int] = []
     heap: list[int] = []  # the pushed labels not yet popped
-    nodes: dict[int, Node] = {}  # every pushed node, by label
-    node: Node | None = t  # the next node of the left path being pushed
-    try:
-        while True:
-            while node:
-                label = node.label
-                if label in nodes:
-                    check_ltree(t)
-                nodes[label] = node
-                ops.append(label)
-                heapq.heappush(heap, label)
-                node = node.left
-            if not heap:
-                break
-            label = heapq.heappop(heap)
-            ops.append(-label)
-            node = nodes[label].right
-    except TypeError:
-        check_ltree(t)
-        raise
-    # a bool or a float equal to a label passes the tests above
-    if set(map(type, nodes)) != {int} or min(nodes) < 1 or max(nodes) > len(nodes):
-        check_ltree(t)
-    return ops
+    label = left[0]  # the next label of the left path being pushed
+    while True:
+        while label:
+            ops.append(label)
+            heapq.heappush(heap, label)
+            label = left[label]
+        if not heap:
+            return ops
+        label = heapq.heappop(heap)
+        ops.append(-label)
+        label = right[label]
+
+
+def _path(ops: list[int]) -> LabeledDyckPath:
+    # the replay read backwards: a push becomes a labeled down-step, a pop an
+    # up-step
+    ops.reverse()
+    steps = tuple(f"D{x}" if x > 0 else "U" for x in ops)
+    downs = tuple(x for x in ops if x > 0)
+    return LabeledDyckPath._trusted(steps, downs)
 
 
 def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
@@ -283,26 +320,23 @@ def push_pop_trace(t: Node) -> tuple[tuple[str, int], ...]:
     Push the root's left path root to leaf; repeatedly pop the smallest
     pushed-but-unpopped label, and after popping a node with a right child,
     push that child's left path before popping again.  The labels are
-    checked in the same pass (exactly 1..n, else ``ValueError``).
+    checked as the tree is read (exactly 1..n, else ``ValueError``).
     """
-    return tuple(("push", x) if x > 0 else ("pop", -x) for x in _replay(t))
+    return tuple(("push", x) if x > 0 else ("pop", -x) for x in _replay(*_read(t)))
 
 
 def ltree_to_ldyck(t: Node) -> LabeledDyckPath:
     """Run the push/pop replay and read it backwards: a push becomes a
     labeled down-step, a pop an up-step.
 
-    The replay is the one pass of ``push_pop_trace``, which also checks the
-    labels; its integers become the steps directly, with no trace built.
+    The replay is the one of ``push_pop_trace``, on the tree read into its
+    flat form, which also checks the labels; its integers become the steps
+    directly, with no trace built.
 
     >>> ltree_to_ldyck(Node(2, Node(1), Node(3))).steps
     ('U', 'D3', 'U', 'U', 'D1', 'D2')
     """
-    ops = _replay(t)
-    ops.reverse()
-    steps = tuple(f"D{x}" if x > 0 else "U" for x in ops)
-    downs = tuple(x for x in ops if x > 0)
-    return LabeledDyckPath._trusted(steps, downs)
+    return _path(_replay(*_read(t)))
 
 
 def _shapes(n: int) -> Iterator[tuple | None]:
@@ -403,9 +437,10 @@ def verify_sampled_round_trips(m: int, samples: int, rng: random.Random
     from ``rng`` and taken to its path and back; the ``sampled`` row."""
     # each sampled path is checked before its tree is drawn from ``rng``
     sampled = (random_ldyck(m, rng) for _ in range(samples))
+    # the tree is drawn as ``random_ltree`` draws it, in its flat form
     return _round_trips(
         "sampled", m, sampled,
-        lambda d: _path_moved(d) or _tree_moved(random_ltree(d.semi_length, rng)),
+        lambda d: _path_moved(d) or _tree_moved(*_flat(random_ldyck(d.semi_length, rng))),
     )
 
 
@@ -435,17 +470,32 @@ def verify_counts(n: int) -> tuple[dict, str | None]:
 def _path_moved(d: LabeledDyckPath) -> str | None:
     if spct_to_ldyck(ldyck_to_spct(d)) != d:
         return f"path/tableau round trip moved {d.steps}"
-    if ltree_to_ldyck(ldyck_to_ltree(d)) != d:
+    if _path(_replay(*_flat(d))) != d:
         return f"path/tree round trip moved {d.steps}"
     return None
 
 
-def _tree_moved(tree: Node) -> str | None:
-    if ldyck_to_ltree(ltree_to_ldyck(tree)) != tree:
+def _tree_moved(left: list[int], right: list[int]) -> str | None:
+    if _flat(_path(_replay(left, right))) != (left, right):
         # named by the preorder key of its equality, shorter than its repr
         return (f"tree/path round trip moved the tree with (label, has a left child, "
-                f"has a right child) in preorder {tree._key()}")
+                f"has a right child) in preorder {_flat_key(left, right)}")
     return None
+
+
+def _flat_key(left: list[int], right: list[int]) -> tuple[tuple[int, bool, bool], ...]:
+    # ``Node._key`` of a flat tree: each left path root to leaf, its right
+    # children stacked as it is walked
+    key = []
+    stack = [left[0]]
+    while stack:
+        label = stack.pop()
+        while label:
+            key.append((label, left[label] != 0, right[label] != 0))
+            if right[label]:
+                stack.append(right[label])
+            label = left[label]
+    return tuple(key)
 
 
 def _round_trips(check: str, size: int, cases: Iterable,

@@ -21,7 +21,6 @@ from tabkit.core import inversions
 from tabkit.dyck import LabeledDyckPath, catalan
 from tabkit.hecke import _grouped
 from tabkit.tableaux import _first_column, _pct_rows, _row_order
-from tabkit.trees import Node, ldyck_to_ltree
 
 
 def image_rows(rows, sigma):
@@ -1164,16 +1163,44 @@ def test_verify_bijections_fails_a_row_on_an_image_that_loses_an_entry(
 
 
 def test_a_moved_deep_tree_is_named_without_recursion(monkeypatch):
-    # the left path of 1,500 nodes, deeper than the default recursion limit
-    comb = ldyck_to_ltree(
+    # the left path of 1,500 nodes, deeper than the default recursion limit,
+    # in the flat form the sampled row draws; the broken builder gives the
+    # one-node tree
+    comb = trees._flat(
         LabeledDyckPath(("U",) * 1500 + tuple(f"D{i}" for i in range(1, 1501)))
     )
-    assert trees._tree_moved(comb) is None
-    monkeypatch.setattr("tabkit.trees.ldyck_to_ltree", lambda d: Node(1))
-    witness = trees._tree_moved(comb)
+    assert trees._tree_moved(*comb) is None
+    monkeypatch.setattr("tabkit.trees._flat", lambda d: ([0, 1], [0, 0]))
+    witness = trees._tree_moved(*comb)
     assert witness.startswith("tree/path round trip moved the tree with (label, has a "
                               "left child, has a right child) in preorder ((1500, True, False), ")
     assert witness.endswith(", (2, True, False), (1, False, False))")
+
+
+def test_a_broken_replay_fails_the_path_row_with_the_path_as_witness(capsys, monkeypatch):
+    # the replay of the flat tree loses its last pop, so the first path of
+    # the ldyck-spct-ltree row, at semi-length 1, does not come back
+    replay = trees._replay
+    monkeypatch.setattr("tabkit.trees._replay", lambda left, right: replay(left, right)[:-1])
+    code, out, err = run(capsys, "verify", "bijections", "--n", "2")
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results["checks"][2] == {
+        "check": "ldyck-spct-ltree", "size": 1, "cases": 1, "pass": False}
+    assert results["counterexample"] == "path/tree round trip moved ('U', 'D1')"
+
+
+def test_the_bijection_rows_build_no_node(capsys, monkeypatch):
+    # the path and sampled rows run on the flat form only
+    def node(*args):
+        raise AssertionError("a Node was built")
+
+    monkeypatch.setattr("tabkit.trees.Node", node)
+    report = run_json(capsys, "verify", "bijections", "--n", "6", "--samples", "50",
+                      "--seed", "1")
+    assert report["results"]["passed"] is True
+    checks = {row["check"] for row in report["results"]["checks"]}
+    assert {"ldyck-spct-ltree", "sampled"} <= checks
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -1214,8 +1241,25 @@ def test_one_parser_answers_as_separate_processes(capsys, tmp_path):
 
 
 def test_unknown_command_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    # returned, not raised as argparse's SystemExit; one line, whatever the
+    # Python version prints after the choice
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "counts", "--max-nn", "3"), "unrecognized arguments: --max-nn 3"),
+    (("verify", "counts", "--max-n", "abc"), "argument --max-n: invalid int value: 'abc'"),
+    # a foreign flag's value is parsed before the flag is refused by name
+    (("stats", "quadruple", "--n", "2", "--max-n", "abc"),
+     "argument --max-n: invalid int value: 'abc'"),
+    (("verify",), "the following arguments are required: suite"),
+], ids=["unknown-option", "bad-value", "foreign-bad-value", "no-choice"])
+def test_argparse_usage_errors_return_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,3 +1,4 @@
+import heapq
 import random
 import re
 from collections import Counter
@@ -17,6 +18,7 @@ from tabkit.tableaux import (
     validate_pct,
 )
 from tabkit.dyck import ldyck_to_spct, spct_to_ldyck, up_step_labels
+from tabkit import trees
 from tabkit.trees import (
     Node,
     check_ltree,
@@ -309,12 +311,78 @@ def blocks_to_ltree(d):
     return root
 
 
-def test_replay_matches_the_block_characterisation():
+
+
+def flat_of(t):
+    """The children of each label of t, 0 for none, the root recorded as the
+    left child of 0: the flat form, read from the nodes."""
+    n = len(tree_labels(t))
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    left[0] = t.label
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        for side, child in ((left, v.left), (right, v.right)):
+            if child:
+                side[v.label] = child.label
+                stack.append(child)
+    return left, right
+
+
+def node_replay(t):
+    """The push/pop replay walked on the nodes, a push of x as x and a pop
+    as -x: push a left path root to leaf, pop the smallest pushed label and
+    push its right child's left path."""
+    ops, heap, pushed = [], [], {}
+    node = t
+    while True:
+        while node:
+            pushed[node.label] = node
+            ops.append(node.label)
+            heapq.heappush(heap, node.label)
+            node = node.left
+        if not heap:
+            return ops
+        label = heapq.heappop(heap)
+        ops.append(-label)
+        node = pushed[label].right
+
+
+def block_cases():
+    # every labeled path of semi-length <= 6, then seeded ones at 64 and 10^4
+    for n in range(1, 7):
+        yield from enumerate_ldyck(n)
     rng = random.Random(17)
-    paths = [d for n in range(1, 6) for d in enumerate_ldyck(n)]
-    paths += [random_ldyck(64, rng) for _ in range(200)]
-    for d in paths:
-        assert ldyck_to_ltree(d) == blocks_to_ltree(d), d.steps
+    for _ in range(200):
+        yield random_ldyck(64, rng)
+    for _ in range(3):
+        yield random_ldyck(10**4, rng)
+
+
+def test_replay_matches_the_block_characterisation():
+    for d in block_cases():
+        tree = blocks_to_ltree(d)
+        flat = trees._flat(d)
+        assert flat == flat_of(tree), d.steps
+        assert ldyck_to_ltree(d) == tree, d.steps
+        # the replay on the arrays is the one walked on the nodes
+        ops = node_replay(tree)
+        assert trees._replay(*flat) == ops, d.steps
+        assert push_pop_trace(tree) == tuple(
+            ("push", x) if x > 0 else ("pop", -x) for x in ops)
+
+
+@pytest.mark.parametrize("steps, stats", [
+    (("U",) * 10**5 + tuple(f"D{i}" for i in range(1, 10**5 + 1)), (0, 10**5 - 1, 0, 0)),
+    (tuple(step for i in range(1, 10**5 + 1) for step in ("U", f"D{i}")),
+     (0, 0, 0, 10**5 - 1)),
+], ids=["left-comb", "right-comb"])
+def test_combs_of_a_hundred_thousand_nodes_need_no_recursion(steps, stats):
+    d = LabeledDyckPath(steps)
+    tree = ldyck_to_ltree(d)
+    assert tree.label == 10**5
+    assert edge_stats(tree) == stats
+    assert ltree_to_ldyck(tree) == d
 
 
 def test_ldyck_to_ltree_refuses_the_empty_path():
